@@ -88,7 +88,7 @@ collectionFingerprint(const data::CollectOptions &options)
     for (const auto &infer : {model::TlpInferOptions::legacy(),
                               model::TlpInferOptions{true, 64}}) {
         model::TlpCostModel cost_model(probe_net, {}, 0, infer);
-        for (double score : cost_model.predictBatch(0, score_states))
+        for (double score : cost_model.scoreStates(0, score_states))
             hash = mixDouble(hash, score);
     }
     return hash;

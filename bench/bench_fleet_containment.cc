@@ -18,7 +18,6 @@
  * Emits BENCH_fleet_containment.json; exits nonzero on any isolation
  * or repair violation.
  */
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -26,19 +25,12 @@
 
 #include "artifact/audit.h"
 #include "bench/bench_common.h"
+#include "support/clock.h"
 #include "tuner/service/service.h"
 
 using namespace tlp;
 
 namespace {
-
-double
-now()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 std::string
 readFile(const std::string &path)
@@ -109,12 +101,12 @@ main()
     golden_fleet.erase(golden_fleet.begin() + poison_index);
     const std::string golden_dir = "/tmp/tlp_bench_containment_golden";
     std::filesystem::remove_all(golden_dir);
-    double t0 = now();
+    double t0 = wallSeconds();
     serve::TuningService golden(
         serviceOptions(golden_dir, sessions));
     golden.recover(golden_fleet);
     const int64_t golden_ticks = golden.runUntilIdle();
-    const double golden_seconds = now() - t0;
+    const double golden_seconds = wallSeconds() - t0;
     std::printf("golden: %lld ticks, %.2fs wall\n",
                 static_cast<long long>(golden_ticks), golden_seconds);
 
@@ -127,11 +119,11 @@ main()
     options.breaker_trip_limit = breaker_limit;
     options.backoff_base_ticks = 1;
     options.backoff_cap_ticks = 4;
-    t0 = now();
+    t0 = wallSeconds();
     serve::TuningService drill(options);
     drill.recover(fleet);
     const int64_t drill_ticks = drill.runUntilIdle();
-    const double drill_seconds = now() - t0;
+    const double drill_seconds = wallSeconds() - t0;
     const auto &stats = drill.stats();
     const bool tripped =
         drill.status(poisoned) ==

@@ -17,7 +17,7 @@
  * reports the fast path's steady-state allocations per candidate — the
  * §13 contract is that after warm-up the hot path performs zero
  * per-candidate heap allocations (only a constant handful per
- * predictBatch call for the returned score vector and the pool's task
+ * scoreStates call for the returned score vector and the pool's task
  * bookkeeping).
  *
  * Speedups track the machine: on a single-core container every thread
@@ -25,7 +25,6 @@
  * readers can interpret the numbers.
  */
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
@@ -41,6 +40,7 @@
 
 #include "bench/bench_common.h"
 #include "sketch/policy.h"
+#include "support/clock.h"
 #include "support/thread_pool.h"
 
 /** Every heap allocation in the process, from any thread. */
@@ -134,14 +134,6 @@ using namespace tlp;
 
 namespace {
 
-double
-now()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
 struct ThreadResult
 {
     int threads;
@@ -204,9 +196,9 @@ main()
 
         Rng net_rng(7);
         auto net = std::make_shared<model::TlpNet>(config, net_rng);
-        double t0 = now();
+        double t0 = wallSeconds();
         result.final_loss = trainTlpNet(*net, set, train_options);
-        result.train_seconds = now() - t0;
+        result.train_seconds = wallSeconds() - t0;
         result.train_samples_per_sec =
             static_cast<double>(set.rows) * train_options.epochs /
             result.train_seconds;
@@ -216,10 +208,10 @@ main()
         model::TlpCostModel legacy_model(
             net, {}, 0, model::TlpInferOptions::legacy());
         std::vector<double> legacy_predictions;
-        t0 = now();
+        t0 = wallSeconds();
         for (int rep = 0; rep < infer_reps; ++rep)
-            legacy_predictions = legacy_model.predictBatch(0, population);
-        result.legacy_seconds = now() - t0;
+            legacy_predictions = legacy_model.scoreStates(0, population);
+        result.legacy_seconds = wallSeconds() - t0;
         result.legacy_candidates_per_sec =
             static_cast<double>(population.size()) * infer_reps /
             result.legacy_seconds;
@@ -230,12 +222,12 @@ main()
         const uint64_t allocs_before = g_heap_allocs.load();
         model::TlpCostModel fast_model(
             net, {}, 0, model::TlpInferOptions{true, 4096});
-        t0 = now();
-        result.predictions = fast_model.predictBatch(0, population);
+        t0 = wallSeconds();
+        result.predictions = fast_model.scoreStates(0, population);
         const uint64_t allocs_warm = g_heap_allocs.load();
         for (int rep = 1; rep < infer_reps; ++rep)
-            result.predictions = fast_model.predictBatch(0, population);
-        result.infer_seconds = now() - t0;
+            result.predictions = fast_model.scoreStates(0, population);
+        result.infer_seconds = wallSeconds() - t0;
         const uint64_t allocs_after = g_heap_allocs.load();
         result.infer_candidates_per_sec =
             static_cast<double>(population.size()) * infer_reps /

@@ -7,25 +7,17 @@
  * to BENCH_robustness.json (written in the working directory — run from
  * the repo root).
  */
-#include <chrono>
 #include <cstdio>
 #include <sstream>
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "support/clock.h"
 #include "support/rng.h"
 
 using namespace tlp;
 
 namespace {
-
-double
-now()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 /** Flip each byte of @p bytes with probability @p rate (seeded). */
 std::string
@@ -133,7 +125,7 @@ main()
     for (const bool verify : {true, false}) {
         data::LoadOptions options;
         options.verify_checksums = verify;
-        const double t0 = now();
+        const double t0 = wallSeconds();
         for (int rep = 0; rep < load_reps; ++rep) {
             std::istringstream is(golden);
             auto result = data::Dataset::tryLoad(is, options);
@@ -143,7 +135,7 @@ main()
                 return 1;
             }
         }
-        const double seconds = now() - t0;
+        const double seconds = wallSeconds() - t0;
         const double mbps = static_cast<double>(golden.size()) *
                             load_reps / 1e6 / seconds;
         (verify ? mbps_on : mbps_off) = mbps;

@@ -18,7 +18,6 @@
  *
  * Emits BENCH_io_chaos.json; exits nonzero on any violation.
  */
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -35,6 +34,7 @@
 #include "models/cost_model.h"
 #include "models/snapshot.h"
 #include "models/supervisor.h"
+#include "support/clock.h"
 #include "support/io_env.h"
 #include "support/rng.h"
 #include "tuner/service/service.h"
@@ -43,14 +43,6 @@
 using namespace tlp;
 
 namespace {
-
-double
-now()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 std::string
 readFile(const std::string &path)
@@ -302,7 +294,7 @@ int
 main()
 {
     const double scale = benchScale();
-    const double t0 = now();
+    const double t0 = wallSeconds();
 
     // --- Part 1: fault-point enumeration, five formats -------------------
     std::printf("save-fault enumeration (every fault point, crash "
@@ -347,7 +339,7 @@ main()
         fault_points += row.fault_points;
         violations += row.violations;
     }
-    const double drill_seconds = now() - t0;
+    const double drill_seconds = wallSeconds() - t0;
     std::printf("total: %d fault points, %d violations (%.2fs)\n",
                 fault_points, violations, drill_seconds);
 
@@ -371,7 +363,7 @@ main()
 
     const std::string chaos_dir = "/tmp/tlp_bench_io_chaos";
     std::filesystem::remove_all(chaos_dir);
-    const double t1 = now();
+    const double t1 = wallSeconds();
     serve::RecoveryReport report;
     {
         ScopedIoFaults scope(chaos);
@@ -384,7 +376,7 @@ main()
     serve::TuningService recovered(serviceOptions(chaos_dir, sessions));
     report = recovered.recover(fleet);
     recovered.runUntilIdle();
-    const double chaos_seconds = now() - t1;
+    const double chaos_seconds = wallSeconds() - t1;
 
     bool curves_identical = true;
     for (const auto &spec : fleet) {

@@ -14,26 +14,18 @@
  *
  * Emits BENCH_service.json.
  */
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "bench/bench_common.h"
+#include "support/clock.h"
 #include "tuner/service/service.h"
 
 using namespace tlp;
 
 namespace {
-
-double
-now()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 std::string
 readFile(const std::string &path)
@@ -100,11 +92,11 @@ main()
     // (a) Golden, uninterrupted.
     const std::string golden_dir = "/tmp/tlp_bench_service_golden";
     std::filesystem::remove_all(golden_dir);
-    double t0 = now();
+    double t0 = wallSeconds();
     serve::TuningService golden(serviceOptions(golden_dir, sessions));
     golden.recover(fleet);
     const int64_t golden_ticks = golden.runUntilIdle();
-    const double golden_seconds = now() - t0;
+    const double golden_seconds = wallSeconds() - t0;
     std::printf("golden: %lld ticks, %.2fs wall\n",
                 static_cast<long long>(golden_ticks), golden_seconds);
 
@@ -132,11 +124,11 @@ main()
                      static_cast<std::streamsize>(bytes.size()));
         }
     }
-    t0 = now();
+    t0 = wallSeconds();
     serve::TuningService recovered(serviceOptions(drill_dir, sessions));
     const auto report = recovered.recover(fleet);
     const int64_t recovery_ticks = recovered.runUntilIdle();
-    const double recovery_seconds = now() - t0;
+    const double recovery_seconds = wallSeconds() - t0;
     std::printf("recovered: %d resumed / %d quarantined / %d fresh, "
                 "%lld rounds salvaged, %lld ticks to finish, %.2fs "
                 "wall\n",

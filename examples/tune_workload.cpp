@@ -72,10 +72,6 @@ main(int argc, char **argv)
     args.addInt("threads", 0,
                 "worker threads for kernels/features "
                 "(0 = TLP_NUM_THREADS env, default 1)");
-    args.addBool("legacy-infer", false,
-                 "score with the interpreted TLP forward and no feature "
-                 "cache (same results, slower; overrides TLP_FUSED_INFER "
-                 "/ TLP_FEATURE_CACHE)");
     args.addBool("supervise", false,
                  "wrap pretraining in the TrainSupervisor "
                  "(rollback-retry on numeric anomalies)");
@@ -199,11 +195,7 @@ main(int argc, char **argv)
             }
             std::printf("saved TLP snapshot to %s\n", save_model.c_str());
         }
-        cost_model = std::make_unique<model::TlpCostModel>(
-            net, feat::TlpFeatureOptions{}, 0,
-            args.getBool("legacy-infer")
-                ? model::TlpInferOptions::legacy()
-                : model::TlpInferOptions::fromEnv());
+        cost_model = std::make_unique<model::TlpCostModel>(net);
     } else {
         TLP_FATAL("unknown --model: ", which);
     }

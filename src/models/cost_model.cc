@@ -5,7 +5,6 @@
 
 #include "features/ansor_features.h"
 #include "schedule/lower.h"
-#include "support/config.h"
 #include "support/rng.h"
 #include "support/thread_pool.h"
 
@@ -14,7 +13,7 @@ namespace tlp::model {
 namespace {
 
 /**
- * Largest single forward pass of the batched scoring path; populations
+ * Largest single forward pass of the scoring path; populations
  * beyond this are split to bound activation memory.
  */
 constexpr int kMaxForwardBatch = 2048;
@@ -70,20 +69,6 @@ ansorFeaturesOf(const std::vector<sched::State> &states)
 
 } // namespace
 
-TlpInferOptions
-TlpInferOptions::fromEnv()
-{
-    TlpInferOptions options;
-    options.fused =
-        static_cast<int64_t>(envOr("TLP_FUSED_INFER", 1.0)) != 0;
-    options.cache_capacity = static_cast<int64_t>(
-        envOr("TLP_FEATURE_CACHE",
-              static_cast<double>(options.cache_capacity)));
-    if (options.cache_capacity < 0)
-        options.cache_capacity = 0;
-    return options;
-}
-
 TlpCostModel::TlpCostModel(std::shared_ptr<TlpNet> net,
                            feat::TlpFeatureOptions feature_options,
                            int head_task, TlpInferOptions infer_options)
@@ -104,13 +89,6 @@ TlpCostModel::TlpCostModel(std::shared_ptr<TlpNet> net,
                 feature_options_.emb_size,
             infer_options_.cache_capacity);
     }
-}
-
-std::vector<double>
-TlpCostModel::scoreStates(int task_id,
-                          const std::vector<sched::State> &states)
-{
-    return predictBatch(task_id, states);
 }
 
 uint64_t
@@ -150,8 +128,8 @@ TlpCostModel::interpretedForward(const std::vector<float> &features,
 }
 
 std::vector<double>
-TlpCostModel::predictBatch(int task_id,
-                           const std::vector<sched::State> &states)
+TlpCostModel::scoreStates(int task_id,
+                          const std::vector<sched::State> &states)
 {
     if (states.empty())
         return {};
@@ -308,13 +286,6 @@ TensetMlpCostModel::TensetMlpCostModel(std::shared_ptr<TensetMlpNet> net)
 std::vector<double>
 TensetMlpCostModel::scoreStates(int task_id,
                                 const std::vector<sched::State> &states)
-{
-    return predictBatch(task_id, states);
-}
-
-std::vector<double>
-TensetMlpCostModel::predictBatch(int task_id,
-                                 const std::vector<sched::State> &states)
 {
     if (states.empty())
         return {};

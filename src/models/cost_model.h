@@ -32,9 +32,9 @@ namespace tlp::model {
 /**
  * Inference hot-path configuration of TlpCostModel (DESIGN.md §13).
  * Both accelerators are value-neutral: any combination of flags
- * predicts bit-identically; they only change speed. Defaults come from
- * the environment so every entry point (tuner, service, benches) picks
- * them up uniformly.
+ * predicts bit-identically; they only change speed. Every entry point
+ * (tuner, service, CLIs) scores with the defaults; legacy() is the
+ * in-code oracle that tests and benches compare the fast path against.
  */
 struct TlpInferOptions
 {
@@ -44,11 +44,7 @@ struct TlpInferOptions
     /** Feature/score cache entries; 0 disables the cache entirely. */
     int64_t cache_capacity = 4096;
 
-    /** TLP_FUSED_INFER (0 disables) and TLP_FEATURE_CACHE (entry
-     *  count; 0 disables) override the defaults above. */
-    static TlpInferOptions fromEnv();
-
-    /** Both accelerators off — the pre-§13 interpreted path. */
+    /** Both accelerators off — the interpreted, uncached oracle. */
     static TlpInferOptions
     legacy()
     {
@@ -65,16 +61,20 @@ class CostModel
     /** Display name, e.g. "tlp". */
     virtual std::string name() const = 0;
 
-    /** Score candidates of task @p task_id; higher = predicted faster. */
+    /**
+     * Score candidates of task @p task_id; higher = predicted faster.
+     * The one scoring entry point of the search loop: feature extraction
+     * (and lowering, where required) runs in parallel over candidates on
+     * the global ThreadPool, and the whole population is scored in as
+     * few network forwards as possible.
+     */
     virtual std::vector<double>
     scoreStates(int task_id, const std::vector<sched::State> &states) = 0;
 
     /**
-     * Batched scoring path for the evolutionary search: feature
-     * extraction (and lowering, where required) runs in parallel over
-     * candidates on the global ThreadPool, and the whole population is
-     * scored in as few network forwards as possible. The default
-     * delegates to scoreStates; results are identical either way.
+     * Forwards to scoreStates. Kept only because the perfbench harness
+     * calls and overrides it; no model in src/ overrides it and nothing
+     * in src/ calls it.
      */
     virtual std::vector<double>
     predictBatch(int task_id, const std::vector<sched::State> &states)
@@ -111,14 +111,11 @@ class TlpCostModel : public CostModel
     TlpCostModel(std::shared_ptr<TlpNet> net,
                  feat::TlpFeatureOptions feature_options = {},
                  int head_task = 0,
-                 TlpInferOptions infer_options = TlpInferOptions::fromEnv());
+                 TlpInferOptions infer_options = {});
 
     std::string name() const override { return "tlp"; }
     std::vector<double>
     scoreStates(int task_id, const std::vector<sched::State> &states)
-        override;
-    std::vector<double>
-    predictBatch(int task_id, const std::vector<sched::State> &states)
         override;
     bool needsLowering() const override { return false; }
 
@@ -163,9 +160,6 @@ class TensetMlpCostModel : public CostModel
     std::string name() const override { return "tenset-mlp"; }
     std::vector<double>
     scoreStates(int task_id, const std::vector<sched::State> &states)
-        override;
-    std::vector<double>
-    predictBatch(int task_id, const std::vector<sched::State> &states)
         override;
     bool needsLowering() const override { return true; }
 

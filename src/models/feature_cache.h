@@ -4,7 +4,7 @@
  * (DESIGN.md §13).
  *
  * Evolutionary search re-scores survivors every generation and mutation
- * changes few primitives, so most predictBatch candidates have been
+ * changes few primitives, so most scoreStates candidates have been
  * featurized — and usually scored — before. The cache memoizes both
  * per candidate, keyed by a 128-bit content hash of the PrimitiveSeq
  * (two independent fnv1a-style walks; a primary-hash collision with a
@@ -79,7 +79,7 @@ class FeatureCache
      * The slot the next insert() will evict (meaningful only when
      * full()). Callers batching many lookups must check this against
      * the slots they still reference and bypass the cache on a clash —
-     * see TlpCostModel::predictBatch.
+     * see TlpCostModel::scoreStates.
      */
     int64_t nextVictim() const { return next_evict_; }
 

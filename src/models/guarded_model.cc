@@ -45,33 +45,20 @@ GuardedCostModel::needsLowering() const
     return ladder_[static_cast<size_t>(active_)]->needsLowering();
 }
 
-bool
-GuardedCostModel::scoresUnhealthy(const std::vector<double> &scores,
-                                  HealthEvent *event) const
+HealthEvent
+GuardedCostModel::judgeScores(const std::vector<double> &scores) const
 {
-    for (double s : scores) {
-        if (!std::isfinite(s)) {
-            *event = HealthEvent::NanScore;
-            return true;
-        }
-    }
     // Constant-output collapse is only judged on a meaningful population
     // and only once measured feedback exists — online models legitimately
     // return uniform scores before their first fit.
-    if (updates_seen_ > 0 &&
+    const bool judge_spread =
+        updates_seen_ > 0 &&
         scores.size() >=
-            static_cast<size_t>(options_.min_probe_candidates)) {
-        double lo = scores[0], hi = scores[0];
-        for (double s : scores) {
-            lo = std::min(lo, s);
-            hi = std::max(hi, s);
-        }
-        if (hi - lo < options_.constant_eps) {
-            *event = HealthEvent::ConstantScore;
-            return true;
-        }
-    }
-    return false;
+            static_cast<size_t>(options_.min_probe_candidates);
+    return scoreHealth(scores,
+                       judge_spread
+                           ? options_.constant_eps
+                           : -std::numeric_limits<double>::infinity());
 }
 
 void
@@ -89,38 +76,22 @@ GuardedCostModel::failover(HealthEvent cause)
 }
 
 std::vector<double>
-GuardedCostModel::guardedScore(int task_id,
-                               const std::vector<sched::State> &states,
-                               bool batched)
+GuardedCostModel::scoreStates(int task_id,
+                              const std::vector<sched::State> &states)
 {
     while (true) {
         CostModel &model = *ladder_[static_cast<size_t>(active_)];
-        std::vector<double> scores =
-            batched ? model.predictBatch(task_id, states)
-                    : model.scoreStates(task_id, states);
-        HealthEvent event = HealthEvent::NumEvents;
+        std::vector<double> scores = model.scoreStates(task_id, states);
         const bool last_rung =
             active_ + 1 >= static_cast<int>(ladder_.size());
-        if (last_rung || !scoresUnhealthy(scores, &event)) {
+        const HealthEvent event =
+            last_rung ? HealthEvent::NumEvents : judgeScores(scores);
+        if (event == HealthEvent::NumEvents) {
             publishHealth();
             return scores;
         }
         failover(event); // advances active_; re-score with the next rung
     }
-}
-
-std::vector<double>
-GuardedCostModel::scoreStates(int task_id,
-                              const std::vector<sched::State> &states)
-{
-    return guardedScore(task_id, states, /*batched=*/false);
-}
-
-std::vector<double>
-GuardedCostModel::predictBatch(int task_id,
-                               const std::vector<sched::State> &states)
-{
-    return guardedScore(task_id, states, /*batched=*/true);
 }
 
 void
@@ -166,8 +137,8 @@ GuardedCostModel::update(int task_id,
     }
     CostModel &model = *ladder_[static_cast<size_t>(active_)];
     const auto scores = model.scoreStates(task_id, probe_states_);
-    HealthEvent event = HealthEvent::NumEvents;
-    if (scoresUnhealthy(scores, &event)) {
+    const HealthEvent event = judgeScores(scores);
+    if (event != HealthEvent::NumEvents) {
         failover(event);
         publishHealth();
         return;
@@ -282,13 +253,6 @@ FaultInjectedCostModel::scoreStates(int task_id,
                                     const std::vector<sched::State> &states)
 {
     return maybeCollapse(inner_->scoreStates(task_id, states));
-}
-
-std::vector<double>
-FaultInjectedCostModel::predictBatch(
-    int task_id, const std::vector<sched::State> &states)
-{
-    return maybeCollapse(inner_->predictBatch(task_id, states));
 }
 
 void

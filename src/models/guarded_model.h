@@ -31,8 +31,8 @@ namespace tlp::model {
 /** GuardedCostModel knobs. */
 struct GuardOptions
 {
-    /** Scores spanning less than this over >= min_probe_candidates
-     *  candidates count as output collapse. */
+    /** Scores spanning no more than this over >= min_probe_candidates
+     *  candidates count as output collapse (see scoreHealth). */
     double constant_eps = 1e-9;
     /** Collapse is only judged on populations at least this large. */
     int min_probe_candidates = 8;
@@ -71,11 +71,9 @@ class GuardedCostModel : public CostModel
     /** Health counters accumulated so far. */
     const HealthCounters &health() const { return health_; }
 
+    /** Score via the active rung, failing over until scores are sane. */
     std::vector<double>
     scoreStates(int task_id, const std::vector<sched::State> &states)
-        override;
-    std::vector<double>
-    predictBatch(int task_id, const std::vector<sched::State> &states)
         override;
 
     /** Feedback goes to EVERY rung (keeps the online fallbacks warm so
@@ -94,14 +92,9 @@ class GuardedCostModel : public CostModel
     void deserializeState(BinaryReader &reader) override;
 
   private:
-    /** Score via the active rung, failing over until scores are sane. */
-    std::vector<double>
-    guardedScore(int task_id, const std::vector<sched::State> &states,
-                 bool batched);
-
-    /** True when @p scores trip the NaN or collapse probe. */
-    bool scoresUnhealthy(const std::vector<double> &scores,
-                         HealthEvent *event) const;
+    /** scoreHealth of @p scores under this ladder's collapse rules:
+     *  NumEvents when healthy, else the probe that tripped. */
+    HealthEvent judgeScores(const std::vector<double> &scores) const;
 
     /** Advance to the next rung, recording the transition. */
     void failover(HealthEvent cause);
@@ -134,9 +127,6 @@ class FaultInjectedCostModel : public CostModel
     std::string name() const override { return inner_->name(); }
     std::vector<double>
     scoreStates(int task_id, const std::vector<sched::State> &states)
-        override;
-    std::vector<double>
-    predictBatch(int task_id, const std::vector<sched::State> &states)
         override;
     void update(int task_id,
                 const std::vector<const sched::State *> &states,

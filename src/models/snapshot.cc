@@ -1,11 +1,11 @@
 #include "models/snapshot.h"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
-
-#include "support/io_env.h"
 #include <sstream>
+
+#include "models/supervisor.h"
+#include "support/io_env.h"
 
 namespace tlp::model {
 
@@ -205,18 +205,15 @@ probeSnapshotHealth(TlpNet &net)
                                  " scores for a batch of " +
                                  std::to_string(batch));
     }
-    float lo = scores.value()[0];
-    float hi = scores.value()[0];
-    for (const float score : scores.value()) {
-        if (!std::isfinite(score)) {
-            return Status::error(ErrorCode::Invalid,
-                                 "snapshot probe: non-finite score "
-                                 "(poisoned parameters)");
-        }
-        lo = std::min(lo, score);
-        hi = std::max(hi, score);
+    const HealthEvent health = scoreHealth(scores.value(), 1e-12f);
+    if (health == HealthEvent::NanScore) {
+        return Status::error(ErrorCode::Invalid,
+                             "snapshot probe: non-finite score "
+                             "(poisoned parameters)");
     }
-    if (!(hi - lo > 1e-12f)) {
+    if (health == HealthEvent::ConstantScore) {
+        const float hi = *std::max_element(scores.value().begin(),
+                                           scores.value().end());
         return Status::error(ErrorCode::Invalid,
                              "snapshot probe: degenerate scores (all " +
                                  std::to_string(hi) +

@@ -1,12 +1,13 @@
 #include "models/supervisor.h"
 
-#include <chrono>
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
 
+#include "support/clock.h"
 #include "support/io_env.h"
 
 namespace tlp::model {
@@ -20,15 +21,6 @@ constexpr uint32_t kEndTag = sectionTag("TEND");
 // nan-grad and loss-spike Bernoullis are independent.
 constexpr uint64_t kStreamNanGrad = 0x6772;   // "gr"
 constexpr uint64_t kStreamLossSpike = 0x6c73; // "ls"
-
-double
-monotonicSeconds()
-{
-    return std::chrono::duration<double>(
-               // tlp-lint: allow(wallclock) -- intentional TrainSupervisor wall-clock budget; never feeds model math (DESIGN.md s10)
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 } // namespace
 
@@ -56,6 +48,25 @@ healthEventName(HealthEvent event)
     }
     return "unknown";
 }
+
+template <typename T>
+HealthEvent
+scoreHealth(const std::vector<T> &scores, T eps)
+{
+    for (const T score : scores) {
+        if (!std::isfinite(score))
+            return HealthEvent::NanScore;
+    }
+    if (scores.empty())
+        return HealthEvent::NumEvents;
+    const auto [lo, hi] = std::minmax_element(scores.begin(), scores.end());
+    if (!(*hi - *lo > eps))
+        return HealthEvent::ConstantScore;
+    return HealthEvent::NumEvents;
+}
+
+template HealthEvent scoreHealth(const std::vector<float> &, float);
+template HealthEvent scoreHealth(const std::vector<double> &, double);
 
 int64_t
 HealthCounters::total() const
@@ -260,7 +271,7 @@ TrainSupervisor::TrainSupervisor(std::vector<nn::Tensor> params,
                                  nn::Adam &adam, SupervisorOptions options)
     : params_(std::move(params)), adam_(adam),
       options_(std::move(options)), backoff_rng_(options_.seed),
-      start_seconds_(monotonicSeconds())
+      start_seconds_(wallSeconds())
 {
     if (options_.enabled)
         takeSnapshot();
@@ -330,7 +341,7 @@ TrainSupervisor::step(const std::function<double()> &attempt)
         return StepOutcome::Stop;
     }
     if (options_.max_wall_seconds > 0.0 &&
-        monotonicSeconds() - start_seconds_ > options_.max_wall_seconds) {
+        wallSeconds() - start_seconds_ > options_.max_wall_seconds) {
         health_[HealthEvent::WallClockBudget]++;
         stopped_ = true;
         publishHealth();

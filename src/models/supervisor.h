@@ -31,6 +31,7 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "nn/optim.h"
 #include "support/result.h"
@@ -65,6 +66,21 @@ inline constexpr int kNumHealthEvents =
 
 /** Short event name, e.g. "nan_grad". */
 std::string healthEventName(HealthEvent event);
+
+/**
+ * The one cost-model score-health check, shared by the search-side
+ * fallback ladder (GuardedCostModel) and the snapshot hot-swap probe
+ * (probeSnapshotHealth). The spread is computed in T's own arithmetic,
+ * so a float probe compares in float.
+ *
+ * @return NanScore when any score is NaN/Inf; ConstantScore when the
+ *         scores span no more than @p eps (an empty population never
+ *         does); otherwise NumEvents, meaning healthy. An @p eps of
+ *         -infinity checks finiteness only. Defined for float and
+ *         double.
+ */
+template <typename T>
+HealthEvent scoreHealth(const std::vector<T> &scores, T eps);
 
 /** Typed per-event counters; the unit all health telemetry flows into. */
 struct HealthCounters

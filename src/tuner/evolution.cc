@@ -1,23 +1,11 @@
 #include "tuner/evolution.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
+#include "support/clock.h"
+
 namespace tlp::tune {
-
-namespace {
-
-double
-now()
-{
-    return std::chrono::duration<double>(
-               // tlp-lint: allow(wallclock) -- reported search-time stats only; candidate ranking stays seeded
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-} // namespace
 
 EvolutionResult
 evolveOneRound(const sketch::SchedulePolicy &policy,
@@ -38,9 +26,9 @@ evolveOneRound(const sketch::SchedulePolicy &policy,
 
     std::vector<double> scores;
     for (int iter = 0; iter < options.iterations; ++iter) {
-        const double t0 = now();
-        scores = cost_model.predictBatch(task_id, population);
-        result.model_seconds += now() - t0;
+        const double t0 = wallSeconds();
+        scores = cost_model.scoreStates(task_id, population);
+        result.model_seconds += wallSeconds() - t0;
 
         // Selection weights: softmax over scores.
         double max_score = *std::max_element(scores.begin(), scores.end());
@@ -86,9 +74,9 @@ evolveOneRound(const sketch::SchedulePolicy &policy,
     }
 
     // Final scoring and ranking.
-    const double t0 = now();
-    scores = cost_model.predictBatch(task_id, population);
-    result.model_seconds += now() - t0;
+    const double t0 = wallSeconds();
+    scores = cost_model.scoreStates(task_id, population);
+    result.model_seconds += wallSeconds() - t0;
 
     std::vector<size_t> order(population.size());
     for (size_t i = 0; i < order.size(); ++i)

@@ -193,8 +193,9 @@ struct ServiceOptions
     ServiceFaultProfile faults;
     /** Inference hot-path configuration handed to every GuardedTlp
      *  session's TlpCostModel (DESIGN.md §13). Value-neutral: any
-     *  setting yields the same curves, only a different speed. */
-    model::TlpInferOptions tlp_infer = model::TlpInferOptions::fromEnv();
+     *  setting yields the same curves, only a different speed; only
+     *  tests and benches set legacy(). */
+    model::TlpInferOptions tlp_infer{};
     bool verbose = false;
 };
 

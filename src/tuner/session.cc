@@ -1,7 +1,6 @@
 #include "tuner/session.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -9,6 +8,7 @@
 #include <sstream>
 
 #include "schedule/lower.h"
+#include "support/clock.h"
 #include "support/io_env.h"
 #include "support/logging.h"
 
@@ -26,15 +26,6 @@ constexpr uint32_t kSessionMagic = kSessionCheckpointMagic;   // "TLPS"
 constexpr uint32_t kSessionVersion = 4;
 constexpr uint32_t kMinSessionVersion = 2;
 constexpr uint32_t kStateTag = sectionTag("STAT");
-
-double
-now()
-{
-    return std::chrono::duration<double>(
-               // tlp-lint: allow(wallclock) -- session wall-time budget and round timestamps; search decisions stay seeded
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 /** CurvePoint layout of v2/v3 checkpoints (no measure_seconds column). */
 struct CurvePointV3
@@ -585,10 +576,10 @@ TuningSession::step()
         // Online model update (no-op for pretrained models); only valid
         // latencies may reach the model.
         if (!measured_states.empty()) {
-            const double t0 = now();
+            const double t0 = wallSeconds();
             cost_model_.update(task_id, measured_states,
                                measured_latency);
-            result_.model_seconds += now() - t0;
+            result_.model_seconds += wallSeconds() - t0;
             history_.push_back(std::move(round_history));
         }
 

@@ -7,11 +7,13 @@
 # a shell script would — the in-process death tests cannot see argv
 # parsing or main()'s artifact probing.
 
-if(NOT DEFINED TUNE_WORKLOAD OR NOT DEFINED DATASET_BUILDER
+if(NOT DEFINED TUNE_WORKLOAD OR NOT DEFINED TLP_SERVE
+   OR NOT DEFINED DATASET_BUILDER
    OR NOT DEFINED TLP_LINT OR NOT DEFINED TLP_FSCK
    OR NOT DEFINED LINT_FIXTURE_DIR OR NOT DEFINED WORK_DIR)
     message(FATAL_ERROR
-            "usage: cmake -DTUNE_WORKLOAD=... -DDATASET_BUILDER=... "
+            "usage: cmake -DTUNE_WORKLOAD=... -DTLP_SERVE=... "
+            "-DDATASET_BUILDER=... "
             "-DTLP_LINT=... -DTLP_FSCK=... -DLINT_FIXTURE_DIR=... "
             "-DWORK_DIR=... -P cli_smoke.cmake")
 endif()
@@ -32,6 +34,30 @@ if(NOT user_error_output MATCHES "--threads")
             "tune_workload --threads -1: fatal message does not name the "
             "offending flag. stderr: ${user_error_output}")
 endif()
+
+# The inference fast path has no user switch: the retired --legacy-infer
+# flag is an unknown flag, i.e. a user error, on both tuning CLIs. The
+# other arguments describe a tiny valid run, so only that flag can fail.
+set(legacy_serve_dir "${WORK_DIR}/cli_smoke_legacy_serve")
+file(REMOVE_RECURSE "${legacy_serve_dir}")
+foreach(cli TUNE_WORKLOAD TLP_SERVE)
+    if(cli STREQUAL "TLP_SERVE")
+        set(tiny_run --dir "${legacy_serve_dir}" --sessions 1)
+    else()
+        set(tiny_run --subgraphs 1)
+    endif()
+    execute_process(
+        COMMAND "${${cli}}" --model random --rounds 1 ${tiny_run}
+            --legacy-infer
+        RESULT_VARIABLE legacy_code
+        OUTPUT_QUIET ERROR_VARIABLE legacy_output)
+    if(NOT legacy_code EQUAL 2 OR NOT legacy_output MATCHES "legacy-infer")
+        message(FATAL_ERROR
+                "${cli} --legacy-infer: expected exit 2 naming the unknown "
+                "flag, got '${legacy_code}'. stderr: ${legacy_output}")
+    endif()
+endforeach()
+file(REMOVE_RECURSE "${legacy_serve_dir}")
 
 # --- corrupt artifact must exit 3, with a Status-shaped message ---------
 
@@ -281,6 +307,7 @@ if(NOT lint_bad_code EQUAL 2)
             "error), got '${lint_bad_code}'. stderr: ${lint_bad_output}")
 endif()
 
-message(STATUS "cli exit-code contract holds: user error=2, corrupt=3, "
+message(STATUS "cli exit-code contract holds: user error=2 (incl. "
+               "retired --legacy-infer), corrupt=3, "
                "verify-checkpoint 0/3, fsck 0/2/3, lint clean=0 / "
                "findings=1 / bad manifest=2")

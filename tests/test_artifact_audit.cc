@@ -24,6 +24,7 @@
 #include "support/serialize.h"
 #include "tuner/service/service.h"
 #include "tuner/session.h"
+#include "scratch.h"
 
 namespace tlp {
 namespace {
@@ -37,12 +38,8 @@ class ArtifactAudit : public ::testing::Test
     void
     SetUp() override
     {
-        dir_ = "/tmp/tlp_test_artifact_audit";
-        fs::remove_all(dir_);
-        fs::create_directories(dir_);
+        dir_ = test::scratchDir();
     }
-
-    void TearDown() override { fs::remove_all(dir_); }
 
     std::string
     path(const std::string &name) const
@@ -131,8 +128,7 @@ std::string
 checkpointBytes()
 {
     static const std::string bytes = [] {
-        const std::string path = "/tmp/tlp_test_audit_seed.ckpt";
-        fs::remove(path);
+        const std::string path = test::scratchDir("seed") + "/seed.ckpt";
         ir::Workload full =
             ir::partitionGraph(ir::buildNetwork("resnet-18"));
         ir::Workload slim;

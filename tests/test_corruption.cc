@@ -32,6 +32,7 @@
 #include "support/rng.h"
 #include "support/serialize.h"
 #include "tuner/session.h"
+#include "scratch.h"
 
 namespace tlp {
 namespace {
@@ -92,8 +93,7 @@ std::string
 goldenCheckpointBytes()
 {
     static const std::string bytes = [] {
-        const std::string path = "/tmp/tlp_test_corruption.ckpt";
-        std::remove(path.c_str());
+        const std::string path = test::scratchDir("golden") + "/golden.ckpt";
         ir::Workload full =
             ir::partitionGraph(ir::buildNetwork("resnet-18"));
         ir::Workload slim;
@@ -117,7 +117,6 @@ goldenCheckpointBytes()
         std::ifstream is(path, std::ios::binary);
         std::string contents((std::istreambuf_iterator<char>(is)),
                              std::istreambuf_iterator<char>());
-        std::remove(path.c_str());
         return contents;
     }();
     return bytes;
@@ -688,9 +687,7 @@ runSaveDrill(const std::string &name, const std::string &gen1,
     ASSERT_FALSE(gen2.empty());
     ASSERT_NE(gen1, gen2);
 
-    const std::string path = "/tmp/tlp_test_io_drill_" + name + ".bin";
-    std::remove(path.c_str());
-    sweepStaleTempsFor(path);
+    const std::string path = test::scratchDir(name) + "/" + name + ".bin";
     ScopedIoFaults scope{IoFaultProfile{}};   // chaos off; counters reset
 
     IoEnv &env = IoEnv::global();
@@ -770,7 +767,6 @@ runSaveDrill(const std::string &name, const std::string &gen1,
         EXPECT_TRUE(loaded.ok()) << name << ": " << loaded.toString();
     }
     EXPECT_EQ(env.counters().writes_committed, 2);
-    std::remove(path.c_str());
 }
 
 TEST(CrashConsistency, DatasetSaveFaultsKeepPreviousArtifact)

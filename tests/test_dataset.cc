@@ -11,6 +11,7 @@
 #include "dataset/metrics.h"
 #include "dataset/splits.h"
 #include "support/rng.h"
+#include "scratch.h"
 
 namespace tlp::data {
 namespace {
@@ -72,10 +73,9 @@ TEST(Collect, DeterministicGivenSeed)
 TEST(Dataset, SaveLoadRoundTrip)
 {
     const Dataset ds = smallDataset();
-    const std::string path = "/tmp/tlp_test_dataset.bin";
+    const std::string path = test::scratchDir() + "/dataset.bin";
     ds.save(path);
     const Dataset loaded = Dataset::load(path);
-    std::remove(path.c_str());
 
     EXPECT_EQ(loaded.platforms, ds.platforms);
     EXPECT_EQ(loaded.groups.size(), ds.groups.size());
@@ -147,10 +147,9 @@ TEST(Collect, FailedMeasurementsBecomeNanLabels)
 TEST(Dataset, NanLabelsRoundTripExactly)
 {
     const Dataset ds = faultyDataset();
-    const std::string path = "/tmp/tlp_test_faulty_dataset.bin";
+    const std::string path = test::scratchDir() + "/faulty_dataset.bin";
     ds.save(path);
     const Dataset loaded = Dataset::load(path);
-    std::remove(path.c_str());
 
     ASSERT_EQ(loaded.records.size(), ds.records.size());
     for (size_t r = 0; r < ds.records.size(); ++r) {

@@ -152,14 +152,14 @@ makeNet(const model::TlpNetConfig &config, uint64_t seed = 7)
     return std::make_shared<model::TlpNet>(config, rng);
 }
 
-/** predictBatch through a model built with @p options. */
+/** scoreStates through a model built with @p options. */
 std::vector<double>
 scoresWith(std::shared_ptr<model::TlpNet> net,
            const model::TlpInferOptions &options,
            const std::vector<sched::State> &states, int task = 0)
 {
     model::TlpCostModel cost_model(std::move(net), {}, task, options);
-    return cost_model.predictBatch(task, states);
+    return cost_model.scoreStates(task, states);
 }
 
 TEST(FusedInfer, MatchesInterpretedBitForBit)
@@ -266,8 +266,8 @@ TEST(FeatureCache, InterleavedGenerationsMatchUncached)
         std::vector<sched::State> batch = population;
         batch.push_back(population[0]);
         batch.push_back(population[population.size() / 2]);
-        const auto hot = cached.predictBatch(0, batch);
-        const auto cold = uncached.predictBatch(0, batch);
+        const auto hot = cached.scoreStates(0, batch);
+        const auto cold = uncached.scoreStates(0, batch);
         ASSERT_EQ(hot, cold) << "generation " << generation;
         // Survivors + mutants for the next round.
         std::vector<sched::State> next(population.begin(),
@@ -298,7 +298,7 @@ TEST(FeatureCache, TinyCapacityEvictsButNeverChangesScores)
         scoresWith(net, model::TlpInferOptions::legacy(), states);
     // Thrash the 4-entry cache repeatedly; every pass must match.
     for (int pass = 0; pass < 3; ++pass)
-        EXPECT_EQ(tiny.predictBatch(0, states), baseline) << pass;
+        EXPECT_EQ(tiny.scoreStates(0, states), baseline) << pass;
     EXPECT_GT(tiny.cacheStats().evictions, 0u);
 }
 
@@ -311,13 +311,13 @@ TEST(FeatureCache, ScoreMemosInvalidateWhenParametersChange)
     model::TlpCostModel cached(net, {}, 0,
                                model::TlpInferOptions{true, 256});
     const auto states = samplePopulation(12, 49);
-    const auto before = cached.predictBatch(0, states);
-    EXPECT_EQ(before, cached.predictBatch(0, states));
+    const auto before = cached.scoreStates(0, states);
+    EXPECT_EQ(before, cached.scoreStates(0, states));
 
     // Perturb the head's output bias in place — what continued training
     // does; this bias shifts every score, so the change must show.
     net->parameters().back().value()[0] += 0.25f;
-    const auto after = cached.predictBatch(0, states);
+    const auto after = cached.scoreStates(0, states);
     const auto fresh =
         scoresWith(net, model::TlpInferOptions::legacy(), states);
     EXPECT_EQ(after, fresh);

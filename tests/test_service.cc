@@ -10,28 +10,22 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "models/snapshot.h"
+#include "models/supervisor.h"
 #include "models/tlp_model.h"
 #include "support/io_env.h"
 #include "support/rng.h"
 #include "support/thread_pool.h"
 #include "tuner/service/service.h"
+#include "scratch.h"
 
 namespace tlp::serve {
 namespace {
 
 namespace fs = std::filesystem;
-
-/** Fresh scratch directory under /tmp for one test. */
-std::string
-scratchDir(const std::string &name)
-{
-    const std::string dir = "/tmp/tlp_test_service_" + name;
-    fs::remove_all(dir);
-    return dir;
-}
 
 std::string
 readFile(const std::string &path)
@@ -125,7 +119,7 @@ TEST(Service, FleetKillDrillRecoversBitIdenticalCurves)
 {
     // Golden: 8 concurrent sessions, uninterrupted.
     const auto fleet = quickFleet(8);
-    const std::string golden_dir = scratchDir("golden");
+    const std::string golden_dir = test::scratchDir("golden");
     std::vector<tune::TuneResult> golden;
     runGolden(golden_dir, fleet, golden);
 
@@ -133,7 +127,7 @@ TEST(Service, FleetKillDrillRecoversBitIdenticalCurves)
     // constructs a fresh service over the surviving checkpoints, runs a
     // seeded number of ticks, and is destroyed mid-flight — so every
     // session is abandoned at a different round each pass.
-    const std::string drill_dir = scratchDir("drill");
+    const std::string drill_dir = test::scratchDir("drill");
     int64_t total_salvaged = 0;
     {
         const int64_t kills[3] = {11, 9, 13};
@@ -170,11 +164,11 @@ TEST(Service, FleetKillDrillRecoversBitIdenticalCurves)
 TEST(Service, DamagedCheckpointIsQuarantinedNotFatal)
 {
     const auto fleet = quickFleet(4);
-    const std::string golden_dir = scratchDir("q_golden");
+    const std::string golden_dir = test::scratchDir("q_golden");
     std::vector<tune::TuneResult> golden;
     runGolden(golden_dir, fleet, golden);
 
-    const std::string dir = scratchDir("quarantine");
+    const std::string dir = test::scratchDir("quarantine");
     {
         TuningService service(quickService(dir, 4));
         service.recover(fleet);
@@ -213,7 +207,7 @@ TEST(Service, AdmissionControlShedsDeterministically)
 {
     for (int repeat = 0; repeat < 2; ++repeat) {
         const std::string dir =
-            scratchDir("admit" + std::to_string(repeat));
+            test::scratchDir("admit" + std::to_string(repeat));
         ServiceOptions options = quickService(dir, 6);
         options.max_active = 2;
         options.max_queued = 2;
@@ -245,11 +239,11 @@ TEST(Service, QueuedSessionMatchesUnqueuedTrajectory)
     // waited in the queue produces the same curve as one admitted
     // immediately.
     const auto fleet = quickFleet(4);
-    const std::string golden_dir = scratchDir("queue_golden");
+    const std::string golden_dir = test::scratchDir("queue_golden");
     std::vector<tune::TuneResult> golden;
     runGolden(golden_dir, fleet, golden);
 
-    const std::string dir = scratchDir("queue_narrow");
+    const std::string dir = test::scratchDir("queue_narrow");
     ServiceOptions options = quickService(dir, 4);
     options.max_active = 1;    // strictly serial, everyone else queues
     TuningService service(options);
@@ -267,11 +261,11 @@ TEST(Service, QueuedSessionMatchesUnqueuedTrajectory)
 TEST(Service, TransientFaultsBackOffWithoutPerturbingCurves)
 {
     const auto fleet = quickFleet(4);
-    const std::string golden_dir = scratchDir("fault_golden");
+    const std::string golden_dir = test::scratchDir("fault_golden");
     std::vector<tune::TuneResult> golden;
     runGolden(golden_dir, fleet, golden);
 
-    const std::string dir = scratchDir("faulty");
+    const std::string dir = test::scratchDir("faulty");
     ServiceOptions options = quickService(dir, 4);
     options.faults.transient_rate = 0.4;
     options.faults.seed = 0xfa171;
@@ -292,7 +286,7 @@ TEST(Service, TransientFaultsBackOffWithoutPerturbingCurves)
 
     // The fault schedule itself is seeded: the same service re-run
     // injects the same number of faults at the same ticks.
-    const std::string dir2 = scratchDir("faulty2");
+    const std::string dir2 = test::scratchDir("faulty2");
     ServiceOptions options2 = options;
     options2.dir = dir2;
     TuningService service2(options2);
@@ -305,7 +299,7 @@ TEST(Service, TransientFaultsBackOffWithoutPerturbingCurves)
 
 TEST(Service, DeadlineFinalizesEarly)
 {
-    const std::string dir = scratchDir("deadline");
+    const std::string dir = test::scratchDir("deadline");
     TuningService service(quickService(dir, 2));
     auto fleet = quickFleet(2);
     fleet[0].deadline_simulated_seconds = 1e-3;   // expires immediately
@@ -323,7 +317,7 @@ TEST(Service, DeadlineFinalizesEarly)
 
 TEST(Service, SnapshotHotSwapProbesHealth)
 {
-    const std::string dir = scratchDir("swap");
+    const std::string dir = test::scratchDir("swap");
     TuningService service(quickService(dir, 2));
 
     // A healthy snapshot installs.
@@ -373,6 +367,42 @@ TEST(Service, SnapshotHotSwapProbesHealth)
     EXPECT_EQ(service.status("s000"), SessionStatus::Finished);
 }
 
+TEST(Service, SnapshotProbeJudgesNonFiniteAndSpread)
+{
+    // The probe shares model::scoreHealth with the guarded ladder but
+    // judges in float, always, with a 1e-12f spread floor.
+    using model::HealthEvent;
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    EXPECT_EQ(model::scoreHealth<float>({0.0f, nan}, 1e-12f),
+              HealthEvent::NanScore);
+    EXPECT_EQ(model::scoreHealth<float>({0.0f, inf}, 1e-12f),
+              HealthEvent::NanScore);
+    EXPECT_EQ(model::scoreHealth<float>({0.0f, 0.9e-12f}, 1e-12f),
+              HealthEvent::ConstantScore);
+    EXPECT_EQ(model::scoreHealth<float>({0.0f, 1e-12f}, 1e-12f),
+              HealthEvent::ConstantScore);
+    EXPECT_EQ(model::scoreHealth<float>({0.0f, 1.1e-12f}, 1e-12f),
+              HealthEvent::NumEvents);
+
+    // End to end: a NaN or +Inf output bias poisons every score.
+    model::TlpNetConfig config;
+    config.hidden = 16;
+    config.head_hidden = 16;
+    config.residual_blocks = 1;
+    Rng rng(12);
+    model::TlpNet net(config, rng);
+    EXPECT_TRUE(model::probeSnapshotHealth(net).ok());
+    std::vector<float> &bias = net.headParameters(0).back().value();
+    for (const float poison : {nan, inf}) {
+        std::fill(bias.begin(), bias.end(), poison);
+        const Status status = model::probeSnapshotHealth(net);
+        EXPECT_FALSE(status.ok());
+        EXPECT_NE(status.message().find("non-finite"), std::string::npos)
+            << status.message();
+    }
+}
+
 TEST(Service, InferenceHotPathNeverPerturbsCurves)
 {
     // DESIGN.md §13: the fused forward and the feature/score cache are
@@ -392,12 +422,12 @@ TEST(Service, InferenceHotPathNeverPerturbsCurves)
     config.residual_blocks = 1;
     Rng rng(13);
     model::TlpNet net(config, rng);
-    const std::string snap = scratchDir("infer_snap") + "/tlp.snap";
+    const std::string snap = test::scratchDir("infer_snap") + "/tlp.snap";
     fs::create_directories(fs::path(snap).parent_path());
     ASSERT_TRUE(model::saveTlpSnapshot(snap, net).ok());
 
     // Golden: legacy inference (interpreted forward, no cache).
-    const std::string legacy_dir = scratchDir("infer_legacy");
+    const std::string legacy_dir = test::scratchDir("infer_legacy");
     std::vector<tune::TuneResult> golden;
     {
         ServiceOptions options = quickService(legacy_dir, 4);
@@ -412,7 +442,7 @@ TEST(Service, InferenceHotPathNeverPerturbsCurves)
     }
 
     // Accelerated: fused + cached, killed twice and recovered.
-    const std::string fast_dir = scratchDir("infer_fast");
+    const std::string fast_dir = test::scratchDir("infer_fast");
     ServiceOptions fast_options = quickService(fast_dir, 4);
     fast_options.tlp_infer = model::TlpInferOptions{true, 512};
     for (int64_t kill_ticks : {7, 5}) {
@@ -445,7 +475,7 @@ TEST(Service, QuarantineKeepsEveryGeneration)
     // distinct evidence files; a fixed suffix would silently overwrite
     // the first (the bug this pins).
     const auto fleet = quickFleet(2);
-    const std::string dir = scratchDir("quarantine_gen");
+    const std::string dir = test::scratchDir("quarantine_gen");
     const std::string victim = dir + "/s001.ckpt";
 
     auto corrupt = [&]() {
@@ -493,7 +523,7 @@ TEST(Service, RecoverSweepsStrandedTempFiles)
     // "<name>.tmp.<pid>.<seq>" files; recover() must reap them (and
     // only them).
     const auto fleet = quickFleet(2);
-    const std::string dir = scratchDir("sweep");
+    const std::string dir = test::scratchDir("sweep");
     fs::create_directories(dir);
     const auto plant = [&](const std::string &name) {
         std::ofstream os(dir + "/" + name, std::ios::binary);
@@ -526,11 +556,11 @@ TEST(Service, CheckpointWriteFaultsRetryThenDegradeWithoutCurveDrift)
     // byte-identical to a fault-free run — checkpoint persistence may
     // degrade, trajectories may not.
     const auto fleet = quickFleet(4);
-    const std::string golden_dir = scratchDir("io_golden");
+    const std::string golden_dir = test::scratchDir("io_golden");
     std::vector<tune::TuneResult> golden;
     runGolden(golden_dir, fleet, golden);
 
-    const std::string dir = scratchDir("io_chaos");
+    const std::string dir = test::scratchDir("io_chaos");
     IoFaultProfile chaos;
     chaos.fault_rate = 0.7;
     chaos.seed = 0x10c4a0;
@@ -578,7 +608,7 @@ TEST(Service, IoChaosScheduleIsSeededAndReplayable)
     for (int pass = 0; pass < 2; ++pass) {
         // Same directory both passes: draws are keyed by the path
         // fingerprint, so the schedule replays only on identical paths.
-        const std::string dir = scratchDir("io_replay");
+        const std::string dir = test::scratchDir("io_replay");
         ScopedIoFaults scope(chaos);
         TuningService service(quickService(dir, 2));
         service.recover(fleet);
@@ -599,14 +629,14 @@ TEST(Service, PoisonedSessionIsContainedWithoutCurveDrift)
     auto golden_fleet = drill_fleet;
     golden_fleet.erase(golden_fleet.begin() + 2);   // a world without s002
 
-    const std::string golden_dir = scratchDir("poison_golden");
+    const std::string golden_dir = test::scratchDir("poison_golden");
     std::vector<tune::TuneResult> golden;
     runGolden(golden_dir, golden_fleet, golden);
 
     for (const int threads : {1, 3}) {
         ThreadPool::setGlobalThreads(threads);
         const std::string dir =
-            scratchDir("poison_drill" + std::to_string(threads));
+            test::scratchDir("poison_drill" + std::to_string(threads));
         ServiceOptions options = quickService(dir, 5);
         options.faults.poison_session = "s002";
         options.faults.poison_after_round = 1;
@@ -646,7 +676,7 @@ TEST(Service, BreakerTripFreesSlotForQueuedSession)
     // terminal state: the queued session behind it gets promoted and
     // runs to completion.
     const auto fleet = quickFleet(2);
-    const std::string dir = scratchDir("breaker_slot");
+    const std::string dir = test::scratchDir("breaker_slot");
     ServiceOptions options = quickService(dir, 2);
     options.max_active = 1;
     options.faults.poison_session = "s000";
@@ -674,7 +704,7 @@ TEST(Service, DisabledBreakerNeverTripsUnderPoison)
     // session retries (with backoff) until the tick budget expires,
     // and is still Active when the service is stopped.
     const auto fleet = quickFleet(2);
-    const std::string dir = scratchDir("breaker_off");
+    const std::string dir = test::scratchDir("breaker_off");
     ServiceOptions options = quickService(dir, 2);
     options.faults.poison_session = "s000";
     options.faults.poison_after_round = 0;
@@ -699,7 +729,7 @@ TEST(Service, RecoverQuarantineSkipsPlantedEvidenceGenerations)
     // delete nothing, but crashes can). recover() must slot new
     // evidence into the first free generation and never overwrite.
     const auto fleet = quickFleet(2);
-    const std::string dir = scratchDir("evidence_gaps");
+    const std::string dir = test::scratchDir("evidence_gaps");
     {
         TuningService service(quickService(dir, 2));
         service.recover(fleet);

@@ -21,6 +21,7 @@
 #include "models/supervisor.h"
 #include "sketch/policy.h"
 #include "tuner/session.h"
+#include "scratch.h"
 
 namespace tlp::model {
 namespace {
@@ -377,9 +378,7 @@ TEST(SupervisorCheckpoint, RoundTripPreservesEverything)
 
 TEST(SupervisorCheckpoint, EndEpochWritesLoadableFile)
 {
-    const std::string path =
-        ::testing::TempDir() + "tlp_train_test.ckpt";
-    std::remove(path.c_str());
+    const std::string path = test::scratchDir() + "/train.ckpt";
 
     SupervisorOptions options = enabledOptions();
     options.checkpoint_path = path;
@@ -689,6 +688,102 @@ TEST(GuardedModel, LastRungIsTrustedUnconditionally)
     EXPECT_EQ(health[HealthEvent::Failover], 0);
 }
 
+/**
+ * Scores candidate i as pattern[min(i, last)]: a fixed shape whose
+ * spread and finiteness each test dictates exactly.
+ */
+class ScriptedCostModel : public CostModel
+{
+  public:
+    explicit ScriptedCostModel(std::vector<double> pattern)
+        : pattern_(std::move(pattern))
+    {
+    }
+
+    std::string name() const override { return "scripted"; }
+    std::vector<double>
+    scoreStates(int task_id, const std::vector<sched::State> &states)
+        override
+    {
+        std::vector<double> scores(states.size());
+        for (size_t i = 0; i < scores.size(); ++i)
+            scores[i] = pattern_[std::min(i, pattern_.size() - 1)];
+        return scores;
+    }
+    bool needsLowering() const override { return false; }
+
+  private:
+    std::vector<double> pattern_;
+};
+
+/** Rung index a {scripted, random} ladder settles on after scoring
+ *  @p candidates states, with @p updates updates fed first. */
+int
+ladderPositionAfter(const std::vector<double> &pattern, int candidates,
+                    int updates, HealthCounters *health)
+{
+    GuardOptions options;   // constant_eps 1e-9, min_probe_candidates 8
+    options.probe_every = 0;
+    options.health_out = health;
+    GuardedCostModel guarded(
+        {std::make_shared<ScriptedCostModel>(pattern),
+         std::make_shared<RandomCostModel>(31)},
+        options);
+    auto states = someStates(candidates);
+    std::vector<const sched::State *> ptrs{&states[0]};
+    for (int u = 0; u < updates; ++u)
+        guarded.update(0, ptrs, {1.0});
+    guarded.scoreStates(0, states);
+    return guarded.activeIndex();
+}
+
+TEST(GuardedModel, ScoreHealthJudgesNonFiniteAndSpread)
+{
+    const double eps = 1e-9;
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_EQ(scoreHealth<double>({0.5, kNan, 0.7}, eps),
+              HealthEvent::NanScore);
+    EXPECT_EQ(scoreHealth<double>({0.5, inf, 0.7}, eps),
+              HealthEvent::NanScore);
+    EXPECT_EQ(scoreHealth<double>({-inf, 0.5}, eps), HealthEvent::NanScore);
+    EXPECT_EQ(scoreHealth<double>({0.0, 0.9e-9}, eps),
+              HealthEvent::ConstantScore);
+    // A spread of exactly eps is not above it: still collapse.
+    EXPECT_EQ(scoreHealth<double>({0.0, 1e-9}, eps),
+              HealthEvent::ConstantScore);
+    EXPECT_EQ(scoreHealth<double>({0.0, 1.1e-9}, eps),
+              HealthEvent::NumEvents);
+    EXPECT_EQ(scoreHealth<double>({}, eps), HealthEvent::NumEvents);
+    // eps = -inf checks finiteness only.
+    EXPECT_EQ(scoreHealth<double>({0.5, 0.5}, -inf), HealthEvent::NumEvents);
+    EXPECT_EQ(scoreHealth<double>({0.5, kNan}, -inf), HealthEvent::NanScore);
+}
+
+TEST(GuardedModel, LadderAppliesScoreHealthRules)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    HealthCounters health;
+    // Non-finite scores fail over at once, even before any update and
+    // on a population below min_probe_candidates.
+    EXPECT_EQ(ladderPositionAfter({0.5, kNan}, 4, 0, &health), 1);
+    EXPECT_EQ(ladderPositionAfter({0.5, inf}, 4, 0, &health), 1);
+    EXPECT_EQ(health[HealthEvent::NanScore], 2);
+
+    // Spread just under / just over the 1e-9 threshold, after feedback
+    // and on a population of min_probe_candidates.
+    EXPECT_EQ(ladderPositionAfter({0.0, 0.9e-9}, 8, 1, &health), 1);
+    EXPECT_EQ(health[HealthEvent::ConstantScore], 1);
+    EXPECT_EQ(ladderPositionAfter({0.0, 1.1e-9}, 8, 1, &health), 0);
+
+    // Constant scores are healthy below min_probe_candidates and before
+    // the first update (online models score uniformly until fitted).
+    EXPECT_EQ(ladderPositionAfter({0.5}, 7, 1, &health), 0);
+    EXPECT_EQ(ladderPositionAfter({0.5}, 8, 0, &health), 0);
+    EXPECT_EQ(ladderPositionAfter({0.5}, 8, 1, &health), 1);
+    EXPECT_EQ(health[HealthEvent::ConstantScore], 2);
+    EXPECT_EQ(health[HealthEvent::Failover], 4);
+}
+
 TEST(GuardedModel, StateRoundTripRestoresPositionHealthAndRngs)
 {
     auto makeLadder = [] {
@@ -778,9 +873,7 @@ TEST(GuardedModel, SearchSurvivesMidCampaignCollapse)
 TEST(GuardedModel, CheckpointResumePreservesDegradedState)
 {
     const auto workload = tinyWorkload();
-    const std::string ckpt =
-        ::testing::TempDir() + "tlp_guarded_resume_test.ckpt";
-    std::remove(ckpt.c_str());
+    const std::string ckpt = test::scratchDir() + "/guarded_resume.ckpt";
 
     auto makeGuarded = [](HealthCounters *health_out) {
         GuardOptions guard_options;
@@ -844,9 +937,7 @@ TEST(GuardedModel, CheckpointResumePreservesDegradedState)
 TEST(GuardedModel, ResumeRejectsDifferentCostModelName)
 {
     const auto workload = tinyWorkload();
-    const std::string ckpt =
-        ::testing::TempDir() + "tlp_guarded_name_test.ckpt";
-    std::remove(ckpt.c_str());
+    const std::string ckpt = test::scratchDir() + "/guarded_name.ckpt";
 
     tune::TuneOptions options = quickOptions();
     options.rounds = 2;
@@ -874,9 +965,8 @@ TEST(AtomicWrite, ConcurrentWritersNeverInterleave)
     // destination from streaming into each other's temp file: the final
     // file is exactly one writer's full payload, and no temp litter
     // survives.
-    const std::string dir = ::testing::TempDir();
-    const std::string path = dir + "tlp_atomic_race.bin";
-    std::remove(path.c_str());
+    const std::string dir = test::scratchDir();
+    const std::string path = dir + "/tlp_atomic_race.bin";
 
     constexpr int kThreads = 8;
     constexpr int kWritesPerThread = 16;

@@ -19,6 +19,7 @@
 #include "support/stats.h"
 #include "support/str_util.h"
 #include "support/table.h"
+#include "scratch.h"
 
 namespace tlp {
 namespace {
@@ -263,9 +264,7 @@ TEST(Serialize, HugeLengthPrefixRejectedBeforeAllocation)
 
 TEST(Serialize, AtomicWriteFileCommitsAndCleansUp)
 {
-    const std::string path = "/tmp/tlp_test_atomic_write.bin";
-    std::remove(path.c_str());
-    std::remove((path + ".tmp").c_str());
+    const std::string path = test::scratchDir() + "/atomic_write.bin";
 
     Status status = atomicWriteFile(
         path, [](std::ostream &os) { os << "generation-1"; });
@@ -292,7 +291,6 @@ TEST(Serialize, AtomicWriteFileCommitsAndCleansUp)
         EXPECT_EQ(body, "generation-1");
     }
     EXPECT_FALSE(std::ifstream(path + ".tmp").good());
-    std::remove(path.c_str());
 }
 
 // --- I/O chaos environment (DESIGN.md §14) ------------------------------
@@ -372,9 +370,7 @@ TEST(IoEnv, AtomicWriteFaultsKeepThePreviousFileAndControlDebris)
 {
     ScopedIoFaults scope{IoFaultProfile{}};
     IoEnv &env = IoEnv::global();
-    const std::string path = "/tmp/tlp_test_io_env_write.bin";
-    std::remove(path.c_str());
-    sweepStaleTempsFor(path);
+    const std::string path = test::scratchDir() + "/io_env_write.bin";
 
     ASSERT_TRUE(
         atomicWriteFile(path, [](std::ostream &os) { os << "v1"; }).ok());
@@ -401,7 +397,6 @@ TEST(IoEnv, AtomicWriteFaultsKeepThePreviousFileAndControlDebris)
     std::string body((std::istreambuf_iterator<char>(is)),
                      std::istreambuf_iterator<char>());
     EXPECT_EQ(body, "v1");
-    std::remove(path.c_str());
 }
 
 TEST(IoEnv, CheckReadInjectsAReplayableSchedule)
@@ -430,13 +425,11 @@ TEST(IoEnv, CheckReadInjectsAReplayableSchedule)
 
 TEST(IoEnv, QuarantineArtifactNeverOverwritesEvidence)
 {
-    const std::string path = "/tmp/tlp_test_io_env_quarantine.bin";
+    const std::string path = test::scratchDir() + "/io_env_quarantine.bin";
     const auto plant = [&](const std::string &body) {
         std::ofstream os(path, std::ios::binary);
         os << body;
     };
-    std::remove((path + ".quarantined.1").c_str());
-    std::remove((path + ".quarantined.2").c_str());
 
     plant("damaged-gen-1");
     auto first = quarantineArtifact(path);
@@ -458,16 +451,12 @@ TEST(IoEnv, QuarantineArtifactNeverOverwritesEvidence)
     EXPECT_EQ(b1, "damaged-gen-1");
     EXPECT_EQ(b2, "damaged-gen-2");
     EXPECT_FALSE(std::ifstream(path).good());
-    std::remove((path + ".quarantined.1").c_str());
-    std::remove((path + ".quarantined.2").c_str());
 }
 
 TEST(IoEnv, SweepMatchesOnlyStaleTempNames)
 {
     namespace fs = std::filesystem;
-    const std::string dir = "/tmp/tlp_test_io_env_sweep";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
+    const std::string dir = test::scratchDir();
     const auto plant = [&](const std::string &name) {
         std::ofstream os(dir + "/" + name, std::ios::binary);
         os << "x";
@@ -488,7 +477,6 @@ TEST(IoEnv, SweepMatchesOnlyStaleTempNames)
     plant("rival.bin.tmp.100.4");
     EXPECT_EQ(sweepStaleTempsFor(dir + "/model.bin"), 1);
     EXPECT_TRUE(fs::exists(dir + "/rival.bin.tmp.100.4"));
-    fs::remove_all(dir);
 }
 
 TEST(Rng, SerializeRoundTripContinuesIdentically)

@@ -12,6 +12,7 @@
 #include "ir/partition.h"
 #include "models/cost_model.h"
 #include "tuner/session.h"
+#include "scratch.h"
 
 namespace tlp::tune {
 namespace {
@@ -251,9 +252,7 @@ TEST(Session, FaultyRunIsDeterministic)
 TEST(Session, CheckpointResumeMatchesUninterruptedRun)
 {
     const auto workload = tinyWorkload();
-    const std::string ckpt =
-        ::testing::TempDir() + "tlp_resume_test.ckpt";
-    std::remove(ckpt.c_str());
+    const std::string ckpt = test::scratchDir() + "/resume.ckpt";
 
     TuneOptions options = quickOptions();
     options.rounds = 8;
@@ -307,9 +306,7 @@ TEST(Session, CheckpointEveryRoundNeverRemeasuresFinalRound)
     // already Finished and re-measure NOTHING — measurement counts and
     // simulated seconds are pinned to the uninterrupted run's.
     const auto workload = tinyWorkload();
-    const std::string ckpt =
-        ::testing::TempDir() + "tlp_cadence_test.ckpt";
-    std::remove(ckpt.c_str());
+    const std::string ckpt = test::scratchDir() + "/cadence.ckpt";
 
     TuneOptions options = quickOptions();
     options.rounds = 5;
@@ -352,9 +349,7 @@ TEST(Session, CheckpointEveryRoundNeverRemeasuresFinalRound)
 TEST(Session, ResumeRejectsForeignCheckpoint)
 {
     const auto workload = tinyWorkload();
-    const std::string ckpt =
-        ::testing::TempDir() + "tlp_foreign_test.ckpt";
-    std::remove(ckpt.c_str());
+    const std::string ckpt = test::scratchDir() + "/foreign.ckpt";
 
     TuneOptions options = quickOptions();
     options.rounds = 2;
