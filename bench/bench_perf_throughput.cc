@@ -13,6 +13,10 @@
  * fast_vs_legacy_speedup column is measured, not inferred, and the
  * bench exits nonzero if the two paths ever disagree on a single bit.
  *
+ * The GBDT refit (the Ansor online model, retrained every round) fits a
+ * seeded 1000 x 164 matrix at each thread count; its predictions must
+ * be the same bits at every count, or the bench exits nonzero.
+ *
  * A global operator-new hook counts heap allocations so the JSON also
  * reports the fast path's steady-state allocations per candidate — the
  * §13 contract is that after warm-up the hot path performs zero
@@ -25,6 +29,7 @@
  * readers can interpret the numbers.
  */
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
@@ -39,6 +44,7 @@
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 
 #include "bench/bench_common.h"
+#include "models/gbdt.h"
 #include "sketch/policy.h"
 #include "support/clock.h"
 #include "support/thread_pool.h"
@@ -149,7 +155,30 @@ struct ThreadResult
     bool match_legacy;
     double final_loss;
     std::vector<double> predictions;
+    double gbdt_fit_seconds;            ///< per fit
+    std::vector<double> gbdt_predictions;
 };
+
+/** Rows and width of the GBDT refit matrix (Ansor feature width). */
+constexpr int kGbdtRows = 1000;
+constexpr int kGbdtDim = 164;
+
+/** A seeded refit matrix: quantized features, so values tie often. */
+void
+gbdtRefitSet(std::vector<float> &features, std::vector<float> &targets)
+{
+    Rng rng(35);
+    features.resize(static_cast<size_t>(kGbdtRows) * kGbdtDim);
+    for (auto &f : features)
+        f = static_cast<float>(std::round(rng.uniform(0, 32)) / 32.0);
+    targets.resize(kGbdtRows);
+    for (int r = 0; r < kGbdtRows; ++r) {
+        const float *row = features.data() + static_cast<size_t>(r) *
+                                                 kGbdtDim;
+        targets[static_cast<size_t>(r)] = static_cast<float>(
+            row[0] + 2.0 * row[7] * row[11] + 0.1 * rng.uniform());
+    }
+}
 
 } // namespace
 
@@ -186,6 +215,10 @@ main()
 
     model::TlpNetConfig config;
     config.hidden = 64;
+
+    std::vector<float> gbdt_features, gbdt_targets;
+    gbdtRefitSet(gbdt_features, gbdt_targets);
+    const int gbdt_reps = 3;
 
     bool predictions_match_legacy = true;
     std::vector<ThreadResult> results;
@@ -239,11 +272,20 @@ main()
         result.match_legacy = result.predictions == legacy_predictions;
         predictions_match_legacy &= result.match_legacy;
 
+        t0 = wallSeconds();
+        for (int rep = 0; rep < gbdt_reps; ++rep) {
+            model::Gbdt gbdt;
+            gbdt.fit(gbdt_features, kGbdtRows, kGbdtDim, gbdt_targets);
+            result.gbdt_predictions =
+                gbdt.predict(gbdt_features, kGbdtRows, kGbdtDim);
+        }
+        result.gbdt_fit_seconds = (wallSeconds() - t0) / gbdt_reps;
+
         std::printf(
             "threads %d: train %7.1f samples/s (%.2fs), "
             "infer %8.1f candidates/s fast / %8.1f legacy "
             "(%.2fx), steady-state allocs/candidate %.4f, "
-            "fast==legacy %s, loss %.6f\n",
+            "fast==legacy %s, loss %.6f, gbdt fit %.4fs\n",
             threads, result.train_samples_per_sec, result.train_seconds,
             result.infer_candidates_per_sec,
             result.legacy_candidates_per_sec,
@@ -252,19 +294,24 @@ main()
             static_cast<double>(result.steady_state_allocs) /
                 static_cast<double>(result.steady_state_candidates),
             result.match_legacy ? "yes" : "NO (BUG)",
-            result.final_loss);
+            result.final_loss, result.gbdt_fit_seconds);
         results.push_back(std::move(result));
     }
     ThreadPool::setGlobalThreads(ThreadPool::configuredThreads());
 
     bool bit_identical = true;
+    bool gbdt_bit_identical = true;
     for (const auto &result : results) {
         if (result.final_loss != results[0].final_loss ||
             result.predictions != results[0].predictions)
             bit_identical = false;
+        if (result.gbdt_predictions != results[0].gbdt_predictions)
+            gbdt_bit_identical = false;
     }
     std::printf("bit-identical across thread counts: %s\n",
                 bit_identical ? "yes" : "NO (BUG)");
+    std::printf("gbdt refit bit-identical across thread counts: %s\n",
+                gbdt_bit_identical ? "yes" : "NO (BUG)");
     std::printf("fast path matches legacy everywhere: %s\n",
                 predictions_match_legacy ? "yes" : "NO (BUG)");
 
@@ -290,6 +337,11 @@ main()
                  bit_identical ? "true" : "false");
     std::fprintf(json, "  \"predictions_match_legacy\": %s,\n",
                  predictions_match_legacy ? "true" : "false");
+    std::fprintf(json, "  \"gbdt_rows\": %d,\n", kGbdtRows);
+    std::fprintf(json, "  \"gbdt_dim\": %d,\n", kGbdtDim);
+    std::fprintf(json, "  \"gbdt_reps\": %d,\n", gbdt_reps);
+    std::fprintf(json, "  \"gbdt_bit_identical\": %s,\n",
+                 gbdt_bit_identical ? "true" : "false");
     std::fprintf(json, "  \"results\": [\n");
     for (size_t i = 0; i < results.size(); ++i) {
         const auto &result = results[i];
@@ -304,7 +356,8 @@ main()
             "\"fast_vs_legacy_speedup\": %.3f, "
             "\"warmup_allocs\": %llu, "
             "\"steady_state_allocs\": %llu, "
-            "\"steady_state_allocs_per_candidate\": %.4f}%s\n",
+            "\"steady_state_allocs_per_candidate\": %.4f, "
+            "\"gbdt_fit_seconds\": %.4f, \"gbdt_fit_speedup\": %.3f}%s\n",
             result.threads, result.train_seconds,
             result.train_samples_per_sec,
             results[0].train_seconds / result.train_seconds,
@@ -317,10 +370,14 @@ main()
             static_cast<unsigned long long>(result.steady_state_allocs),
             static_cast<double>(result.steady_state_allocs) /
                 static_cast<double>(result.steady_state_candidates),
+            result.gbdt_fit_seconds,
+            results[0].gbdt_fit_seconds / result.gbdt_fit_seconds,
             i + 1 < results.size() ? "," : "");
     }
     std::fprintf(json, "  ]\n}\n");
     std::fclose(json);
     std::printf("wrote BENCH_perf.json\n");
-    return bit_identical && predictions_match_legacy ? 0 : 1;
+    return bit_identical && predictions_match_legacy && gbdt_bit_identical
+               ? 0
+               : 1;
 }

@@ -1,5 +1,6 @@
 #include "models/cost_model.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -326,18 +327,21 @@ AnsorOnlineCostModel::update(
     for (size_t i = 0; i < states.size(); ++i) {
         // Refit guard, part 1: a non-finite or non-positive latency
         // (faulted measurement that slipped past the measurer) would
-        // poison every future label; drop the record.
-        if (!std::isfinite(latency_ms[i]) || latency_ms[i] <= 0.0)
+        // poison every future label, and a non-finite feature has no
+        // place in the GBDT's sorted split search; drop the record.
+        // Latencies are checked as stored, in float.
+        const float latency = static_cast<float>(latency_ms[i]);
+        const float *row = rows.data() + i * dim;
+        if (!std::isfinite(latency) || latency <= 0.0f ||
+            !std::all_of(row, row + dim,
+                         [](float v) { return std::isfinite(v); }))
             continue;
-        features_.insert(features_.end(), rows.begin() + i * dim,
-                         rows.begin() + (i + 1) * dim);
-        latencies_.push_back(static_cast<float>(latency_ms[i]));
+        features_.insert(features_.end(), row, row + dim);
+        latencies_.push_back(latency);
         tasks_.push_back(task_id);
         auto it = task_min_.find(task_id);
-        if (it == task_min_.end() ||
-            it->second > latency_ms[i]) {
-            task_min_[task_id] = static_cast<float>(latency_ms[i]);
-        }
+        if (it == task_min_.end() || it->second > latency)
+            task_min_[task_id] = latency;
         ++rows_;
     }
     if (rows_ == 0)
@@ -355,13 +359,9 @@ AnsorOnlineCostModel::update(
     // training rows; a NaN prediction means the fit degenerated, so keep
     // the previous (healthy) ensemble instead of installing it.
     const int probe_rows = std::min(rows_, 16);
-    const auto probe = refit.predict(
-        std::vector<float>(features_.begin(),
-                           features_.begin() +
-                               static_cast<size_t>(probe_rows) * dim),
-        probe_rows, feat::kAnsorFeatureSize);
-    for (double p : probe) {
-        if (!std::isfinite(p)) {
+    for (int i = 0; i < probe_rows; ++i) {
+        if (!std::isfinite(refit.predictRow(
+                features_.data() + static_cast<size_t>(i) * dim))) {
             ++refit_rejections_;
             return;
         }

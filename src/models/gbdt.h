@@ -6,6 +6,13 @@
  * hand-engineered features, retrained on the records measured so far in
  * the current tuning session. This is a from-scratch equivalent: squared
  * error boosting with exact greedy splits.
+ *
+ * Split search is presorted: every feature column is sorted once per
+ * fit by (value, sample), and each split stable-partitions the columns
+ * into its children, so every node sees its samples in exactly the
+ * order a per-node sort would give. Features are scanned in parallel on
+ * ThreadPool::global() and reduced in ascending feature order, so the
+ * trees are the same bits at any thread count.
  */
 #pragma once
 
@@ -30,7 +37,11 @@ class Gbdt
   public:
     explicit Gbdt(GbdtOptions options = {});
 
-    /** Fit to rows x dim features and targets (squared error). */
+    /**
+     * Fit to rows x dim features and targets (squared error). Every
+     * feature and target must be finite: a NaN has no place in the
+     * sorted order split search relies on.
+     */
     void fit(const std::vector<float> &features, int rows, int dim,
              const std::vector<float> &targets);
 
@@ -53,10 +64,12 @@ class Gbdt
         int left = -1, right = -1;
     };
     using Tree = std::vector<TreeNode>;
+    struct FitScratch;   ///< buffers that live for one fit() call
 
-    int buildNode(Tree &tree, const std::vector<float> &features, int dim,
-                  const std::vector<float> &residuals,
-                  std::vector<int> &samples, int begin, int end,
+    /** True if a node of @p count samples at @p depth may split. */
+    bool canSplit(int count, int depth) const;
+
+    int buildNode(Tree &tree, FitScratch &fit, int begin, int end,
                   int depth);
 
     GbdtOptions options_;

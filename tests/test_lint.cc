@@ -53,6 +53,7 @@ allow-wallclock bench/timing.cc
 forbid-raw-io src/
 forbid-raw-io bench/
 raw-io-exempt src/support/serialize.cc
+forbid-tmp-path tests/
 must-check src/
 hot-entry hotLoop
 )";
@@ -421,6 +422,25 @@ void plant(const std::string &path)
     EXPECT_TRUE(lintFile("bench/bench_x.cc", clean, m).empty());
 }
 
+TEST(LintRules, TmpPathLiteralBannedInTests)
+{
+    const Manifest m = testManifest();
+    // Built from pieces so this file's own literals hold no such path.
+    const std::string tmp = std::string("/") + "tmp/";
+    const std::string text = "// scratch once lived under " + tmp +
+                             "\n"
+                             "std::string a() { return \"" + tmp +
+                             "x.bin\"; }\n"
+                             "std::string b() { return \"tmp/x\"; }\n";
+    // One finding: the literal, not the comment or a relative tmp/.
+    const auto findings = lintFile("tests/test_x.cc", text, m);
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings[0].rule, "tmp-path");
+    EXPECT_EQ(findings[0].line, 2);
+    // Out of scope: src/ may name /tmp/ (e.g. a CLI default).
+    EXPECT_TRUE(lintFile("src/tool.cc", text, m).empty());
+}
+
 // --- hygiene rules ------------------------------------------------------
 
 TEST(LintRules, PragmaOnceRequiredInHeaders)
@@ -464,16 +484,22 @@ class Widget
     double fine_;
     static constexpr int kLimit = 4;
     void helper(int arg);
+    struct Scratch;
+    struct Pair *linked;
 };
 struct PlainData
 {
     int field;
 };
 )";
+    // A nested-type forward declaration is not a data member; an
+    // elaborated-type member still is.
     const auto findings = lintFile("src/support/w.cc", text, m);
-    ASSERT_EQ(findings.size(), 1u);
-    EXPECT_EQ(findings[0].rule, "member-underscore");
+    ASSERT_EQ(findings.size(), 2u);
+    EXPECT_EQ(ruleSet(findings),
+              std::set<std::string>{"member-underscore"});
     EXPECT_NE(findings[0].message.find("hidden"), std::string::npos);
+    EXPECT_NE(findings[1].message.find("linked"), std::string::npos);
 }
 
 // --- suppression contract -----------------------------------------------
@@ -791,7 +817,8 @@ TEST(LintFixtures, DirtyTreeFlagsEveryRuleExactlyWhereExpected)
         "rand",          "random-device",    "std-engine",
         "wallclock",     "layering",         "include-forbidden",
         "include-required", "loader-fatal",  "unbounded-alloc",
-        "hot-alloc",     "raw-io",           "pragma-once",
+        "hot-alloc",     "raw-io",           "tmp-path",
+        "pragma-once",
         "float-eq",      "member-underscore", "unused-suppression",
         "bad-suppression", "unchecked-result", "hot-call-alloc",
         "suppression-budget",

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "dataset/collect.h"
 #include "dataset/metrics.h"
@@ -17,6 +18,7 @@
 #include "schedule/lower.h"
 #include "sketch/policy.h"
 #include "support/stats.h"
+#include "gbdt_stress.h"
 
 namespace tlp::model {
 namespace {
@@ -208,6 +210,54 @@ TEST(GbdtModel, PredictBeforeFitIsSafe)
 {
     Gbdt gbdt;
     EXPECT_FALSE(gbdt.fitted());
+}
+
+TEST(GbdtModel, FitIsBitIdenticalAcrossBuilders)
+{
+    // Pins the exact trees of the exact-greedy builder: any change to
+    // split search, tie-breaking, leaf sums or partition order moves
+    // this digest. The larger fits are big enough that split search
+    // runs in parallel when the pool has workers.
+    struct Case
+    {
+        int rows, dim, min_samples_leaf, max_depth;
+    };
+    const Case cases[] = {{37, 7, 1, 3},     {200, 12, 2, 6},
+                          {600, 20, 5, 4},   {1000, 41, 3, 5},
+                          {1493, 48, 1, 6}};
+    uint64_t digest = 1469598103934665603ull;
+    uint64_t seed = 61;
+    for (const Case &c : cases) {
+        const auto train = test::gbdtStressSet(c.rows, c.dim, seed++);
+        const auto query = test::gbdtStressSet(c.rows, c.dim, seed++);
+        GbdtOptions options;
+        options.min_samples_leaf = c.min_samples_leaf;
+        options.max_depth = c.max_depth;
+        Gbdt gbdt(options);
+        gbdt.fit(train.features, train.rows, train.dim, train.targets);
+        ASSERT_TRUE(gbdt.fitted());
+        for (const auto *set : {&train, &query}) {
+            const auto preds =
+                gbdt.predict(set->features, set->rows, set->dim);
+            digest = fnv1a(preds.data(), preds.size() * sizeof(double),
+                           digest);
+        }
+    }
+    EXPECT_EQ(digest, 0xfd0073141426f93cull) << std::hex << digest;
+}
+
+TEST(GbdtModelDeathTest, NonFiniteInputIsFatal)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const auto set = test::gbdtStressSet(40, 6, 71);
+    auto features = set.features;
+    features[17] = std::numeric_limits<float>::quiet_NaN();
+    EXPECT_DEATH(Gbdt().fit(features, set.rows, set.dim, set.targets),
+                 "finite");
+    auto targets = set.targets;
+    targets[3] = std::numeric_limits<float>::infinity();
+    EXPECT_DEATH(Gbdt().fit(set.features, set.rows, set.dim, targets),
+                 "finite");
 }
 
 TEST(Pretrain, GptAndBertLossesDecrease)

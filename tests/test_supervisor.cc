@@ -1053,5 +1053,22 @@ TEST(GuardedModel, AnsorOnlineRefitIgnoresNonFiniteLatencies)
     EXPECT_EQ(model.refitRejections(), 0);
 }
 
+TEST(GuardedModel, AnsorOnlineRefitDropsLatenciesOutsideFloatRange)
+{
+    // Finite doubles that overflow or flush to zero as stored floats
+    // would make an infinite or NaN label; the GBDT fit refuses
+    // non-finite targets, so the refit guard must drop them first.
+    AnsorOnlineCostModel model;
+    auto states = someStates(4);
+    std::vector<const sched::State *> ptrs;
+    for (const auto &state : states)
+        ptrs.push_back(&state);
+
+    model.update(0, ptrs, {1e300, 1e-300, 1.0, 2.0});
+    for (double s : model.scoreStates(0, states))
+        EXPECT_TRUE(std::isfinite(s));
+    EXPECT_EQ(model.refitRejections(), 0);
+}
+
 } // namespace
 } // namespace tlp::model

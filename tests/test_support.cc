@@ -342,10 +342,10 @@ TEST(IoEnv, ArmNextWriteIsOneShot)
     torn.torn_at = 7;
     env.armNextWrite(torn);
 
-    const IoFaultDecision first = env.drawWrite("/tmp/x.bin");
+    const IoFaultDecision first = env.drawWrite("io_env/x.bin");
     EXPECT_EQ(first.kind, IoFaultKind::TornWrite);
     EXPECT_EQ(first.torn_at, 7);
-    EXPECT_EQ(env.drawWrite("/tmp/x.bin").kind, IoFaultKind::None);
+    EXPECT_EQ(env.drawWrite("io_env/x.bin").kind, IoFaultKind::None);
     EXPECT_EQ(env.counters().writes_attempted, 2);
     EXPECT_EQ(env.counters().torn_faults, 1);
 }
@@ -401,7 +401,7 @@ TEST(IoEnv, AtomicWriteFaultsKeepThePreviousFileAndControlDebris)
 
 TEST(IoEnv, CheckReadInjectsAReplayableSchedule)
 {
-    const char *path = "/tmp/never_opened.bin";
+    const char *path = "io_env/never_opened.bin";
     std::vector<bool> first;
     for (int pass = 0; pass < 2; ++pass) {
         IoFaultProfile chaos;

@@ -15,11 +15,13 @@
 #include "ir/model_zoo.h"
 #include "ir/partition.h"
 #include "models/cost_model.h"
+#include "models/gbdt.h"
 #include "models/tenset_mlp.h"
 #include "models/tlp_model.h"
 #include "nn/ops.h"
 #include "sketch/policy.h"
 #include "support/thread_pool.h"
+#include "gbdt_stress.h"
 
 namespace tlp {
 namespace {
@@ -329,6 +331,27 @@ TEST(BitIdentical, FusedAndCachedInferenceAtAnyThreadCount)
         return out;
     });
     // ...and with themselves across thread counts.
+    EXPECT_EQ(runs[0], runs[1]);
+    EXPECT_EQ(runs[0], runs[2]);
+}
+
+TEST(BitIdentical, GbdtFitAtAnyThreadCount)
+{
+    // Split search fans features out over the pool once a node is big
+    // enough; the per-feature bests reduce in feature order, so the
+    // trees, and every prediction bit, must not depend on the workers.
+    const auto set = test::gbdtStressSet(1200, 164, 112);
+    GlobalThreadsGuard guard;
+    std::vector<std::vector<double>> runs;
+    for (int threads : {1, 2, 4}) {
+        ThreadPool::setGlobalThreads(threads);
+        model::GbdtOptions options;
+        options.min_samples_leaf = 2;
+        options.max_depth = 6;
+        model::Gbdt gbdt(options);
+        gbdt.fit(set.features, set.rows, set.dim, set.targets);
+        runs.push_back(gbdt.predict(set.features, set.rows, set.dim));
+    }
     EXPECT_EQ(runs[0], runs[1]);
     EXPECT_EQ(runs[0], runs[2]);
 }

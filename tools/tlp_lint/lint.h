@@ -56,6 +56,11 @@
  *                      (atomicWriteFile, quarantineArtifact) so fault
  *                      injection and crash-consistency guarantees
  *                      cannot be bypassed (DESIGN.md §14)
+ *   tmp-path           a string literal holding a /tmp/ path in a TU
+ *                      under a `forbid-tmp-path` prefix; tests own their
+ *                      scratch state (tests/scratch.h scratchDir()), and
+ *                      a fixed /tmp/ path is shared between tests that
+ *                      `ctest -j` runs side by side
  *   hot-alloc          heap allocation (new, make_unique/make_shared,
  *                      malloc, or container growth) in a `hot-tu` TU; the
  *                      scoring hot path (DESIGN.md §13) must draw scratch
@@ -169,6 +174,8 @@ struct Manifest
     std::vector<std::string> raw_io_scopes;
     /** TUs exempt from the raw-io ban (the seam itself). */
     std::set<std::string> raw_io_exempt;
+    /** Prefixes where a literal /tmp/ path is banned (tests). */
+    std::vector<std::string> tmp_path_scopes;
     /** Prefixes where a discarded Status/Result call is a finding
      *  (loader-tus are always in scope). */
     std::vector<std::string> must_check;

@@ -92,7 +92,7 @@ parseManifest(const std::string &text)
             directive == "serialize-consumer" || directive == "hot-tu" ||
             directive == "forbid-raw-io" ||
             directive == "raw-io-exempt" || directive == "must-check" ||
-            directive == "hot-entry") {
+            directive == "hot-entry" || directive == "forbid-tmp-path") {
             if (tokens.size() != 2) {
                 return manifestError(lineno, directive +
                                                  " expects exactly one "
@@ -115,6 +115,8 @@ parseManifest(const std::string &text)
                 manifest.must_check.push_back(path);
             else if (directive == "hot-entry")
                 manifest.hot_entries.insert(path);
+            else if (directive == "forbid-tmp-path")
+                manifest.tmp_path_scopes.push_back(path);
             else
                 manifest.serialize_consumers.insert(path);
             continue;
@@ -355,6 +357,9 @@ checkMemberStyle(const std::vector<std::string> &code,
     static const std::regex ident(R"([A-Za-z_][A-Za-z0-9_]*)");
     static const std::regex decl_tail(
         R"(\b([A-Za-z_][A-Za-z0-9_]*)\s*(\[[^\]]*\]\s*)?(=[^;=]*|\{[^}]*\})?\s*$)");
+    // `struct Name;` declares a nested type, not a data member.
+    static const std::regex forward_decl(
+        R"(^\s*(class|struct|union)\s+[A-Za-z_][A-Za-z0-9_]*\s*$)");
 
     auto flagIfBadMember = [&](int line) {
         if (scopes.empty() || !scopes.back().class_like)
@@ -367,7 +372,8 @@ checkMemberStyle(const std::vector<std::string> &code,
             stmt.find("typedef ") != std::string::npos ||
             stmt.find("friend ") != std::string::npos ||
             stmt.find("template") != std::string::npos ||
-            stmt.find("static ") != std::string::npos)
+            stmt.find("static ") != std::string::npos ||
+            std::regex_search(stmt, forward_decl))
             return;
         // A lone ':' (not part of '::') marks a bitfield — the "name"
         // before it is fine without an underscore check on the width.
@@ -641,6 +647,24 @@ collectFileFindings(const std::string &rel_path, const StrippedSource &src,
             }
         }
     }
+    if (matchesAnyPrefix(rel_path, manifest.tmp_path_scopes)) {
+        // Tests own their scratch state (tests/scratch.h): a fixed /tmp/
+        // path is shared between the test processes `ctest -j` runs
+        // side by side. Only string literals count: the directive view
+        // keeps their contents, the code view blanks them.
+        for (size_t li = 0; li < src.directives.size(); ++li) {
+            const std::string &line = src.directives[li];
+            for (size_t pos = line.find("/tmp/"); pos != std::string::npos;
+                 pos = line.find("/tmp/", pos + 1)) {
+                if (src.code[li].compare(pos, 5, "     ") == 0) {
+                    add(static_cast<int>(li) + 1, "tmp-path",
+                        "literal /tmp/ path in a test; take the directory "
+                        "from scratchDir() (tests/scratch.h)");
+                    break;
+                }
+            }
+        }
+    }
     if (manifest.hot_tus.count(rel_path)) {
         // The steady-state scoring path (DESIGN.md §13) must not touch
         // the heap: scratch comes from an Arena, persistent storage is
@@ -747,10 +771,10 @@ allRuleIds()
         "rand",           "random-device",     "std-engine",
         "wallclock",      "layering",          "include-forbidden",
         "include-required", "loader-fatal",    "unbounded-alloc",
-        "hot-alloc",      "raw-io",            "unchecked-result",
-        "hot-call-alloc", "suppression-budget", "pragma-once",
-        "float-eq",       "member-underscore", "bad-suppression",
-        "unused-suppression",
+        "hot-alloc",      "raw-io",            "tmp-path",
+        "unchecked-result", "hot-call-alloc",  "suppression-budget",
+        "pragma-once",    "float-eq",          "member-underscore",
+        "bad-suppression", "unused-suppression",
     };
 }
 
