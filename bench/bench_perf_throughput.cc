@@ -17,6 +17,11 @@
  * seeded 1000 x 164 matrix at each thread count; its predictions must
  * be the same bits at every count, or the bench exits nonzero.
  *
+ * Training also reports its kernel CPU time (a getrusage delta around
+ * trainTlpNet: page faults and mmap/munmap of tape buffers land there)
+ * and the tape pool's hit ratio, the share of tape buffer hand-outs
+ * served by storage parked from the previous step (DESIGN.md §7).
+ *
  * A global operator-new hook counts heap allocations so the JSON also
  * reports the fast path's steady-state allocations per candidate — the
  * §13 contract is that after warm-up the hot path performs zero
@@ -36,6 +41,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
+
 // GCC's new/delete pairing analysis can't see that the replaced
 // operator new below is malloc-backed when it inlines the matching
 // free()-based delete into container code, and reports a mismatch that
@@ -45,6 +52,7 @@
 
 #include "bench/bench_common.h"
 #include "models/gbdt.h"
+#include "nn/tensor.h"
 #include "sketch/policy.h"
 #include "support/clock.h"
 #include "support/thread_pool.h"
@@ -145,6 +153,8 @@ struct ThreadResult
     int threads;
     double train_seconds;
     double train_samples_per_sec;
+    double train_sys_seconds;           ///< kernel CPU time of training
+    double pool_hit_ratio;              ///< tape buffers served by the pool
     double infer_seconds;               ///< fast path
     double infer_candidates_per_sec;    ///< fast path (the headline)
     double legacy_seconds;
@@ -178,6 +188,16 @@ gbdtRefitSet(std::vector<float> &features, std::vector<float> &targets)
         targets[static_cast<size_t>(r)] = static_cast<float>(
             row[0] + 2.0 * row[7] * row[11] + 0.1 * rng.uniform());
     }
+}
+
+/** Kernel CPU seconds the process has used so far (all threads). */
+double
+systemCpuSeconds()
+{
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return static_cast<double>(usage.ru_stime.tv_sec) +
+           1e-6 * static_cast<double>(usage.ru_stime.tv_usec);
 }
 
 } // namespace
@@ -229,9 +249,18 @@ main()
 
         Rng net_rng(7);
         auto net = std::make_shared<model::TlpNet>(config, net_rng);
+        const nn::TapePool::Totals pool_before = nn::TapePool::totals();
+        const double sys0 = systemCpuSeconds();
         double t0 = wallSeconds();
         result.final_loss = trainTlpNet(*net, set, train_options);
         result.train_seconds = wallSeconds() - t0;
+        result.train_sys_seconds = systemCpuSeconds() - sys0;
+        const nn::TapePool::Totals pool_after = nn::TapePool::totals();
+        const auto pool_hits =
+            static_cast<double>(pool_after.hits - pool_before.hits);
+        const auto pool_misses =
+            static_cast<double>(pool_after.misses - pool_before.misses);
+        result.pool_hit_ratio = pool_hits / (pool_hits + pool_misses);
         result.train_samples_per_sec =
             static_cast<double>(set.rows) * train_options.epochs /
             result.train_seconds;
@@ -282,11 +311,13 @@ main()
         result.gbdt_fit_seconds = (wallSeconds() - t0) / gbdt_reps;
 
         std::printf(
-            "threads %d: train %7.1f samples/s (%.2fs), "
+            "threads %d: train %7.1f samples/s (%.2fs, sys %.2fs, "
+            "pool hits %.3f), "
             "infer %8.1f candidates/s fast / %8.1f legacy "
             "(%.2fx), steady-state allocs/candidate %.4f, "
             "fast==legacy %s, loss %.6f, gbdt fit %.4fs\n",
             threads, result.train_samples_per_sec, result.train_seconds,
+            result.train_sys_seconds, result.pool_hit_ratio,
             result.infer_candidates_per_sec,
             result.legacy_candidates_per_sec,
             result.infer_candidates_per_sec /
@@ -349,6 +380,7 @@ main()
             json,
             "    {\"threads\": %d, \"train_seconds\": %.4f, "
             "\"train_samples_per_sec\": %.2f, \"train_speedup\": %.3f, "
+            "\"train_sys_seconds\": %.4f, \"pool_hit_ratio\": %.4f, "
             "\"infer_seconds\": %.4f, "
             "\"infer_candidates_per_sec\": %.2f, "
             "\"infer_speedup\": %.3f, "
@@ -361,6 +393,7 @@ main()
             result.threads, result.train_seconds,
             result.train_samples_per_sec,
             results[0].train_seconds / result.train_seconds,
+            result.train_sys_seconds, result.pool_hit_ratio,
             result.infer_seconds, result.infer_candidates_per_sec,
             results[0].infer_seconds / result.infer_seconds,
             result.legacy_candidates_per_sec,

@@ -28,6 +28,7 @@ pretrain(TlpNet &net, const data::LabeledSet &set,
     adam_options.lr = options.lr;
     nn::Adam adam(params, adam_options);
     TrainSupervisor supervisor(params, adam, options.supervisor);
+    nn::TapePool tape_pool;
 
     std::vector<int> order(static_cast<size_t>(set.rows));
     for (int r = 0; r < set.rows; ++r)
@@ -84,6 +85,7 @@ pretrain(TlpNet &net, const data::LabeledSet &set,
                                         std::move(input));
             double batch_loss = 0.0;
             const StepOutcome outcome = supervisor.step([&] {
+                nn::TapePool::Scope tape_scope(tape_pool);
                 adam.zeroGrad();
                 Tensor h = net.backbone(x, pretext == Pretext::Gpt);
                 Tensor pred = recon.forward(h);   // [B, L, E]

@@ -51,6 +51,7 @@ trainMlp(TensetMlpNet &net, const data::LabeledSet &set,
     adam_options.weight_decay = options.weight_decay;
     nn::Adam adam(net.parameters(), adam_options);
     TrainSupervisor supervisor(net.parameters(), adam, options.supervisor);
+    nn::TapePool tape_pool;
 
     // Group-aware batches (rank loss needs in-group pairs).
     std::map<int, std::vector<int>> by_group;
@@ -100,6 +101,7 @@ trainMlp(TensetMlpNet &net, const data::LabeledSet &set,
                 std::move(data));
             double batch_loss = 0.0;
             const StepOutcome outcome = supervisor.step([&] {
+                nn::TapePool::Scope tape_scope(tape_pool);
                 adam.zeroGrad();
                 Tensor pred = net.forward(x);
                 Tensor loss = options.use_rank_loss

@@ -182,6 +182,7 @@ trainTlpNet(TlpNet &net, const data::LabeledSet &set,
     adam_options.weight_decay = options.weight_decay;
     nn::Adam adam(net.parameters(), adam_options);
     TrainSupervisor supervisor(net.parameters(), adam, options.supervisor);
+    nn::TapePool tape_pool;
 
     double epoch_loss = 0.0;
     for (int epoch = 0; epoch < options.epochs && !supervisor.stopped();
@@ -221,6 +222,7 @@ trainTlpNet(TlpNet &net, const data::LabeledSet &set,
             Tensor x = gatherFeatures(set, rows);
             double batch_loss = 0.0;
             const StepOutcome outcome = supervisor.step([&] {
+                nn::TapePool::Scope tape_scope(tape_pool);
                 adam.zeroGrad();
                 Tensor loss;
                 for (int task : active_tasks) {

@@ -17,7 +17,7 @@ makeNode(std::vector<int> shape,
 {
     auto node = std::make_shared<Node>();
     node->shape = std::move(shape);
-    node->value.resize(static_cast<size_t>(shapeNumel(node->shape)));
+    node->allocValue(static_cast<size_t>(shapeNumel(node->shape)));
     node->parents = std::move(parents);
     for (const auto &parent : node->parents)
         node->requires_grad |= parent->requires_grad;

@@ -13,6 +13,7 @@
  */
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -33,10 +34,108 @@ struct Node
     /** Accumulates this node's grad into its parents' grads. */
     std::function<void(Node &)> backward_fn;
 
+    /** Id of the TapePool that supplied value/grad (0 = none). */
+    uint64_t pool_id = 0;
+    int value_slot = -1;         ///< pool slot of value, or -1
+    int grad_slot = -1;          ///< pool slot of grad, or -1
+
+    Node() = default;
+    Node(const Node &) = delete;
+    Node &operator=(const Node &) = delete;
+    /** Hands pooled storage back to its pool (see TapePool). */
+    ~Node();
+
     int64_t numel() const { return static_cast<int64_t>(value.size()); }
+
+    /**
+     * Size value to @p n zero-filled floats, taking the storage from the
+     * calling thread's current TapePool when a scope is open.
+     */
+    void allocValue(size_t n);
 
     /** Ensure the grad buffer exists (zero-filled). */
     void ensureGrad();
+};
+
+/**
+ * Step-scoped storage for tape buffers (Node::value and Node::grad).
+ *
+ * A training loop owns one pool and opens a Scope around each step
+ * attempt; inside it, the k-th tape buffer the step allocates reuses the
+ * k-th buffer of the previous step when its capacity suffices. When it
+ * does not, the step has outgrown the pool: that slot and every later
+ * one are released and allocated afresh. A dying node hands its buffers
+ * back to their slots only while its pool is still the thread's current
+ * pool and the slot is empty; every other node (outside any scope,
+ * escaped from its step, from another pool or thread) frees normally.
+ * Buffers are zero-filled on hand-out exactly as a fresh vector would
+ * be, so pooling moves storage and never changes a value. When the
+ * scope closes, slots the step did not use are released, so between
+ * steps the pool holds at most one step's tape.
+ */
+class TapePool
+{
+  public:
+    /** Process-wide counters summed over every pool. */
+    struct Totals
+    {
+        int64_t hits = 0;         ///< hand-outs served by a parked buffer
+        int64_t misses = 0;       ///< hand-outs that had to allocate
+        int64_t held_bytes = 0;   ///< bytes parked in live pools
+    };
+
+    /** Makes a pool the calling thread's current pool while alive. */
+    class Scope
+    {
+      public:
+        explicit Scope(TapePool &pool);
+        ~Scope();
+        Scope(const Scope &) = delete;
+        Scope &operator=(const Scope &) = delete;
+
+      private:
+        TapePool &pool_;
+        TapePool *previous_;
+    };
+
+    TapePool();
+    ~TapePool();
+    TapePool(const TapePool &) = delete;
+    TapePool &operator=(const TapePool &) = delete;
+
+    int64_t hits() const { return hits_; }
+    int64_t misses() const { return misses_; }
+    /** Bytes of storage parked in the pool's slots. */
+    int64_t heldBytes() const { return held_bytes_; }
+    /** Bytes the current (or last) scope handed out. */
+    int64_t stepBytes() const { return step_bytes_; }
+
+    /** The calling thread's current pool, or null outside any scope. */
+    static TapePool *current();
+
+    /** Counters summed over every pool in the process. */
+    static Totals totals();
+
+  private:
+    friend struct Node;
+
+    /** Move the next slot's storage into @p buf as @p n zeros. */
+    void acquire(std::vector<float> &buf, size_t n, int &slot);
+    /** Park @p buf in @p slot when that slot is empty. */
+    void park(std::vector<float> &buf, int slot);
+    /** Drop slot storage from index @p keep on. */
+    void release(size_t keep);
+    /** Adjust this pool's and the process-wide parked-byte counts. */
+    void addHeld(int64_t bytes);
+
+    uint64_t id_;
+    std::vector<std::vector<float>> slots_;
+    size_t next_slot_ = 0;
+    bool active_ = false;
+    int64_t hits_ = 0;
+    int64_t misses_ = 0;
+    int64_t held_bytes_ = 0;
+    int64_t step_bytes_ = 0;
 };
 
 /** Handle to an autograd node. */
