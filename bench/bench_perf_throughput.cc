@@ -17,6 +17,11 @@
  * seeded 1000 x 164 matrix at each thread count; its predictions must
  * be the same bits at every count, or the bench exits nonzero.
  *
+ * The three GEMM forms a linear layer runs (forward C = A * B, dA =
+ * dC * B^T, dB = A^T * dC) are timed at the TLP training shape: the
+ * batch's rows x hidden x hidden. Their GFLOP/s show the register-tiled
+ * kernels (nn/kernels.h) directly, apart from the rest of the step.
+ *
  * Training also reports its kernel CPU time (a getrusage delta around
  * trainTlpNet: page faults and mmap/munmap of tape buffers land there)
  * and the tape pool's hit ratio, the share of tape buffer hand-outs
@@ -52,6 +57,7 @@
 
 #include "bench/bench_common.h"
 #include "models/gbdt.h"
+#include "nn/kernels.h"
 #include "nn/tensor.h"
 #include "sketch/policy.h"
 #include "support/clock.h"
@@ -167,6 +173,9 @@ struct ThreadResult
     std::vector<double> predictions;
     double gbdt_fit_seconds;            ///< per fit
     std::vector<double> gbdt_predictions;
+    double gemm_forward_gflops;         ///< C = A * B
+    double gemm_nt_gflops;              ///< dA += dC * B^T
+    double gemm_tn_gflops;              ///< dB += A^T * dC
 };
 
 /** Rows and width of the GBDT refit matrix (Ansor feature width). */
@@ -188,6 +197,48 @@ gbdtRefitSet(std::vector<float> &features, std::vector<float> &targets)
         targets[static_cast<size_t>(r)] = static_cast<float>(
             row[0] + 2.0 * row[7] * row[11] + 0.1 * rng.uniform());
     }
+}
+
+/** Uniform random floats in [-1, 1). */
+std::vector<float>
+randomFloats(int64_t count, Rng &rng)
+{
+    std::vector<float> values(static_cast<size_t>(count));
+    for (float &v : values)
+        v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    return values;
+}
+
+/**
+ * GFLOP/s of the forward, NT and TN GEMM kernels at shape (m, k, n),
+ * each over @p reps calls after one warm-up call.
+ */
+void
+measureGemm(int64_t m, int64_t k, int64_t n, int reps, ThreadResult &result)
+{
+    Rng rng(36);
+    const std::vector<float> a = randomFloats(m * k, rng);
+    const std::vector<float> b = randomFloats(k * n, rng);
+    const std::vector<float> gc = randomFloats(m * n, rng);
+    std::vector<float> c(static_cast<size_t>(m * n));
+    std::vector<float> ga(static_cast<size_t>(m * k));
+    std::vector<float> gb(static_cast<size_t>(k * n));
+    const double flops = 2.0 * static_cast<double>(m * k * n) * reps;
+    const auto gflops = [&](const auto &call) {
+        call();
+        const double t0 = wallSeconds();
+        for (int rep = 0; rep < reps; ++rep)
+            call();
+        return flops / (wallSeconds() - t0) * 1e-9;
+    };
+    result.gemm_forward_gflops = gflops(
+        [&] { nn::kern::gemm(a.data(), b.data(), c.data(), m, k, n); });
+    result.gemm_nt_gflops = gflops([&] {
+        nn::kern::gemmNT(gc.data(), b.data(), ga.data(), m, k, n);
+    });
+    result.gemm_tn_gflops = gflops([&] {
+        nn::kern::gemmTN(a.data(), gc.data(), gb.data(), m, k, n);
+    });
 }
 
 /** Kernel CPU seconds the process has used so far (all threads). */
@@ -239,6 +290,13 @@ main()
     std::vector<float> gbdt_features, gbdt_targets;
     gbdtRefitSet(gbdt_features, gbdt_targets);
     const int gbdt_reps = 3;
+
+    // A linear layer of the training step: batch_size sequences of
+    // seq_len rows each, hidden -> hidden.
+    const int64_t gemm_rows =
+        static_cast<int64_t>(train_options.batch_size) * config.seq_len;
+    const int64_t gemm_width = config.hidden;
+    const int gemm_reps = static_cast<int>(scaledCount(200, 20));
 
     bool predictions_match_legacy = true;
     std::vector<ThreadResult> results;
@@ -310,12 +368,15 @@ main()
         }
         result.gbdt_fit_seconds = (wallSeconds() - t0) / gbdt_reps;
 
+        measureGemm(gemm_rows, gemm_width, gemm_width, gemm_reps, result);
+
         std::printf(
             "threads %d: train %7.1f samples/s (%.2fs, sys %.2fs, "
             "pool hits %.3f), "
             "infer %8.1f candidates/s fast / %8.1f legacy "
             "(%.2fx), steady-state allocs/candidate %.4f, "
-            "fast==legacy %s, loss %.6f, gbdt fit %.4fs\n",
+            "fast==legacy %s, loss %.6f, gbdt fit %.4fs, "
+            "gemm GFLOP/s fwd %.1f / NT %.1f / TN %.1f\n",
             threads, result.train_samples_per_sec, result.train_seconds,
             result.train_sys_seconds, result.pool_hit_ratio,
             result.infer_candidates_per_sec,
@@ -325,7 +386,9 @@ main()
             static_cast<double>(result.steady_state_allocs) /
                 static_cast<double>(result.steady_state_candidates),
             result.match_legacy ? "yes" : "NO (BUG)",
-            result.final_loss, result.gbdt_fit_seconds);
+            result.final_loss, result.gbdt_fit_seconds,
+            result.gemm_forward_gflops, result.gemm_nt_gflops,
+            result.gemm_tn_gflops);
         results.push_back(std::move(result));
     }
     ThreadPool::setGlobalThreads(ThreadPool::configuredThreads());
@@ -373,6 +436,11 @@ main()
     std::fprintf(json, "  \"gbdt_reps\": %d,\n", gbdt_reps);
     std::fprintf(json, "  \"gbdt_bit_identical\": %s,\n",
                  gbdt_bit_identical ? "true" : "false");
+    std::fprintf(json, "  \"gemm_shape\": [%lld, %lld, %lld],\n",
+                 static_cast<long long>(gemm_rows),
+                 static_cast<long long>(gemm_width),
+                 static_cast<long long>(gemm_width));
+    std::fprintf(json, "  \"gemm_reps\": %d,\n", gemm_reps);
     std::fprintf(json, "  \"results\": [\n");
     for (size_t i = 0; i < results.size(); ++i) {
         const auto &result = results[i];
@@ -389,7 +457,9 @@ main()
             "\"warmup_allocs\": %llu, "
             "\"steady_state_allocs\": %llu, "
             "\"steady_state_allocs_per_candidate\": %.4f, "
-            "\"gbdt_fit_seconds\": %.4f, \"gbdt_fit_speedup\": %.3f}%s\n",
+            "\"gbdt_fit_seconds\": %.4f, \"gbdt_fit_speedup\": %.3f, "
+            "\"gemm_forward_gflops\": %.2f, \"gemm_nt_gflops\": %.2f, "
+            "\"gemm_tn_gflops\": %.2f}%s\n",
             result.threads, result.train_seconds,
             result.train_samples_per_sec,
             results[0].train_seconds / result.train_seconds,
@@ -405,7 +475,8 @@ main()
                 static_cast<double>(result.steady_state_candidates),
             result.gbdt_fit_seconds,
             results[0].gbdt_fit_seconds / result.gbdt_fit_seconds,
-            i + 1 < results.size() ? "," : "");
+            result.gemm_forward_gflops, result.gemm_nt_gflops,
+            result.gemm_tn_gflops, i + 1 < results.size() ? "," : "");
     }
     std::fprintf(json, "  ]\n}\n");
     std::fclose(json);

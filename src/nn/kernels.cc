@@ -1,7 +1,9 @@
 #include "nn/kernels.h"
 
 #include <algorithm>
+#include <cstring>
 
+#include "support/arena.h"
 #include "support/thread_pool.h"
 
 namespace tlp::nn::kern {
@@ -14,83 +16,82 @@ constexpr int64_t kKBlock = 64;
 /** I-block size for the transposed update (dC panel reuse). */
 constexpr int64_t kIBlock = 64;
 
-/** Serial micro-kernel: GA rows [i0, i1) of GA += GC * B^T. */
-void
-gemmNTRows(const float *TLP_RESTRICT gc, const float *TLP_RESTRICT b,
-           float *TLP_RESTRICT ga, int64_t i0, int64_t i1, int64_t k,
-           int64_t n)
+/**
+ * Register tile: kTileRows output rows x kTileCols output columns (the
+ * forward product also has a kVecWidth-column tile for n = 8, the
+ * attention context). Every loop over a tile's rows carries
+ * `#pragma GCC unroll 4` (kTileRows): unrolled early, the accumulators
+ * stay in registers rather than in a stack array.
+ */
+constexpr int64_t kTileRows = 4;
+constexpr int64_t kVecWidth = 8;
+constexpr int64_t kTileCols = 2 * kVecWidth;
+
+/**
+ * The NT tile reproduces the rounded products of the NT row kernel as
+ * an uninstrumented x86-64 build compiles it, using an empty-asm
+ * barrier (keepRounded). ASan and TSan builds compile that row kernel
+ * to other operations, and other targets lack the barrier, so there
+ * the row kernel computes every element of dA.
+ */
+#if defined(__x86_64__) && !defined(__SANITIZE_ADDRESS__) &&              \
+    !defined(__SANITIZE_THREAD__)
+constexpr bool kNTTileSupported = true;
+#else
+constexpr bool kNTTileSupported = false;
+#endif
+
+/** Eight floats (GCC/Clang vector extension); two make a tile row. */
+typedef float Vec8 __attribute__((vector_size(32)));
+
+// A Vec8 return value is passed differently with and without AVX, and
+// GCC warns of that ABI difference in a non-AVX build. load8 has
+// internal linkage, so no caller can see it.
+#pragma GCC diagnostic ignored "-Wpsabi"
+
+/** The eight floats at @p p, which need no alignment. */
+inline Vec8
+load8(const float *p)
 {
-    for (int64_t i = i0; i < i1; ++i) {
-        const float *gcrow = gc + i * n;
-        for (int64_t p = 0; p < k; ++p) {
-            const float *brow = b + p * n;
-            float acc = 0.0f;
-            for (int64_t j = 0; j < n; ++j)
-                acc += gcrow[j] * brow[j];
-            ga[i * k + p] += acc;
-        }
-    }
+    Vec8 v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+}
+
+/** Store @p v to the eight floats at @p p. */
+inline void
+store8(float *p, const Vec8 &v)
+{
+    std::memcpy(p, &v, sizeof(v));
 }
 
 /**
- * Serial micro-kernel: GB rows [p0, p1) of GB += A^T * GC, i-blocked.
- * Per (p, j) the i accumulation order is globally increasing, matching
- * the naive i-outer loop it replaced.
+ * Keep the compiler from fusing @p prod into the add that consumes it.
+ * The NT row kernel's dot product compiles to a rounded vector multiply
+ * followed by in-order scalar adds, so every product is rounded before
+ * it is added; the NT tile must round its products the same way. Only
+ * an FMA target can fuse, and an FMA target has AVX, whose registers
+ * hold a Vec8.
+ */
+inline void
+keepRounded(Vec8 &prod)
+{
+#if defined(__FMA__)
+    asm("" : "+x"(prod));
+#else
+    (void)prod;
+#endif
+}
+
+/**
+ * Row kernel: C rows [i0, i1) = A * B, k-blocked, C fully overwritten.
+ * Per output element the k accumulation order is globally increasing,
+ * identical to naive i-k-j.
  */
 void
-gemmTNRows(const float *TLP_RESTRICT a, const float *TLP_RESTRICT gc,
-           float *TLP_RESTRICT gb, int64_t p0, int64_t p1, int64_t m,
-           int64_t k, int64_t n)
-{
-    for (int64_t i0 = 0; i0 < m; i0 += kIBlock) {
-        const int64_t i1 = std::min(m, i0 + kIBlock);
-        for (int64_t p = p0; p < p1; ++p) {
-            float *TLP_RESTRICT gbrow = gb + p * n;
-            int64_t i = i0;
-            for (; i + 4 <= i1; i += 4) {
-                const float a0 = a[(i + 0) * k + p];
-                const float a1 = a[(i + 1) * k + p];
-                const float a2 = a[(i + 2) * k + p];
-                const float a3 = a[(i + 3) * k + p];
-                const float *g0 = gc + (i + 0) * n;
-                const float *g1 = gc + (i + 1) * n;
-                const float *g2 = gc + (i + 2) * n;
-                const float *g3 = gc + (i + 3) * n;
-                // One sequential accumulator chain per element: the
-                // float addition order is exactly the unrolled-by-1
-                // loop's, just with the gbrow load/store hoisted.
-                for (int64_t j = 0; j < n; ++j) {
-                    float acc = gbrow[j];
-                    acc += a0 * g0[j];
-                    acc += a1 * g1[j];
-                    acc += a2 * g2[j];
-                    acc += a3 * g3[j];
-                    gbrow[j] = acc;
-                }
-            }
-            for (; i < i1; ++i) {
-                const float aval = a[i * k + p];
-                const float *gcrow = gc + i * n;
-                for (int64_t j = 0; j < n; ++j)
-                    gbrow[j] += aval * gcrow[j];
-            }
-        }
-    }
-}
-
-} // namespace
-
-int64_t
-rowGrain(int64_t work_per_row)
-{
-    return std::max<int64_t>(
-        1, kParallelGrainWork / std::max<int64_t>(1, work_per_row));
-}
-
-void
-gemmRows(const float *TLP_RESTRICT a, const float *TLP_RESTRICT b,
-         float *TLP_RESTRICT c, int64_t i0, int64_t i1, int64_t k,
-         int64_t n)
+gemmRowKernel(const float *TLP_RESTRICT a, const float *TLP_RESTRICT b,
+              float *TLP_RESTRICT c, int64_t i0, int64_t i1, int64_t k,
+              int64_t n)
 {
     std::fill(c + i0 * n, c + i1 * n, 0.0f);
     for (int64_t p0 = 0; p0 < k; p0 += kKBlock) {
@@ -130,34 +131,312 @@ gemmRows(const float *TLP_RESTRICT a, const float *TLP_RESTRICT b,
     }
 }
 
+/**
+ * Forward tile: C rows [i, i + 4), columns [j, j + 8 * kVecs) = A * B.
+ * The tile stays in registers across the whole ascending-p loop, and
+ * each element's chain is the row kernel's: acc = 0, then acc += a * b.
+ */
+template <int kVecs>
+inline void
+gemmTile(const float *TLP_RESTRICT a, const float *TLP_RESTRICT b,
+         float *TLP_RESTRICT c, int64_t i, int64_t j, int64_t k, int64_t n)
+{
+    Vec8 acc[kTileRows][kVecs] = {};
+    for (int64_t p = 0; p < k; ++p) {
+        Vec8 bv[kVecs];
+        for (int v = 0; v < kVecs; ++v)
+            bv[v] = load8(b + p * n + j + v * kVecWidth);
+#pragma GCC unroll 4
+        for (int64_t r = 0; r < kTileRows; ++r) {
+            const float av = a[(i + r) * k + p];
+            for (int v = 0; v < kVecs; ++v)
+                acc[r][v] += av * bv[v];
+        }
+    }
+#pragma GCC unroll 4
+    for (int64_t r = 0; r < kTileRows; ++r)
+        for (int v = 0; v < kVecs; ++v)
+            store8(c + (i + r) * n + j + v * kVecWidth, acc[r][v]);
+}
+
+/** Row kernel: GA rows [i0, i1) of GA += GC * B^T. */
+void
+gemmNTRowKernel(const float *TLP_RESTRICT gc, const float *TLP_RESTRICT b,
+                float *TLP_RESTRICT ga, int64_t i0, int64_t i1, int64_t k,
+                int64_t n)
+{
+    for (int64_t i = i0; i < i1; ++i) {
+        const float *gcrow = gc + i * n;
+        for (int64_t p = 0; p < k; ++p) {
+            const float *brow = b + p * n;
+            float acc = 0.0f;
+            for (int64_t j = 0; j < n; ++j)
+                acc += gcrow[j] * brow[j];
+            ga[i * k + p] += acc;
+        }
+    }
+}
+
+/**
+ * NT tile: GA rows [i, i + 4), columns [p, p + 16) += GC * B^T, read
+ * through @p bt = B^T [n, k]. Each element's dot product starts at 0
+ * and adds its rounded products over ascending j, as the row kernel
+ * does; the sum is then added into GA.
+ */
+inline void
+gemmNTTile(const float *TLP_RESTRICT gc, const float *TLP_RESTRICT bt,
+           float *TLP_RESTRICT ga, int64_t i, int64_t p, int64_t k,
+           int64_t n)
+{
+    Vec8 acc[kTileRows][2] = {};
+    for (int64_t j = 0; j < n; ++j) {
+        const Vec8 b0 = load8(bt + j * k + p);
+        const Vec8 b1 = load8(bt + j * k + p + 8);
+#pragma GCC unroll 4
+        for (int64_t r = 0; r < kTileRows; ++r) {
+            const float g = gc[(i + r) * n + j];
+            Vec8 prod0 = g * b0;
+            Vec8 prod1 = g * b1;
+            keepRounded(prod0);
+            keepRounded(prod1);
+            acc[r][0] += prod0;
+            acc[r][1] += prod1;
+        }
+    }
+#pragma GCC unroll 4
+    for (int64_t r = 0; r < kTileRows; ++r) {
+        float *garow = ga + (i + r) * k + p;
+        store8(garow, load8(garow) + acc[r][0]);
+        store8(garow + 8, load8(garow + 8) + acc[r][1]);
+    }
+}
+
+/**
+ * Row kernel: GB rows [p0, p1) of GB += A^T * GC, i-blocked. Per (p, j)
+ * the i accumulation order is globally increasing, matching the naive
+ * i-outer loop.
+ */
+void
+gemmTNRowKernel(const float *TLP_RESTRICT a, const float *TLP_RESTRICT gc,
+                float *TLP_RESTRICT gb, int64_t p0, int64_t p1, int64_t m,
+                int64_t k, int64_t n)
+{
+    for (int64_t i0 = 0; i0 < m; i0 += kIBlock) {
+        const int64_t i1 = std::min(m, i0 + kIBlock);
+        for (int64_t p = p0; p < p1; ++p) {
+            float *TLP_RESTRICT gbrow = gb + p * n;
+            int64_t i = i0;
+            for (; i + 4 <= i1; i += 4) {
+                const float a0 = a[(i + 0) * k + p];
+                const float a1 = a[(i + 1) * k + p];
+                const float a2 = a[(i + 2) * k + p];
+                const float a3 = a[(i + 3) * k + p];
+                const float *g0 = gc + (i + 0) * n;
+                const float *g1 = gc + (i + 1) * n;
+                const float *g2 = gc + (i + 2) * n;
+                const float *g3 = gc + (i + 3) * n;
+                // One sequential accumulator chain per element: the
+                // float addition order is exactly the unrolled-by-1
+                // loop's, just with the gbrow load/store hoisted.
+                for (int64_t j = 0; j < n; ++j) {
+                    float acc = gbrow[j];
+                    acc += a0 * g0[j];
+                    acc += a1 * g1[j];
+                    acc += a2 * g2[j];
+                    acc += a3 * g3[j];
+                    gbrow[j] = acc;
+                }
+            }
+            for (; i < i1; ++i) {
+                const float aval = a[i * k + p];
+                const float *gcrow = gc + i * n;
+                for (int64_t j = 0; j < n; ++j)
+                    gbrow[j] += aval * gcrow[j];
+            }
+        }
+    }
+}
+
+/**
+ * TN tile: GB rows [p, p + 4), columns [j, j + 16) += A^T * GC rows
+ * [i0, i1). The tile is loaded, kept in registers across the ascending-i
+ * loop with the row kernel's acc += a * g, then stored; a float store
+ * and reload is exact, so i-blocked calls in ascending order give each
+ * element the row kernel's chain.
+ */
+inline void
+gemmTNTile(const float *TLP_RESTRICT a, const float *TLP_RESTRICT gc,
+           float *TLP_RESTRICT gb, int64_t p, int64_t j, int64_t i0,
+           int64_t i1, int64_t k, int64_t n)
+{
+    Vec8 acc[kTileRows][2];
+#pragma GCC unroll 4
+    for (int64_t r = 0; r < kTileRows; ++r) {
+        acc[r][0] = load8(gb + (p + r) * n + j);
+        acc[r][1] = load8(gb + (p + r) * n + j + 8);
+    }
+    for (int64_t i = i0; i < i1; ++i) {
+        const Vec8 g0 = load8(gc + i * n + j);
+        const Vec8 g1 = load8(gc + i * n + j + 8);
+#pragma GCC unroll 4
+        for (int64_t r = 0; r < kTileRows; ++r) {
+            const float av = a[i * k + p + r];
+            acc[r][0] += av * g0;
+            acc[r][1] += av * g1;
+        }
+    }
+#pragma GCC unroll 4
+    for (int64_t r = 0; r < kTileRows; ++r) {
+        store8(gb + (p + r) * n + j, acc[r][0]);
+        store8(gb + (p + r) * n + j + 8, acc[r][1]);
+    }
+}
+
+/** End of the whole tile rows in [r0, r1): r1 rounded down onto r0. */
+int64_t
+tiledEnd(int64_t r0, int64_t r1)
+{
+    return r0 + (r1 - r0) / kTileRows * kTileRows;
+}
+
+/** Whether GA += GC * B^T of shape (m, k, n) takes the NT tile. */
+bool
+ntTiled(int64_t m, int64_t k, int64_t n)
+{
+    return kNTTileSupported && m >= kTileRows && k % kTileCols == 0 &&
+           n % kTileCols == 0;
+}
+
+/**
+ * B^T [n, k] of B [k, n], for the NT tile's unit-stride loads. It lives
+ * in the calling thread's arena until that thread's next pack; the
+ * arena keeps its blocks, so once a thread has packed its largest B a
+ * call allocates nothing.
+ */
+const float *
+packTransposed(const float *b, int64_t k, int64_t n)
+{
+    thread_local Arena arena(size_t{64} << 10);
+    arena.reset();
+    float *packed = arena.allocFloats(static_cast<size_t>(k * n));
+    for (int64_t p = 0; p < k; ++p)
+        for (int64_t j = 0; j < n; ++j)
+            packed[j * k + p] = b[p * n + j];
+    return packed;
+}
+
+/**
+ * GA rows [i0, i1) of GA += GC * B^T: NT tiles when @p bt (B^T, packed
+ * by the caller) is given, the row kernel for the rest.
+ */
+void
+gemmNTRows(const float *gc, const float *b, const float *bt, float *ga,
+           int64_t i0, int64_t i1, int64_t k, int64_t n)
+{
+    int64_t edge = i0;
+    if (bt != nullptr) {
+        edge = tiledEnd(i0, i1);
+        for (int64_t i = i0; i < edge; i += kTileRows)
+            for (int64_t p = 0; p < k; p += kTileCols)
+                gemmNTTile(gc, bt, ga, i, p, k, n);
+    }
+    gemmNTRowKernel(gc, b, ga, edge, i1, k, n);
+}
+
+/**
+ * GB rows [p0, p1) of GB += A^T * GC: TN tiles, then the row kernel.
+ * The tiles walk GC in kIBlock-row blocks, so a block's A and GC rows
+ * stay cached across every tile instead of streaming all of GC once per
+ * tile.
+ */
+void
+gemmTNRows(const float *a, const float *gc, float *gb, int64_t p0,
+           int64_t p1, int64_t m, int64_t k, int64_t n)
+{
+    int64_t edge = p0;
+    if (n % kTileCols == 0) {
+        edge = tiledEnd(p0, p1);
+        for (int64_t i0 = 0; i0 < m; i0 += kIBlock) {
+            const int64_t i1 = std::min(m, i0 + kIBlock);
+            for (int64_t p = p0; p < edge; p += kTileRows)
+                for (int64_t j = 0; j < n; j += kTileCols)
+                    gemmTNTile(a, gc, gb, p, j, i0, i1, k, n);
+        }
+    }
+    gemmTNRowKernel(a, gc, gb, edge, p1, m, k, n);
+}
+
+/**
+ * parallelFor over rows [0, rows) in chunks that start on a tile-row
+ * boundary, so the thread count never changes which rows a tile
+ * computes and which the row kernel does.
+ */
+template <typename Fn>
+void
+forRowTiles(int64_t rows, int64_t work_per_row, const Fn &fn)
+{
+    const int64_t tiles = (rows + kTileRows - 1) / kTileRows;
+    ThreadPool::global().parallelFor(
+        0, tiles, rowGrain(work_per_row * kTileRows),
+        [&](int64_t t0, int64_t t1) {
+            fn(t0 * kTileRows, std::min(rows, t1 * kTileRows));
+        });
+}
+
+} // namespace
+
+int64_t
+rowGrain(int64_t work_per_row)
+{
+    return std::max<int64_t>(
+        1, kParallelGrainWork / std::max<int64_t>(1, work_per_row));
+}
+
+void
+gemmRows(const float *TLP_RESTRICT a, const float *TLP_RESTRICT b,
+         float *TLP_RESTRICT c, int64_t i0, int64_t i1, int64_t k,
+         int64_t n)
+{
+    int64_t edge = i0;
+    if (n % kVecWidth == 0) {
+        edge = tiledEnd(i0, i1);
+        for (int64_t i = i0; i < edge; i += kTileRows) {
+            int64_t j = 0;
+            for (; j + kTileCols <= n; j += kTileCols)
+                gemmTile<2>(a, b, c, i, j, k, n);
+            if (j < n)
+                gemmTile<1>(a, b, c, i, j, k, n);
+        }
+    }
+    gemmRowKernel(a, b, c, edge, i1, k, n);
+}
+
 void
 gemm(const float *a, const float *b, float *c, int64_t m, int64_t k,
      int64_t n)
 {
-    ThreadPool::global().parallelFor(
-        0, m, rowGrain(k * n), [&](int64_t i0, int64_t i1) {
-            gemmRows(a, b, c, i0, i1, k, n);
-        });
+    forRowTiles(m, k * n, [&](int64_t i0, int64_t i1) {
+        gemmRows(a, b, c, i0, i1, k, n);
+    });
 }
 
 void
 gemmNT(const float *gc, const float *b, float *ga, int64_t m, int64_t k,
        int64_t n)
 {
-    ThreadPool::global().parallelFor(
-        0, m, rowGrain(k * n), [&](int64_t i0, int64_t i1) {
-            gemmNTRows(gc, b, ga, i0, i1, k, n);
-        });
+    const float *bt = ntTiled(m, k, n) ? packTransposed(b, k, n) : nullptr;
+    forRowTiles(m, k * n, [&](int64_t i0, int64_t i1) {
+        gemmNTRows(gc, b, bt, ga, i0, i1, k, n);
+    });
 }
 
 void
 gemmTN(const float *a, const float *gc, float *gb, int64_t m, int64_t k,
        int64_t n)
 {
-    ThreadPool::global().parallelFor(
-        0, k, rowGrain(m * n), [&](int64_t p0, int64_t p1) {
-            gemmTNRows(a, gc, gb, p0, p1, m, k, n);
-        });
+    forRowTiles(k, m * n, [&](int64_t p0, int64_t p1) {
+        gemmTNRows(a, gc, gb, p0, p1, m, k, n);
+    });
 }
 
 void
@@ -180,8 +459,11 @@ bmmNT(const float *gc, const float *b, float *ga, int64_t batch, int64_t m,
     ThreadPool::global().parallelFor(
         0, batch, rowGrain(m * k * n), [&](int64_t s0, int64_t s1) {
             for (int64_t s = s0; s < s1; ++s) {
-                gemmNTRows(gc + s * m * n, b + s * k * n, ga + s * m * k,
-                           0, m, k, n);
+                const float *bs = b + s * k * n;
+                const float *bt =
+                    ntTiled(m, k, n) ? packTransposed(bs, k, n) : nullptr;
+                gemmNTRows(gc + s * m * n, bs, bt, ga + s * m * k, 0, m, k,
+                           n);
             }
         });
 }

@@ -10,11 +10,36 @@
  * thread count (no atomics, no cross-thread reductions) and to the
  * original scalar code.
  *
- * The serial micro-kernels take `__restrict`-qualified pointers (the
- * operands never alias) and unroll the k panel four-wide with a single
- * sequential accumulator chain per output element — the compiler keeps
- * the C row in registers/vectors across four FMA streams instead of a
- * load/store per multiply, without reordering any float addition.
+ * Each GEMM form has a register-tiled path that its shape alone
+ * selects (no option, flag or environment variable), and a row kernel
+ * for everything else:
+ *
+ *  - forward (gemmRows): at least 4 rows and n % 8 == 0. A 4-row x
+ *    16-column C tile (4 x 8 for the last 8 columns when n % 16 == 8,
+ *    as in the attention context's n = 8) stays in registers across
+ *    the whole ascending-k loop, with the row kernel's `acc += a * b`
+ *    from acc = 0.
+ *  - dB (gemmTN): n % 16 == 0. A 4 x 16 GB tile is loaded, kept in
+ *    registers across an ascending block of m with the same
+ *    `acc += a * g`, and stored; blocks run in ascending order.
+ *  - dA (gemmNT, x86-64 without ASan/TSan): at least 4 rows,
+ *    k % 16 == 0 and n % 16 == 0. B^T is packed once per call into the calling
+ *    thread's reused arena; each element of a 4 x 16 GA tile sums its
+ *    products over ascending n from 0, and the sum is then added into
+ *    GA. The row kernel's dot product compiles to a rounded vector
+ *    multiply and in-order scalar adds, so the tile rounds each product
+ *    before adding it (product-then-add, never an FMA), where the other
+ *    two tiles contract to FMA exactly as their row kernels do.
+ *
+ * So every output element sees the same float operations in the same
+ * order on either path, and the tiles change wall clock only. The
+ * attention scores (n = 25), the n = 1 head and every row or column
+ * edge stay on the row kernels, which take `__restrict`-qualified
+ * pointers (the operands never alias) and unroll four-wide with a
+ * single sequential accumulator chain per output element. Parallel
+ * chunks start on a tile-row boundary, so the thread count never
+ * changes which code computes an element. tests/test_gemm_digest.cc
+ * pins the output bits of every form over every tile and edge case.
  *
  * The forward micro-kernels (gemmRows / bmm's per-batch body) are
  * exported and marked noinline: the fused inference path (nn/infer_ops,
@@ -48,11 +73,12 @@ constexpr int64_t kParallelGrainWork = 16 * 1024;
 int64_t rowGrain(int64_t work_per_row);
 
 /**
- * Serial micro-kernel: rows [i0, i1) of C[m, n] = A[m, k] * B[k, n],
- * k-blocked, C fully overwritten. Per output element the k accumulation
- * order is globally increasing — identical to naive i-k-j. Exported
- * (and never inlined) so the fused inference path reuses this exact
- * code; all three operands must be disjoint.
+ * Serial micro-kernel: rows [i0, i1) of C[m, n] = A[m, k] * B[k, n], C
+ * fully overwritten: 4-row register tiles where the shape allows, the
+ * k-blocked row kernel for the rest. Per output element the k
+ * accumulation order is globally increasing — identical to naive i-k-j.
+ * Exported (and never inlined) so the fused inference path reuses this
+ * exact code; all three operands must be disjoint.
  */
 TLP_NOINLINE void gemmRows(const float *TLP_RESTRICT a,
                            const float *TLP_RESTRICT b,

@@ -1,0 +1,169 @@
+/**
+ * @file
+ * Golden digests of the GEMM kernels' output bits.
+ *
+ * Each case runs one of the six kernel forms over every combination of
+ * m in {1, 3, 4, 5, 400, 403}, k in {1, 8, 22, 25, 64, 70} and
+ * n in {1, 8, 16, 25, 64, 80}: single rows and columns, sizes below,
+ * at and one past the register tile (4 rows x 16 columns), the
+ * attention and embedding widths, and the training shapes with ragged
+ * edges. Operands are random floats; the NT and TN forms accumulate
+ * into random, non-zero outputs. An FNV-1a digest over every output's
+ * float bits must equal the pinned value at 1, 2 and 4 threads, so any
+ * change to a kernel's per-element float operations, or to which code
+ * computes an element under some partition, moves a digest.
+ */
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <functional>
+#include <vector>
+
+#include "golden.h"
+#include "nn/kernels.h"
+#include "support/rng.h"
+#include "support/thread_pool.h"
+
+namespace tlp {
+namespace {
+
+constexpr int64_t kRows[] = {1, 3, 4, 5, 400, 403};
+constexpr int64_t kInner[] = {1, 8, 22, 25, 64, 70};
+constexpr int64_t kCols[] = {1, 8, 16, 25, 64, 80};
+constexpr int64_t kBatch = 3;
+
+std::vector<float>
+randomFloats(int64_t count, Rng &rng)
+{
+    std::vector<float> values(static_cast<size_t>(count));
+    for (float &v : values)
+        v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    return values;
+}
+
+/**
+ * One kernel call on fresh operands of the given shape: @p x and @p y
+ * are the inputs, @p out is the output (random on entry, so the
+ * accumulating forms add into non-zero values).
+ */
+using KernelCall = std::function<void(const float *x, const float *y,
+                                      float *out, int64_t m, int64_t k,
+                                      int64_t n)>;
+
+/** Element counts of (x, y, out) for one call at shape (m, k, n). */
+struct Sizes
+{
+    int64_t x, y, out;
+};
+using SizeFn = std::function<Sizes(int64_t m, int64_t k, int64_t n)>;
+
+/** Digest of every output over the full shape grid, at one thread count. */
+uint64_t
+gridDigest(const KernelCall &call, const SizeFn &sizes)
+{
+    Rng rng(0x6e33);
+    uint64_t digest = 1469598103934665603ull;
+    for (int64_t m : kRows) {
+        for (int64_t k : kInner) {
+            for (int64_t n : kCols) {
+                const Sizes s = sizes(m, k, n);
+                const std::vector<float> x = randomFloats(s.x, rng);
+                const std::vector<float> y = randomFloats(s.y, rng);
+                std::vector<float> out = randomFloats(s.out, rng);
+                call(x.data(), y.data(), out.data(), m, k, n);
+                digest = fnv1a(out.data(), out.size() * sizeof(float),
+                               digest);
+            }
+        }
+    }
+    return digest;
+}
+
+/** gridDigest at 1, 2 and 4 threads, each checked against @p pinned. */
+void
+expectDigest(const KernelCall &call, const SizeFn &sizes, uint64_t pinned)
+{
+    if (!test::kGoldenBits)
+        GTEST_SKIP() << "digests are pinned for the uninstrumented "
+                        "x86-64-v3 build";
+    for (int threads : {1, 2, 4}) {
+        ThreadPool::setGlobalThreads(threads);
+        const uint64_t digest = gridDigest(call, sizes);
+        EXPECT_EQ(digest, pinned)
+            << "threads " << threads << ": 0x" << std::hex << digest;
+    }
+    ThreadPool::setGlobalThreads(ThreadPool::configuredThreads());
+}
+
+TEST(GemmDigest, Forward)
+{
+    expectDigest(
+        [](const float *a, const float *b, float *c, int64_t m, int64_t k,
+           int64_t n) { nn::kern::gemm(a, b, c, m, k, n); },
+        [](int64_t m, int64_t k, int64_t n) {
+            return Sizes{m * k, k * n, m * n};
+        },
+        0x86478aa817dabdf9ull);
+}
+
+TEST(GemmDigest, NT)
+{
+    expectDigest(
+        [](const float *gc, const float *b, float *ga, int64_t m,
+           int64_t k, int64_t n) { nn::kern::gemmNT(gc, b, ga, m, k, n); },
+        [](int64_t m, int64_t k, int64_t n) {
+            return Sizes{m * n, k * n, m * k};
+        },
+        0x9eee5bae592cd208ull);
+}
+
+TEST(GemmDigest, TN)
+{
+    expectDigest(
+        [](const float *a, const float *gc, float *gb, int64_t m,
+           int64_t k, int64_t n) { nn::kern::gemmTN(a, gc, gb, m, k, n); },
+        [](int64_t m, int64_t k, int64_t n) {
+            return Sizes{m * k, m * n, k * n};
+        },
+        0x9c649685f08cdf27ull);
+}
+
+TEST(GemmDigest, Bmm)
+{
+    expectDigest(
+        [](const float *a, const float *b, float *c, int64_t m, int64_t k,
+           int64_t n) { nn::kern::bmm(a, b, c, kBatch, m, k, n); },
+        [](int64_t m, int64_t k, int64_t n) {
+            return Sizes{kBatch * m * k, kBatch * k * n, kBatch * m * n};
+        },
+        0xc767000d0c531547ull);
+}
+
+TEST(GemmDigest, BmmNT)
+{
+    expectDigest(
+        [](const float *gc, const float *b, float *ga, int64_t m,
+           int64_t k, int64_t n) {
+            nn::kern::bmmNT(gc, b, ga, kBatch, m, k, n);
+        },
+        [](int64_t m, int64_t k, int64_t n) {
+            return Sizes{kBatch * m * n, kBatch * k * n, kBatch * m * k};
+        },
+        0x7cc026f47364ba9eull);
+}
+
+TEST(GemmDigest, BmmTN)
+{
+    expectDigest(
+        [](const float *a, const float *gc, float *gb, int64_t m,
+           int64_t k, int64_t n) {
+            nn::kern::bmmTN(a, gc, gb, kBatch, m, k, n);
+        },
+        [](int64_t m, int64_t k, int64_t n) {
+            return Sizes{kBatch * m * k, kBatch * m * n, kBatch * k * n};
+        },
+        0x3e9433185ab21132ull);
+}
+
+} // namespace
+} // namespace tlp

@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
@@ -128,15 +129,21 @@ runAtThreadCounts(const std::function<std::vector<std::vector<float>>()>
 
 TEST(BitIdentical, MatmulForwardAndBackward)
 {
+    // 37 x 53 x 29 runs the row kernels only; 70 x 64 x 48 runs all
+    // three register tiles plus two edge rows.
     const auto runs = runAtThreadCounts([] {
         Rng rng(101);
-        nn::Tensor a = nn::Tensor::randn({37, 53}, rng, 1.0, true);
-        nn::Tensor b = nn::Tensor::randn({53, 29}, rng, 1.0, true);
-        nn::Tensor w = nn::Tensor::randn({37, 29}, rng, 1.0, false);
-        nn::Tensor c = nn::matmul(a, b);
-        nn::sumAll(nn::mul(c, w)).backward();
-        return std::vector<std::vector<float>>{c.value(), a.grad(),
-                                               b.grad()};
+        std::vector<std::vector<float>> out;
+        for (auto [m, k, n] : {std::array{37, 53, 29},
+                               std::array{70, 64, 48}}) {
+            nn::Tensor a = nn::Tensor::randn({m, k}, rng, 1.0, true);
+            nn::Tensor b = nn::Tensor::randn({k, n}, rng, 1.0, true);
+            nn::Tensor w = nn::Tensor::randn({m, n}, rng, 1.0, false);
+            nn::Tensor c = nn::matmul(a, b);
+            nn::sumAll(nn::mul(c, w)).backward();
+            out.insert(out.end(), {c.value(), a.grad(), b.grad()});
+        }
+        return out;
     });
     EXPECT_EQ(runs[0], runs[1]);
     EXPECT_EQ(runs[0], runs[2]);
