@@ -1,9 +1,11 @@
 #include "bench/bench_common.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "ir/model_zoo.h"
 #include "ir/partition.h"
@@ -92,6 +94,41 @@ collectionFingerprint(const data::CollectOptions &options)
             hash = mixDouble(hash, score);
     }
     return hash;
+}
+
+/**
+ * Train the MTL-TLP net of Sec. 6.2 on @p platforms: task 1 (the
+ * target) keeps labels on only @p target_rows training records, the
+ * donor tasks keep all of theirs.
+ */
+std::shared_ptr<model::TlpNet>
+trainMtlNet(const data::Dataset &dataset, const data::Split &split,
+            const std::vector<int> &platforms, int64_t target_rows,
+            const model::TrainOptions &options)
+{
+    model::TlpNetConfig config;
+    config.num_tasks = static_cast<int>(platforms.size());
+    auto train_set =
+        data::buildTlpSet(dataset, capTrainRecords(split.train_records),
+                          platforms, feat::TlpFeatureOptions{});
+
+    Rng mask_rng(0x3a5c);
+    std::vector<int> order(static_cast<size_t>(train_set.rows));
+    for (int r = 0; r < train_set.rows; ++r)
+        order[static_cast<size_t>(r)] = r;
+    mask_rng.shuffle(order);
+    const int64_t keep = std::min<int64_t>(target_rows, train_set.rows);
+    for (int64_t i = keep; i < train_set.rows; ++i) {
+        const int row = order[static_cast<size_t>(i)];
+        train_set.labels[static_cast<size_t>(row) *
+                         static_cast<size_t>(train_set.num_tasks)] =
+            std::numeric_limits<float>::quiet_NaN();
+    }
+
+    Rng rng(options.seed);
+    auto net = std::make_shared<model::TlpNet>(config, rng);
+    trainTlpNet(*net, train_set, options);
+    return net;
 }
 
 } // namespace
@@ -318,27 +355,8 @@ prepareSearchModels(const data::Dataset &dataset, const data::Split &split)
 
     if (dataset.platforms.size() > 1) {
         // MTL-TLP: scarce target labels plus the donor platform.
-        model::TlpNetConfig config;
-        config.num_tasks = 2;
-        feat::TlpFeatureOptions feature_options;
-        auto records = capTrainRecords(split.train_records);
-        auto train_set = data::buildTlpSet(dataset, records, {0, 1},
-                                           feature_options);
-        Rng mask_rng(0x3a5c);
-        const int64_t scarce = scaledCount(800, 200);
-        std::vector<int> order(static_cast<size_t>(train_set.rows));
-        for (int r = 0; r < train_set.rows; ++r)
-            order[static_cast<size_t>(r)] = r;
-        mask_rng.shuffle(order);
-        for (int64_t i = scarce; i < train_set.rows; ++i) {
-            train_set.labels[static_cast<size_t>(
-                                 order[static_cast<size_t>(i)]) *
-                             2] = std::numeric_limits<float>::quiet_NaN();
-        }
-        Rng rng(options.seed);
-        auto net = std::make_shared<model::TlpNet>(config, rng);
-        trainTlpNet(*net, train_set, options);
-        models.mtl = std::make_unique<model::TlpCostModel>(net);
+        models.mtl = std::make_unique<model::TlpCostModel>(trainMtlNet(
+            dataset, split, {0, 1}, scaledCount(800, 200), options));
     }
     return models;
 }
@@ -368,6 +386,184 @@ tuneNetwork(const std::string &network, const std::string &platform,
         benchTuneOptions(static_cast<int>(workload.subgraphs.size())));
 }
 
+std::vector<SearchPlatform>
+searchPlatforms()
+{
+    return {{"CPU i7-10510u", {"i7-10510u", "platinum-8272"}, false},
+            {"GPU tesla-t4", {"tesla-t4", "tesla-k80"}, true}};
+}
+
+void
+printSearchTimeFigure(const std::string &figure, SearchBaseline baseline,
+                      PaperSpeedups cpu, PaperSpeedups gpu)
+{
+    const bool ansor = baseline == SearchBaseline::Ansor;
+    const std::string name = ansor ? "Ansor" : "TenSet-MLP";
+    std::printf("=== %s: search time to reach %s-final performance ===\n",
+                figure.c_str(), name.c_str());
+
+    const std::vector<std::string> networks = {"resnet-50",
+                                               "mobilenet-v2",
+                                               "bert-tiny"};
+    for (const SearchPlatform &spec : searchPlatforms()) {
+        const PaperSpeedups paper = spec.gpu ? gpu : cpu;
+        const auto dataset = standardDataset(spec.platforms, spec.gpu);
+        const auto split = data::makeSplit(dataset, benchTestNetworks());
+        auto models = prepareSearchModels(dataset, split);
+        model::CostModel &base_model = ansor ? *models.ansor : *models.mlp;
+
+        TextTable table(std::string(spec.label) + ": time to reach " +
+                        name + "-final (s)");
+        table.setHeader({"workload", ansor ? "ansor" : "tenset-mlp", "tlp",
+                         "mtl-tlp", "tlp speedup", "mtl speedup"});
+        double tlp_speedups = 0.0, mtl_speedups = 0.0;
+        int counted = 0;
+        for (const auto &network : networks) {
+            const auto base_run =
+                tuneNetwork(network, spec.platforms[0], base_model);
+            const double target = base_run.best_workload_latency_ms;
+            const double base_time = base_run.timeToReach(target);
+            const double tlp_time =
+                tuneNetwork(network, spec.platforms[0], *models.tlp)
+                    .timeToReach(target);
+            const double mtl_time =
+                tuneNetwork(network, spec.platforms[0], *models.mtl)
+                    .timeToReach(target);
+            auto fmt = [](double value) {
+                return std::isfinite(value) ? formatDouble(value, 1)
+                                            : std::string("not reached");
+            };
+            auto fmtSpeedup = [](double speedup) {
+                return speedup > 0 ? formatDouble(speedup, 2) + "x"
+                                   : std::string("-");
+            };
+            const double tlp_speedup =
+                std::isfinite(tlp_time) ? base_time / tlp_time : 0.0;
+            const double mtl_speedup =
+                std::isfinite(mtl_time) ? base_time / mtl_time : 0.0;
+            if (tlp_speedup > 0 && mtl_speedup > 0) {
+                tlp_speedups += tlp_speedup;
+                mtl_speedups += mtl_speedup;
+                ++counted;
+            }
+            table.addRow({network, fmt(base_time), fmt(tlp_time),
+                          fmt(mtl_time), fmtSpeedup(tlp_speedup),
+                          fmtSpeedup(mtl_speedup)});
+            std::printf("done: %s / %s\n", spec.label, network.c_str());
+        }
+        table.print();
+        if (counted > 0) {
+            std::printf("average speedups (paper: tlp %.1fx, mtl %.1fx): "
+                        "tlp %.2fx, mtl %.2fx\n",
+                        paper.tlp, paper.mtl,
+                        tlp_speedups / counted, mtl_speedups / counted);
+        }
+    }
+}
+
+void
+printMtlTable(const std::string &title, const std::string &first_column,
+              const std::vector<std::string> &platforms, bool is_gpu,
+              const std::vector<MtlRow> &rows)
+{
+    const auto dataset = standardDataset(platforms, is_gpu);
+    const auto split = data::makeSplit(dataset, benchTestNetworks());
+    const int64_t scarce = scaledCount(800, 200);   // the "500K" subset
+
+    TextTable table(title);
+    table.setHeader({first_column, "top-1 (paper)", "top-1 (ours)",
+                     "top-5 (paper)", "top-5 (ours)"});
+    for (const MtlRow &row : rows) {
+        const auto topk = mtlTopK(dataset, split, 0, row.donors, scarce,
+                                  benchTrainOptions());
+        table.addRow({row.label, fmtScore(row.paper_top1),
+                      fmtScore(topk.top1), fmtScore(row.paper_top5),
+                      fmtScore(topk.top5)});
+        std::printf("done: %s\n", row.label);
+    }
+    table.print();
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    std::ostringstream os;
+    os << is.rdbuf();
+    return os.str();
+}
+
+std::vector<serve::SessionSpec>
+drillFleet(int sessions, int rounds, uint64_t seed,
+           const std::vector<serve::ModelKind> &kinds)
+{
+    std::vector<serve::SessionSpec> fleet;
+    for (int i = 0; i < sessions; ++i) {
+        serve::SessionSpec spec;
+        char name[16];
+        std::snprintf(name, sizeof(name), "s%03d", i);
+        spec.name = name;
+        spec.network = "resnet-18";
+        spec.platform = i % 2 == 0 ? "i7-10510u" : "platinum-8272";
+        spec.model = kinds[static_cast<size_t>(i) % kinds.size()];
+        spec.max_subgraphs = 2;
+        spec.tune.rounds = rounds;
+        spec.tune.measures_per_round = 4;
+        spec.tune.evolution.population = 24;
+        spec.tune.evolution.iterations = 2;
+        spec.tune.evolution.children_per_iter = 12;
+        spec.tune.measure.seconds_per_measure = 0.25;
+        spec.tune.seed = seed + static_cast<uint64_t>(i);
+        fleet.push_back(std::move(spec));
+    }
+    return fleet;
+}
+
+serve::ServiceOptions
+drillServiceOptions(const std::string &dir, int fleet_size)
+{
+    serve::ServiceOptions options;
+    options.dir = dir;
+    options.max_active = fleet_size;
+    options.max_queued = fleet_size;
+    return options;
+}
+
+bool
+curvesMatch(const std::string &golden_dir, const std::string &drill_dir,
+            const std::vector<serve::SessionSpec> &fleet)
+{
+    bool match = true;
+    for (const auto &spec : fleet) {
+        const std::string curve = "/" + spec.name + ".curve";
+        const std::string golden = readFile(golden_dir + curve);
+        if (golden.empty() || golden != readFile(drill_dir + curve)) {
+            match = false;
+            std::printf("CURVE MISMATCH: %s\n", spec.name.c_str());
+        }
+    }
+    return match;
+}
+
+std::FILE *
+openReport(const std::string &path)
+{
+    std::FILE *report = std::fopen(path.c_str(), "w");
+    if (!report)
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return report;
+}
+
+bool
+closeReport(std::FILE *report, const std::string &path)
+{
+    const bool written = std::ferror(report) == 0;
+    const bool closed = std::fclose(report) == 0;
+    if (!written || !closed)
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return written && closed;
+}
+
 data::TopKPair
 mtlTopK(const data::Dataset &dataset, const data::Split &split,
         int target_platform, const std::vector<int> &donor_platforms,
@@ -376,37 +572,11 @@ mtlTopK(const data::Dataset &dataset, const data::Split &split,
     std::vector<int> platforms = {target_platform};
     for (int donor : donor_platforms)
         platforms.push_back(donor);
-
-    model::TlpNetConfig config;
-    config.num_tasks = static_cast<int>(platforms.size());
-
-    feat::TlpFeatureOptions feature_options;
-    auto records = capTrainRecords(split.train_records);
-    auto train_set =
-        data::buildTlpSet(dataset, records, platforms, feature_options);
-
-    // Keep target labels only on the first target_rows records (the
-    // scarce-data regime); donors keep all labels.
-    Rng mask_rng(0x3a5c);
-    std::vector<int> order(static_cast<size_t>(train_set.rows));
-    for (int r = 0; r < train_set.rows; ++r)
-        order[static_cast<size_t>(r)] = r;
-    mask_rng.shuffle(order);
-    const int64_t keep = std::min<int64_t>(target_rows, train_set.rows);
-    for (int64_t i = keep; i < train_set.rows; ++i) {
-        const int row = order[static_cast<size_t>(i)];
-        train_set.labels[static_cast<size_t>(row) *
-                         static_cast<size_t>(train_set.num_tasks)] =
-            std::numeric_limits<float>::quiet_NaN();
-    }
-
-    Rng rng(options.seed);
-    model::TlpNet net(config, rng);
-    trainTlpNet(net, train_set, options);
-
+    const auto net =
+        trainMtlNet(dataset, split, platforms, target_rows, options);
     auto test_set = data::buildTlpSet(dataset, split.test_records,
-                                      platforms, feature_options);
-    const auto scores = predictTlpNet(net, test_set, 0);
+                                      platforms, feat::TlpFeatureOptions{});
+    const auto scores = predictTlpNet(*net, test_set, 0);
     return data::topKScores(dataset, benchTestNetworks(), target_platform,
                             split.test_records, scores);
 }

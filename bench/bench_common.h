@@ -6,9 +6,13 @@
  * laptop-friendly scale and prints `paper` vs `measured` rows. Scale is
  * controlled by the TLP_BENCH_SCALE environment variable (default 1.0;
  * larger values move toward paper scale).
+ *
+ * Benches that measure the same thing share one driver here and keep
+ * only their data: Figs. 12/13, Tables 6/7/9 and the fleet drills.
  */
 #pragma once
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -20,6 +24,7 @@
 #include "models/tlp_model.h"
 #include "support/config.h"
 #include "support/table.h"
+#include "tuner/service/service.h"
 #include "tuner/session.h"
 
 namespace tlp::bench {
@@ -141,5 +146,98 @@ tune::TuneOptions benchTuneOptions(int num_tasks);
 tune::TuneResult tuneNetwork(const std::string &network,
                              const std::string &platform,
                              model::CostModel &cost_model);
+
+/** A platform pair of the search experiments (Figs. 11-13): the
+ *  target first, then MTL-TLP's donor. */
+struct SearchPlatform
+{
+    const char *label;
+    std::vector<std::string> platforms;
+    bool gpu;
+};
+
+/** The CPU (i7-10510u) and GPU (tesla-t4) search platforms. */
+std::vector<SearchPlatform> searchPlatforms();
+
+/** The model a search-time figure races against. */
+enum class SearchBaseline
+{
+    TensetMlp,   ///< Fig. 12
+    Ansor,       ///< Fig. 13
+};
+
+/** A paper's average search-time speedups over the baseline. */
+struct PaperSpeedups
+{
+    double tlp, mtl;
+};
+
+/**
+ * Paper Figs. 12/13. On each search platform, tune three held-out
+ * networks with @p baseline, TLP and MTL-TLP; print the search time
+ * each needs to reach the baseline's final latency and the average
+ * speedups next to the paper's @p cpu and @p gpu figures.
+ */
+void printSearchTimeFigure(const std::string &figure,
+                           SearchBaseline baseline, PaperSpeedups cpu,
+                           PaperSpeedups gpu);
+
+/** One MTL table row: the target (platform 0) plus @p donors. */
+struct MtlRow
+{
+    const char *label;
+    std::vector<int> donors;
+    double paper_top1, paper_top5;
+};
+
+/**
+ * Paper Tables 6/7/9: for each row, mtlTopK with scarce target labels
+ * over the standard dataset of @p platforms; print paper vs measured
+ * top-1/top-5 in a table titled @p title.
+ */
+void printMtlTable(const std::string &title, const std::string &first_column,
+                   const std::vector<std::string> &platforms, bool is_gpu,
+                   const std::vector<MtlRow> &rows);
+
+// --- fleet drills (service recovery, containment, I/O chaos) ---
+
+/** The bytes of @p path; empty when it is missing or unreadable. */
+std::string readFile(const std::string &path);
+
+/**
+ * A drill fleet of @p sessions two-subgraph resnet-18 slices with
+ * @p rounds rounds each. Session i is named "s%03d", alternates the
+ * i7-10510u / platinum-8272 platforms, runs kinds[i % kinds.size()]
+ * and is seeded @p seed + i.
+ */
+std::vector<serve::SessionSpec>
+drillFleet(int sessions, int rounds, uint64_t seed,
+           const std::vector<serve::ModelKind> &kinds);
+
+/** Service options over @p dir that admit the whole fleet at once. */
+serve::ServiceOptions drillServiceOptions(const std::string &dir,
+                                          int fleet_size);
+
+/**
+ * True when every session of @p fleet has a non-empty curve file in
+ * @p golden_dir and a byte-identical one in @p drill_dir. A missing or
+ * empty golden curve is a mismatch, never a vacuous match. Prints
+ * "CURVE MISMATCH: <name>" for each session that differs.
+ */
+bool curvesMatch(const std::string &golden_dir, const std::string &drill_dir,
+                 const std::vector<serve::SessionSpec> &fleet);
+
+// --- BENCH_*.json reports ---
+
+/** Open the report @p path for writing; null, said on stderr, when it
+ *  cannot be opened. */
+std::FILE *openReport(const std::string &path);
+
+/**
+ * Close a report from openReport. False, said on stderr, when a write
+ * or the close failed (a full disk leaves a truncated file): the bench
+ * must then exit non-zero.
+ */
+bool closeReport(std::FILE *report, const std::string &path);
 
 } // namespace tlp::bench

@@ -17,18 +17,7 @@ main()
     using namespace tlp;
     std::printf("=== Fig. 11: tuning curves ===\n");
 
-    struct PlatformSpec
-    {
-        const char *label;
-        std::vector<std::string> platforms;
-        bool gpu;
-    };
-    const PlatformSpec specs[] = {
-        {"CPU i7-10510u", {"i7-10510u", "platinum-8272"}, false},
-        {"GPU tesla-t4", {"tesla-t4", "tesla-k80"}, true},
-    };
-
-    for (const PlatformSpec &spec : specs) {
+    for (const bench::SearchPlatform &spec : bench::searchPlatforms()) {
         std::printf("\n--- %s ---\n", spec.label);
         const auto dataset = bench::standardDataset(spec.platforms,
                                                     spec.gpu);

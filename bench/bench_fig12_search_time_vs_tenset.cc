@@ -5,88 +5,13 @@
  * 9.1x (CPU) / 3.0x (GPU) speedup over the TenSet MLP; MTL-TLP averages
  * 4.7x / 2.9x using only ~7% target data.
  */
-#include <cmath>
-#include <cstdio>
-
 #include "bench/bench_common.h"
-#include "support/str_util.h"
 
 int
 main()
 {
-    using namespace tlp;
-    std::printf("=== Fig. 12: search time to reach TenSet-MLP-final "
-                "performance ===\n");
-
-    struct PlatformSpec
-    {
-        const char *label;
-        std::vector<std::string> platforms;
-        bool gpu;
-        double paper_tlp_speedup, paper_mtl_speedup;
-    };
-    const PlatformSpec specs[] = {
-        {"CPU i7-10510u", {"i7-10510u", "platinum-8272"}, false, 9.1, 4.7},
-        {"GPU tesla-t4", {"tesla-t4", "tesla-k80"}, true, 3.0, 2.9},
-    };
-    const std::vector<std::string> networks = {"resnet-50",
-                                               "mobilenet-v2",
-                                               "bert-tiny"};
-
-    for (const PlatformSpec &spec : specs) {
-        const auto dataset = bench::standardDataset(spec.platforms,
-                                                    spec.gpu);
-        const auto split =
-            data::makeSplit(dataset, bench::benchTestNetworks());
-        auto models = bench::prepareSearchModels(dataset, split);
-
-        TextTable table(std::string(spec.label) +
-                        ": time to reach TenSet-MLP-final (s)");
-        table.setHeader({"workload", "tenset-mlp", "tlp", "mtl-tlp",
-                         "tlp speedup", "mtl speedup"});
-        double tlp_speedups = 0.0, mtl_speedups = 0.0;
-        int counted = 0;
-        for (const auto &network : networks) {
-            const auto mlp_run = bench::tuneNetwork(
-                network, spec.platforms[0], *models.mlp);
-            const double target = mlp_run.best_workload_latency_ms;
-            const double mlp_time = mlp_run.timeToReach(target);
-            const auto tlp_run = bench::tuneNetwork(
-                network, spec.platforms[0], *models.tlp);
-            const auto mtl_run = bench::tuneNetwork(
-                network, spec.platforms[0], *models.mtl);
-            const double tlp_time = tlp_run.timeToReach(target);
-            const double mtl_time = mtl_run.timeToReach(target);
-            auto fmt = [](double value) {
-                return std::isfinite(value) ? formatDouble(value, 1)
-                                            : std::string("not reached");
-            };
-            const double tlp_speedup =
-                std::isfinite(tlp_time) ? mlp_time / tlp_time : 0.0;
-            const double mtl_speedup =
-                std::isfinite(mtl_time) ? mlp_time / mtl_time : 0.0;
-            if (tlp_speedup > 0 && mtl_speedup > 0) {
-                tlp_speedups += tlp_speedup;
-                mtl_speedups += mtl_speedup;
-                ++counted;
-            }
-            table.addRow({network, fmt(mlp_time), fmt(tlp_time),
-                          fmt(mtl_time),
-                          tlp_speedup > 0 ? formatDouble(tlp_speedup, 2) +
-                                                "x"
-                                          : "-",
-                          mtl_speedup > 0 ? formatDouble(mtl_speedup, 2) +
-                                                "x"
-                                          : "-"});
-            std::printf("done: %s / %s\n", spec.label, network.c_str());
-        }
-        table.print();
-        if (counted > 0) {
-            std::printf("average speedups (paper: tlp %.1fx, mtl %.1fx): "
-                        "tlp %.2fx, mtl %.2fx\n",
-                        spec.paper_tlp_speedup, spec.paper_mtl_speedup,
-                        tlp_speedups / counted, mtl_speedups / counted);
-        }
-    }
+    using namespace tlp::bench;
+    printSearchTimeFigure("Fig. 12", SearchBaseline::TensetMlp, {9.1, 4.7},
+                          {3.0, 2.9});
     return 0;
 }

@@ -4,89 +4,13 @@
  * that Ansor's online model attains with its full budget. Paper: TLP
  * averages 16.7x (CPU) / 16.0x (GPU); MTL-TLP 10.0x / 15.8x.
  */
-#include <cmath>
-#include <cstdio>
-
 #include "bench/bench_common.h"
-#include "support/str_util.h"
 
 int
 main()
 {
-    using namespace tlp;
-    std::printf("=== Fig. 13: search time to reach Ansor-final "
-                "performance ===\n");
-
-    struct PlatformSpec
-    {
-        const char *label;
-        std::vector<std::string> platforms;
-        bool gpu;
-        double paper_tlp_speedup, paper_mtl_speedup;
-    };
-    const PlatformSpec specs[] = {
-        {"CPU i7-10510u", {"i7-10510u", "platinum-8272"}, false, 16.7,
-         10.0},
-        {"GPU tesla-t4", {"tesla-t4", "tesla-k80"}, true, 16.0, 15.8},
-    };
-    const std::vector<std::string> networks = {"resnet-50",
-                                               "mobilenet-v2",
-                                               "bert-tiny"};
-
-    for (const PlatformSpec &spec : specs) {
-        const auto dataset = bench::standardDataset(spec.platforms,
-                                                    spec.gpu);
-        const auto split =
-            data::makeSplit(dataset, bench::benchTestNetworks());
-        auto models = bench::prepareSearchModels(dataset, split);
-
-        TextTable table(std::string(spec.label) +
-                        ": time to reach Ansor-final (s)");
-        table.setHeader({"workload", "ansor", "tlp", "mtl-tlp",
-                         "tlp speedup", "mtl speedup"});
-        double tlp_speedups = 0.0, mtl_speedups = 0.0;
-        int counted = 0;
-        for (const auto &network : networks) {
-            const auto ansor_run = bench::tuneNetwork(
-                network, spec.platforms[0], *models.ansor);
-            const double target = ansor_run.best_workload_latency_ms;
-            const double ansor_time = ansor_run.timeToReach(target);
-            const auto tlp_run = bench::tuneNetwork(
-                network, spec.platforms[0], *models.tlp);
-            const auto mtl_run = bench::tuneNetwork(
-                network, spec.platforms[0], *models.mtl);
-            const double tlp_time = tlp_run.timeToReach(target);
-            const double mtl_time = mtl_run.timeToReach(target);
-            auto fmt = [](double value) {
-                return std::isfinite(value) ? formatDouble(value, 1)
-                                            : std::string("not reached");
-            };
-            const double tlp_speedup =
-                std::isfinite(tlp_time) ? ansor_time / tlp_time : 0.0;
-            const double mtl_speedup =
-                std::isfinite(mtl_time) ? ansor_time / mtl_time : 0.0;
-            if (tlp_speedup > 0 && mtl_speedup > 0) {
-                tlp_speedups += tlp_speedup;
-                mtl_speedups += mtl_speedup;
-                ++counted;
-            }
-            table.addRow({network, fmt(ansor_time), fmt(tlp_time),
-                          fmt(mtl_time),
-                          tlp_speedup > 0 ? formatDouble(tlp_speedup, 2) +
-                                                "x"
-                                          : "-",
-                          mtl_speedup > 0 ? formatDouble(mtl_speedup, 2) +
-                                                "x"
-                                          : "-"});
-            std::printf("done: %s / %s\n", spec.label, network.c_str());
-        }
-        table.print();
-        if (counted > 0) {
-            std::printf("average speedups (paper: tlp %.1fx, mtl %.1fx): "
-                        "tlp %.2fx, mtl %.2fx\n",
-                        spec.paper_tlp_speedup, spec.paper_mtl_speedup,
-                        tlp_speedups / counted, mtl_speedups / counted);
-        }
-    }
+    using namespace tlp::bench;
+    printSearchTimeFigure("Fig. 13", SearchBaseline::Ansor, {16.7, 10.0},
+                          {16.0, 15.8});
     return 0;
 }

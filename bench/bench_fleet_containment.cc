@@ -21,65 +21,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "artifact/audit.h"
 #include "bench/bench_common.h"
 #include "support/clock.h"
-#include "tuner/service/service.h"
 
 using namespace tlp;
-
-namespace {
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    std::ostringstream os;
-    os << is.rdbuf();
-    return os.str();
-}
-
-std::vector<serve::SessionSpec>
-buildFleet(int sessions, int rounds)
-{
-    const serve::ModelKind kinds[4] = {
-        serve::ModelKind::Ansor, serve::ModelKind::Random,
-        serve::ModelKind::GuardedAnsor, serve::ModelKind::Random};
-    std::vector<serve::SessionSpec> fleet;
-    for (int i = 0; i < sessions; ++i) {
-        serve::SessionSpec spec;
-        char name[16];
-        std::snprintf(name, sizeof(name), "s%03d", i);
-        spec.name = name;
-        spec.network = "resnet-18";
-        spec.platform = i % 2 == 0 ? "i7-10510u" : "platinum-8272";
-        spec.model = kinds[i % 4];
-        spec.max_subgraphs = 2;
-        spec.tune.rounds = rounds;
-        spec.tune.measures_per_round = 4;
-        spec.tune.evolution.population = 24;
-        spec.tune.evolution.iterations = 2;
-        spec.tune.evolution.children_per_iter = 12;
-        spec.tune.measure.seconds_per_measure = 0.25;
-        spec.tune.seed = 0x70c51 + static_cast<uint64_t>(i);
-        fleet.push_back(std::move(spec));
-    }
-    return fleet;
-}
-
-serve::ServiceOptions
-serviceOptions(const std::string &dir, int fleet_size)
-{
-    serve::ServiceOptions options;
-    options.dir = dir;
-    options.max_active = fleet_size;
-    options.max_queued = fleet_size;
-    return options;
-}
-
-} // namespace
+using namespace tlp::bench;
 
 int
 main()
@@ -89,7 +37,10 @@ main()
     const int rounds = std::max(4, static_cast<int>(4 * scale));
     const int poison_index = sessions / 2;
     const int breaker_limit = 4;
-    const auto fleet = buildFleet(sessions, rounds);
+    const auto fleet = drillFleet(
+        sessions, rounds, 0x70c51,
+        {serve::ModelKind::Ansor, serve::ModelKind::Random,
+         serve::ModelKind::GuardedAnsor, serve::ModelKind::Random});
     const std::string poisoned = fleet[poison_index].name;
 
     std::printf("fleet containment drill: %d sessions x %d rounds, "
@@ -102,8 +53,7 @@ main()
     const std::string golden_dir = "/tmp/tlp_bench_containment_golden";
     std::filesystem::remove_all(golden_dir);
     double t0 = wallSeconds();
-    serve::TuningService golden(
-        serviceOptions(golden_dir, sessions));
+    serve::TuningService golden(drillServiceOptions(golden_dir, sessions));
     golden.recover(golden_fleet);
     const int64_t golden_ticks = golden.runUntilIdle();
     const double golden_seconds = wallSeconds() - t0;
@@ -113,7 +63,7 @@ main()
     // (b) Drill: full fleet, one poisoned session, breaker armed.
     const std::string drill_dir = "/tmp/tlp_bench_containment_drill";
     std::filesystem::remove_all(drill_dir);
-    serve::ServiceOptions options = serviceOptions(drill_dir, sessions);
+    serve::ServiceOptions options = drillServiceOptions(drill_dir, sessions);
     options.faults.poison_session = poisoned;
     options.faults.poison_after_round = 1;
     options.breaker_trip_limit = breaker_limit;
@@ -139,19 +89,9 @@ main()
 
     // Isolation invariant: every survivor's curve file byte-identical
     // to golden; the poisoned session left no curve, only evidence.
-    bool isolated = tripped &&
-                    !std::filesystem::exists(drill_dir + "/" + poisoned +
-                                             ".curve");
-    for (const auto &spec : golden_fleet) {
-        const std::string want =
-            readFile(golden_dir + "/" + spec.name + ".curve");
-        const std::string got =
-            readFile(drill_dir + "/" + spec.name + ".curve");
-        if (want.empty() || want != got) {
-            isolated = false;
-            std::printf("CURVE MISMATCH: %s\n", spec.name.c_str());
-        }
-    }
+    const bool isolated =
+        curvesMatch(golden_dir, drill_dir, golden_fleet) && tripped &&
+        !std::filesystem::exists(drill_dir + "/" + poisoned + ".curve");
     std::printf("survivor curves identical to golden: %s\n",
                 isolated ? "yes" : "NO (BUG)");
 
@@ -184,12 +124,9 @@ main()
                 repair.swept, after.damaged() ? "DAMAGED (BUG)" : "clean",
                 after.quarantine_evidence);
 
-    FILE *json = std::fopen("BENCH_fleet_containment.json", "w");
-    if (!json) {
-        std::fprintf(stderr,
-                     "cannot write BENCH_fleet_containment.json\n");
+    FILE *json = openReport("BENCH_fleet_containment.json");
+    if (!json)
         return 1;
-    }
     std::fprintf(json, "{\n");
     std::fprintf(json, "  \"bench\": \"fleet_containment\",\n");
     std::fprintf(json, "  \"scale\": %.3f,\n", scale);
@@ -221,7 +158,8 @@ main()
     std::fprintf(json, "  \"evidence_files_kept\": %d\n",
                  after.quarantine_evidence);
     std::fprintf(json, "}\n");
-    std::fclose(json);
+    if (!closeReport(json, "BENCH_fleet_containment.json"))
+        return 1;
     std::printf("wrote BENCH_fleet_containment.json\n");
     return isolated && repaired ? 0 : 1;
 }

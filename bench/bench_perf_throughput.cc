@@ -413,11 +413,9 @@ main()
     std::printf("hardware_concurrency: %u (speedups need real cores)\n",
                 cores);
 
-    FILE *json = std::fopen("BENCH_perf.json", "w");
-    if (!json) {
-        std::fprintf(stderr, "cannot write BENCH_perf.json\n");
+    FILE *json = bench::openReport("BENCH_perf.json");
+    if (!json)
         return 1;
-    }
     std::fprintf(json, "{\n");
     std::fprintf(json, "  \"bench\": \"perf_throughput\",\n");
     std::fprintf(json, "  \"scale\": %.3f,\n", benchScale());
@@ -479,7 +477,8 @@ main()
             result.gemm_tn_gflops, i + 1 < results.size() ? "," : "");
     }
     std::fprintf(json, "  ]\n}\n");
-    std::fclose(json);
+    if (!bench::closeReport(json, "BENCH_perf.json"))
+        return 1;
     std::printf("wrote BENCH_perf.json\n");
     return bit_identical && predictions_match_legacy && gbdt_bit_identical
                ? 0

@@ -145,11 +145,9 @@ main()
     std::printf("checksum overhead: %.1f%%\n",
                 100.0 * (mbps_off - mbps_on) / mbps_off);
 
-    FILE *json = std::fopen("BENCH_robustness.json", "w");
-    if (!json) {
-        std::fprintf(stderr, "cannot write BENCH_robustness.json\n");
+    FILE *json = bench::openReport("BENCH_robustness.json");
+    if (!json)
         return 1;
-    }
     std::fprintf(json, "{\n");
     std::fprintf(json, "  \"bench\": \"robustness_corruption\",\n");
     std::fprintf(json, "  \"scale\": %.3f,\n", benchScale());
@@ -174,7 +172,8 @@ main()
             i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(json, "  ]\n}\n");
-    std::fclose(json);
+    if (!bench::closeReport(json, "BENCH_robustness.json"))
+        return 1;
     std::printf("wrote BENCH_robustness.json\n");
 
     // Sanity gates: a clean file always strict-loads; salvage never does

@@ -21,7 +21,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <set>
 #include <sstream>
@@ -37,21 +36,12 @@
 #include "support/clock.h"
 #include "support/io_env.h"
 #include "support/rng.h"
-#include "tuner/service/service.h"
 #include "tuner/session.h"
 
 using namespace tlp;
+using namespace tlp::bench;
 
 namespace {
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    std::ostringstream os;
-    os << is.rdbuf();
-    return os.str();
-}
 
 // --- artifact builders (two generations per format) ----------------------
 
@@ -250,44 +240,6 @@ runSaveDrill(const char *format, const std::string &gen1,
     return row;
 }
 
-// --- service chaos fleet -------------------------------------------------
-
-std::vector<serve::SessionSpec>
-buildFleet(int sessions, int rounds)
-{
-    std::vector<serve::SessionSpec> fleet;
-    for (int i = 0; i < sessions; ++i) {
-        serve::SessionSpec spec;
-        char name[16];
-        std::snprintf(name, sizeof(name), "s%03d", i);
-        spec.name = name;
-        spec.network = "resnet-18";
-        spec.platform = i % 2 == 0 ? "i7-10510u" : "platinum-8272";
-        spec.model = i % 2 == 0 ? serve::ModelKind::Ansor
-                                : serve::ModelKind::Random;
-        spec.max_subgraphs = 2;
-        spec.tune.rounds = rounds;
-        spec.tune.measures_per_round = 4;
-        spec.tune.evolution.population = 24;
-        spec.tune.evolution.iterations = 2;
-        spec.tune.evolution.children_per_iter = 12;
-        spec.tune.measure.seconds_per_measure = 0.25;
-        spec.tune.seed = 0x10c4 + static_cast<uint64_t>(i);
-        fleet.push_back(std::move(spec));
-    }
-    return fleet;
-}
-
-serve::ServiceOptions
-serviceOptions(const std::string &dir, int fleet_size)
-{
-    serve::ServiceOptions options;
-    options.dir = dir;
-    options.max_active = fleet_size;
-    options.max_queued = fleet_size;
-    return options;
-}
-
 } // namespace
 
 int
@@ -346,13 +298,15 @@ main()
     // --- Part 2: fleet under chaos, curves must not drift ----------------
     const int sessions = std::max(4, static_cast<int>(4 * scale));
     const int rounds = std::max(3, static_cast<int>(3 * scale));
-    const auto fleet = buildFleet(sessions, rounds);
+    const auto fleet = drillFleet(
+        sessions, rounds, 0x10c4,
+        {serve::ModelKind::Ansor, serve::ModelKind::Random});
     const int64_t kill_tick =
         static_cast<int64_t>(sessions) * rounds / 2;
 
     const std::string golden_dir = "/tmp/tlp_bench_io_golden";
     std::filesystem::remove_all(golden_dir);
-    serve::TuningService golden(serviceOptions(golden_dir, sessions));
+    serve::TuningService golden(drillServiceOptions(golden_dir, sessions));
     golden.recover(fleet);
     golden.runUntilIdle();
 
@@ -367,28 +321,18 @@ main()
     serve::RecoveryReport report;
     {
         ScopedIoFaults scope(chaos);
-        serve::TuningService victim(serviceOptions(chaos_dir, sessions));
+        serve::TuningService victim(drillServiceOptions(chaos_dir, sessions));
         victim.recover(fleet);
         victim.runUntilIdle(kill_tick);
         // destroyed here: the "kill -9", with fault debris on disk
     }
     ScopedIoFaults scope(chaos);
-    serve::TuningService recovered(serviceOptions(chaos_dir, sessions));
+    serve::TuningService recovered(drillServiceOptions(chaos_dir, sessions));
     report = recovered.recover(fleet);
     recovered.runUntilIdle();
     const double chaos_seconds = wallSeconds() - t1;
 
-    bool curves_identical = true;
-    for (const auto &spec : fleet) {
-        const std::string golden_curve =
-            readFile(golden.curvePath(spec.name));
-        const std::string chaos_curve =
-            readFile(recovered.curvePath(spec.name));
-        if (golden_curve.empty() || golden_curve != chaos_curve) {
-            curves_identical = false;
-            std::printf("  CURVE MISMATCH: %s\n", spec.name.c_str());
-        }
-    }
+    const bool curves_identical = curvesMatch(golden_dir, chaos_dir, fleet);
     const auto &stats = recovered.stats();
     std::printf("fleet under chaos (rate %.2f): %d sessions x %d rounds, "
                 "kill at tick %lld, %.2fs\n",
@@ -408,11 +352,9 @@ main()
     std::printf("  curves identical to golden: %s\n",
                 curves_identical ? "yes" : "NO (BUG)");
 
-    FILE *json = std::fopen("BENCH_io_chaos.json", "w");
-    if (!json) {
-        std::fprintf(stderr, "cannot write BENCH_io_chaos.json\n");
+    FILE *json = openReport("BENCH_io_chaos.json");
+    if (!json)
         return 1;
-    }
     std::fprintf(json, "{\n");
     std::fprintf(json, "  \"bench\": \"robustness_io\",\n");
     std::fprintf(json, "  \"scale\": %.3f,\n", scale);
@@ -448,7 +390,8 @@ main()
     std::fprintf(json, "  \"curves_identical\": %s\n",
                  curves_identical ? "true" : "false");
     std::fprintf(json, "}\n");
-    std::fclose(json);
+    if (!closeReport(json, "BENCH_io_chaos.json"))
+        return 1;
     std::printf("wrote BENCH_io_chaos.json\n");
     return violations == 0 && curves_identical ? 0 : 1;
 }

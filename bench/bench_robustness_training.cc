@@ -171,12 +171,9 @@ main()
                 "the guarded search fails over\nand completes its full "
                 "measurement budget.\n");
 
-    FILE *json = std::fopen("BENCH_robustness_training.json", "w");
-    if (!json) {
-        std::fprintf(stderr,
-                     "cannot write BENCH_robustness_training.json\n");
+    FILE *json = bench::openReport("BENCH_robustness_training.json");
+    if (!json)
         return 1;
-    }
     std::fprintf(json, "{\n");
     std::fprintf(json, "  \"bench\": \"robustness_training\",\n");
     std::fprintf(json, "  \"scale\": %.3f,\n", benchScale());
@@ -212,7 +209,8 @@ main()
                  static_cast<long long>(
                      search_health[model::HealthEvent::Failover]));
     std::fprintf(json, "  }\n}\n");
-    std::fclose(json);
+    if (!bench::closeReport(json, "BENCH_robustness_training.json"))
+        return 1;
     std::printf("wrote BENCH_robustness_training.json\n");
     return 0;
 }

@@ -17,64 +17,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "bench/bench_common.h"
 #include "support/clock.h"
-#include "tuner/service/service.h"
 
 using namespace tlp;
-
-namespace {
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    std::ostringstream os;
-    os << is.rdbuf();
-    return os.str();
-}
-
-std::vector<serve::SessionSpec>
-buildFleet(int sessions, int rounds)
-{
-    const serve::ModelKind kinds[4] = {
-        serve::ModelKind::Ansor, serve::ModelKind::Random,
-        serve::ModelKind::GuardedAnsor, serve::ModelKind::Random};
-    std::vector<serve::SessionSpec> fleet;
-    for (int i = 0; i < sessions; ++i) {
-        serve::SessionSpec spec;
-        char name[16];
-        std::snprintf(name, sizeof(name), "s%03d", i);
-        spec.name = name;
-        spec.network = "resnet-18";
-        spec.platform = i % 2 == 0 ? "i7-10510u" : "platinum-8272";
-        spec.model = kinds[i % 4];
-        spec.max_subgraphs = 2;
-        spec.tune.rounds = rounds;
-        spec.tune.measures_per_round = 4;
-        spec.tune.evolution.population = 24;
-        spec.tune.evolution.iterations = 2;
-        spec.tune.evolution.children_per_iter = 12;
-        spec.tune.measure.seconds_per_measure = 0.25;
-        spec.tune.seed = 0xbe7c + static_cast<uint64_t>(i);
-        fleet.push_back(std::move(spec));
-    }
-    return fleet;
-}
-
-serve::ServiceOptions
-serviceOptions(const std::string &dir, int fleet_size)
-{
-    serve::ServiceOptions options;
-    options.dir = dir;
-    options.max_active = fleet_size;
-    options.max_queued = fleet_size;
-    return options;
-}
-
-} // namespace
+using namespace tlp::bench;
 
 int
 main()
@@ -82,7 +30,10 @@ main()
     const double scale = benchScale();
     const int sessions = std::max(8, static_cast<int>(8 * scale));
     const int rounds = std::max(4, static_cast<int>(4 * scale));
-    const auto fleet = buildFleet(sessions, rounds);
+    const auto fleet = drillFleet(
+        sessions, rounds, 0xbe7c,
+        {serve::ModelKind::Ansor, serve::ModelKind::Random,
+         serve::ModelKind::GuardedAnsor, serve::ModelKind::Random});
     const int64_t kill_tick = static_cast<int64_t>(sessions) * rounds / 2;
 
     std::printf("service recovery drill: %d sessions x %d rounds, kill "
@@ -93,7 +44,7 @@ main()
     const std::string golden_dir = "/tmp/tlp_bench_service_golden";
     std::filesystem::remove_all(golden_dir);
     double t0 = wallSeconds();
-    serve::TuningService golden(serviceOptions(golden_dir, sessions));
+    serve::TuningService golden(drillServiceOptions(golden_dir, sessions));
     golden.recover(fleet);
     const int64_t golden_ticks = golden.runUntilIdle();
     const double golden_seconds = wallSeconds() - t0;
@@ -104,7 +55,7 @@ main()
     const std::string drill_dir = "/tmp/tlp_bench_service_drill";
     std::filesystem::remove_all(drill_dir);
     {
-        serve::TuningService victim(serviceOptions(drill_dir, sessions));
+        serve::TuningService victim(drillServiceOptions(drill_dir, sessions));
         victim.recover(fleet);
         victim.runUntilIdle(kill_tick);
         // destroyed here: the "kill -9"
@@ -125,7 +76,7 @@ main()
         }
     }
     t0 = wallSeconds();
-    serve::TuningService recovered(serviceOptions(drill_dir, sessions));
+    serve::TuningService recovered(drillServiceOptions(drill_dir, sessions));
     const auto report = recovered.recover(fleet);
     const int64_t recovery_ticks = recovered.runUntilIdle();
     const double recovery_seconds = wallSeconds() - t0;
@@ -142,17 +93,7 @@ main()
     const int64_t rerun_ticks = golden_ticks;
 
     // Exactness: every curve file byte-identical to golden.
-    bool curves_identical = true;
-    for (const auto &spec : fleet) {
-        const std::string golden_curve =
-            readFile(golden.curvePath(spec.name));
-        const std::string drill_curve =
-            readFile(recovered.curvePath(spec.name));
-        if (golden_curve.empty() || golden_curve != drill_curve) {
-            curves_identical = false;
-            std::printf("CURVE MISMATCH: %s\n", spec.name.c_str());
-        }
-    }
+    const bool curves_identical = curvesMatch(golden_dir, drill_dir, fleet);
     std::printf("curves identical to golden: %s\n",
                 curves_identical ? "yes" : "NO (BUG)");
 
@@ -168,11 +109,9 @@ main()
                 static_cast<long long>(rerun_ticks),
                 100.0 * ticks_saved_frac);
 
-    FILE *json = std::fopen("BENCH_service.json", "w");
-    if (!json) {
-        std::fprintf(stderr, "cannot write BENCH_service.json\n");
+    FILE *json = openReport("BENCH_service.json");
+    if (!json)
         return 1;
-    }
     std::fprintf(json, "{\n");
     std::fprintf(json, "  \"bench\": \"service_recovery\",\n");
     std::fprintf(json, "  \"scale\": %.3f,\n", scale);
@@ -200,7 +139,8 @@ main()
     std::fprintf(json, "  \"curves_identical\": %s\n",
                  curves_identical ? "true" : "false");
     std::fprintf(json, "}\n");
-    std::fclose(json);
+    if (!closeReport(json, "BENCH_service.json"))
+        return 1;
     std::printf("wrote BENCH_service.json\n");
     return curves_identical && report.quarantined == 1 ? 0 : 1;
 }

@@ -13,40 +13,15 @@
 int
 main()
 {
-    using namespace tlp;
+    using namespace tlp::bench;
     std::printf("=== Table 6: MTL-TLP on CPU (target e5-2673) ===\n");
-    const std::vector<std::string> platforms = {
-        "e5-2673", "platinum-8272", "epyc-7452", "graviton2"};
-    const auto dataset = bench::standardDataset(platforms, false);
-    const auto split = data::makeSplit(dataset, bench::benchTestNetworks());
-    const int64_t scarce = scaledCount(800, 200);   // the "500K" subset
-
-    struct Row
-    {
-        const char *tasks;
-        std::vector<int> donors;
-        double paper_top1, paper_top5;
-    };
-    const Row rows[] = {
-        {"e5 scarce only", {}, 0.6647, 0.8848},
-        {"+ platinum", {1}, 0.8741, 0.9385},
-        {"+ platinum + epyc", {1, 2}, 0.8901, 0.9520},
-        {"+ platinum + epyc + graviton", {1, 2, 3}, 0.8753, 0.9302},
-    };
-
-    TextTable table("Table 6 (target e5-2673, scarce target labels)");
-    table.setHeader({"tasks", "top-1 (paper)", "top-1 (ours)",
-                     "top-5 (paper)", "top-5 (ours)"});
-    for (const Row &row : rows) {
-        const auto topk = bench::mtlTopK(dataset, split, 0, row.donors,
-                                         scarce,
-                                         bench::benchTrainOptions());
-        table.addRow({row.tasks, bench::fmtScore(row.paper_top1),
-                      bench::fmtScore(topk.top1),
-                      bench::fmtScore(row.paper_top5),
-                      bench::fmtScore(topk.top5)});
-        std::printf("done: %s\n", row.tasks);
-    }
-    table.print();
+    printMtlTable("Table 6 (target e5-2673, scarce target labels)", "tasks",
+                  {"e5-2673", "platinum-8272", "epyc-7452", "graviton2"},
+                  false,
+                  {{"e5 scarce only", {}, 0.6647, 0.8848},
+                   {"+ platinum", {1}, 0.8741, 0.9385},
+                   {"+ platinum + epyc", {1, 2}, 0.8901, 0.9520},
+                   {"+ platinum + epyc + graviton", {1, 2, 3}, 0.8753,
+                    0.9302}});
     return 0;
 }

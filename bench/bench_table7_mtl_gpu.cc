@@ -11,37 +11,11 @@
 int
 main()
 {
-    using namespace tlp;
+    using namespace tlp::bench;
     std::printf("=== Table 7: MTL-TLP on GPU (target tesla-t4) ===\n");
-    const auto dataset =
-        bench::standardDataset({"tesla-t4", "tesla-k80"}, true);
-    const auto split = data::makeSplit(dataset, bench::benchTestNetworks());
-    const int64_t scarce = scaledCount(800, 200);
-
-    struct Row
-    {
-        const char *tasks;
-        std::vector<int> donors;
-        double paper_top1, paper_top5;
-    };
-    const Row rows[] = {
-        {"t4 scarce only", {}, 0.7971, 0.8984},
-        {"+ k80 (all)", {1}, 0.8876, 0.9373},
-    };
-
-    TextTable table("Table 7 (target tesla-t4, scarce target labels)");
-    table.setHeader({"tasks", "top-1 (paper)", "top-1 (ours)",
-                     "top-5 (paper)", "top-5 (ours)"});
-    for (const Row &row : rows) {
-        const auto topk = bench::mtlTopK(dataset, split, 0, row.donors,
-                                         scarce,
-                                         bench::benchTrainOptions());
-        table.addRow({row.tasks, bench::fmtScore(row.paper_top1),
-                      bench::fmtScore(topk.top1),
-                      bench::fmtScore(row.paper_top5),
-                      bench::fmtScore(topk.top5)});
-        std::printf("done: %s\n", row.tasks);
-    }
-    table.print();
+    printMtlTable("Table 7 (target tesla-t4, scarce target labels)", "tasks",
+                  {"tesla-t4", "tesla-k80"}, true,
+                  {{"t4 scarce only", {}, 0.7971, 0.8984},
+                   {"+ k80 (all)", {1}, 0.8876, 0.9373}});
     return 0;
 }

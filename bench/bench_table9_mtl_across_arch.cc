@@ -11,43 +11,16 @@
 int
 main()
 {
-    using namespace tlp;
+    using namespace tlp::bench;
     std::printf("=== Table 9: MTL donors across architectures "
                 "(target i7-10510u) ===\n");
-    const std::vector<std::string> platforms = {
-        "i7-10510u", "platinum-8272", "e5-2673", "epyc-7452",
-        "graviton2"};
-    const auto dataset = bench::standardDataset(platforms, false);
-    const auto split = data::makeSplit(dataset, bench::benchTestNetworks());
-    const int64_t scarce = scaledCount(800, 200);
-
-    struct Row
-    {
-        const char *donor;
-        int donor_index;
-        double paper_top1, paper_top5;
-    };
-    const Row rows[] = {
-        {"platinum-8272 (x86)", 1, 0.8413, 0.9202},
-        {"e5-2673 (x86)", 2, 0.8331, 0.9672},
-        {"epyc-7452 (amd)", 3, 0.8082, 0.9122},
-        {"graviton2 (arm)", 4, 0.7711, 0.8909},
-    };
-
-    TextTable table("Table 9 (target i7-10510u + one donor, scarce "
-                    "target labels)");
-    table.setHeader({"donor", "top-1 (paper)", "top-1 (ours)",
-                     "top-5 (paper)", "top-5 (ours)"});
-    for (const Row &row : rows) {
-        const auto topk = bench::mtlTopK(dataset, split, 0,
-                                         {row.donor_index}, scarce,
-                                         bench::benchTrainOptions());
-        table.addRow({row.donor, bench::fmtScore(row.paper_top1),
-                      bench::fmtScore(topk.top1),
-                      bench::fmtScore(row.paper_top5),
-                      bench::fmtScore(topk.top5)});
-        std::printf("done: %s\n", row.donor);
-    }
-    table.print();
+    printMtlTable("Table 9 (target i7-10510u + one donor, scarce target "
+                  "labels)", "donor",
+                  {"i7-10510u", "platinum-8272", "e5-2673", "epyc-7452",
+                   "graviton2"}, false,
+                  {{"platinum-8272 (x86)", {1}, 0.8413, 0.9202},
+                   {"e5-2673 (x86)", {2}, 0.8331, 0.9672},
+                   {"epyc-7452 (amd)", {3}, 0.8082, 0.9122},
+                   {"graviton2 (arm)", {4}, 0.7711, 0.8909}});
     return 0;
 }

@@ -389,7 +389,6 @@ TrainSupervisor::step(const std::function<double()> &attempt)
                                    options_.loss_ewma_alpha * loss
                              : loss;
             ewma_ready_ = true;
-            last_loss_ = loss;
             ++steps_done_;
             takeSnapshot();
             publishHealth();

@@ -29,7 +29,6 @@
 
 #include <array>
 #include <functional>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -281,9 +280,6 @@ class TrainSupervisor
      */
     void endEpoch(int epoch);
 
-    /** Loss of the last successful step attempt (NaN before any). */
-    double lastLoss() const { return last_loss_; }
-
     /** Health counters accumulated so far. */
     const HealthCounters &health() const { return health_; }
 
@@ -320,7 +316,6 @@ class TrainSupervisor
 
     double loss_ewma_ = 0.0;
     bool ewma_ready_ = false;
-    double last_loss_ = std::numeric_limits<double>::quiet_NaN();
     int64_t steps_done_ = 0;        ///< applied optimizer steps
     int64_t step_serial_ = 0;       ///< attempted steps (fault-draw key)
     bool stopped_ = false;

@@ -478,12 +478,6 @@ sumAll(const Tensor &x)
 }
 
 Tensor
-meanAll(const Tensor &x)
-{
-    return scale(sumAll(x), 1.0f / static_cast<float>(x.numel()));
-}
-
-Tensor
 sumAxis1(const Tensor &x)
 {
     TLP_CHECK(x.shape().size() == 2, "sumAxis1 needs rank 2");

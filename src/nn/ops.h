@@ -61,9 +61,6 @@ Tensor reshape(const Tensor &x, const std::vector<int> &shape);
 /** Sum of all elements -> scalar. */
 Tensor sumAll(const Tensor &x);
 
-/** Mean of all elements -> scalar. */
-Tensor meanAll(const Tensor &x);
-
 /** Row-sum of a 2-D tensor: [n, m] -> [n]. */
 Tensor sumAxis1(const Tensor &x);
 

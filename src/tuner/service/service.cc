@@ -180,6 +180,17 @@ TuningService::instantiate(Slot &slot)
       case ModelKind::Ansor:
         slot.base_model = std::make_shared<model::AnsorOnlineCostModel>();
         break;
+      case ModelKind::GuardedTlp:
+        if (tlp_net_) {
+            slot.base_model = model::makeGuardedLadder(
+                std::make_shared<model::TlpCostModel>(
+                    tlp_net_, feat::TlpFeatureOptions{}, 0,
+                    options_.tlp_infer));
+            break;
+        }
+        // No snapshot installed (yet): degrade to the ansor-topped
+        // ladder rather than refusing the session.
+        [[fallthrough]];
       case ModelKind::GuardedAnsor: {
         std::vector<std::shared_ptr<model::CostModel>> ladder;
         ladder.push_back(std::make_shared<model::AnsorOnlineCostModel>());
@@ -188,23 +199,6 @@ TuningService::instantiate(Slot &slot)
             std::make_shared<model::GuardedCostModel>(std::move(ladder));
         break;
       }
-      case ModelKind::GuardedTlp:
-        if (tlp_net_) {
-            slot.base_model = model::makeGuardedLadder(
-                std::make_shared<model::TlpCostModel>(
-                    tlp_net_, feat::TlpFeatureOptions{}, 0,
-                    options_.tlp_infer));
-        } else {
-            // No snapshot installed (yet): degrade to the ansor-topped
-            // ladder rather than refusing the session.
-            std::vector<std::shared_ptr<model::CostModel>> ladder;
-            ladder.push_back(
-                std::make_shared<model::AnsorOnlineCostModel>());
-            ladder.push_back(std::make_shared<model::RandomCostModel>());
-            slot.base_model = std::make_shared<model::GuardedCostModel>(
-                std::move(ladder));
-        }
-        break;
     }
 
     tune::TuneOptions tune = spec.tune;

@@ -11,8 +11,8 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <sstream>
 
+#include "bench/bench_common.h"
 #include "models/snapshot.h"
 #include "models/supervisor.h"
 #include "models/tlp_model.h"
@@ -27,14 +27,14 @@ namespace {
 
 namespace fs = std::filesystem;
 
+using bench::curvesMatch;
+
+/** bench::readFile, failing the test when @p path does not exist. */
 std::string
 readFile(const std::string &path)
 {
-    std::ifstream is(path, std::ios::binary);
-    EXPECT_TRUE(is.good()) << path;
-    std::ostringstream os;
-    os << is.rdbuf();
-    return os.str();
+    EXPECT_TRUE(fs::exists(path)) << path;
+    return bench::readFile(path);
 }
 
 /**
@@ -45,39 +45,15 @@ readFile(const std::string &path)
 std::vector<SessionSpec>
 quickFleet(int n)
 {
-    const ModelKind kinds[4] = {ModelKind::Ansor, ModelKind::Random,
-                                ModelKind::GuardedAnsor,
-                                ModelKind::Random};
-    std::vector<SessionSpec> fleet;
-    for (int i = 0; i < n; ++i) {
-        SessionSpec spec;
-        char name[16];
-        std::snprintf(name, sizeof(name), "s%03d", i);
-        spec.name = name;
-        spec.network = "resnet-18";
-        spec.platform = i % 2 == 0 ? "i7-10510u" : "platinum-8272";
-        spec.model = kinds[i % 4];
-        spec.max_subgraphs = 2;
-        spec.tune.rounds = 4;
-        spec.tune.measures_per_round = 4;
-        spec.tune.evolution.population = 24;
-        spec.tune.evolution.iterations = 2;
-        spec.tune.evolution.children_per_iter = 12;
-        spec.tune.measure.seconds_per_measure = 0.25;
-        spec.tune.seed = 0x900d + static_cast<uint64_t>(i);
-        fleet.push_back(std::move(spec));
-    }
-    return fleet;
+    return bench::drillFleet(n, 4, 0x900d,
+                             {ModelKind::Ansor, ModelKind::Random,
+                              ModelKind::GuardedAnsor, ModelKind::Random});
 }
 
 ServiceOptions
 quickService(const std::string &dir, int fleet_size)
 {
-    ServiceOptions options;
-    options.dir = dir;
-    options.max_active = fleet_size;
-    options.max_queued = fleet_size;
-    return options;
+    return bench::drillServiceOptions(dir, fleet_size);
 }
 
 /** Golden run: the whole fleet, uninterrupted, in its own directory. */
@@ -762,6 +738,74 @@ TEST(Service, RecoverQuarantineSkipsPlantedEvidenceGenerations)
     service.runUntilIdle();
     for (const SessionSpec &spec : fleet)
         EXPECT_EQ(service.status(spec.name), SessionStatus::Finished);
+}
+
+TEST(Service, GuardedTlpWithoutSnapshotRunsTheAnsorLadder)
+{
+    // No snapshot installed: a guarded-tlp session degrades to the
+    // guarded-ansor ladder and so writes the same curve.
+    auto ansor_fleet = quickFleet(2);
+    auto tlp_fleet = ansor_fleet;
+    for (size_t i = 0; i < ansor_fleet.size(); ++i) {
+        ansor_fleet[i].model = ModelKind::GuardedAnsor;
+        tlp_fleet[i].model = ModelKind::GuardedTlp;
+    }
+    const std::string ansor_dir = test::scratchDir("ansor");
+    const std::string tlp_dir = test::scratchDir("tlp");
+    TuningService ansor(quickService(ansor_dir, 2));
+    ansor.recover(ansor_fleet);
+    ansor.runUntilIdle();
+    TuningService tlp(quickService(tlp_dir, 2));
+    tlp.recover(tlp_fleet);
+    tlp.runUntilIdle();
+    EXPECT_TRUE(curvesMatch(ansor_dir, tlp_dir, ansor_fleet));
+}
+
+TEST(BenchDrill, CurvesMatchOnlyOnIdenticalNonEmptyCurves)
+{
+    const std::string golden = test::scratchDir("golden");
+    const std::string drill = test::scratchDir("drill");
+    const auto fleet = quickFleet(2);
+    const auto plant = [](const std::string &path, const std::string &body) {
+        std::ofstream os(path, std::ios::binary | std::ios::trunc);
+        os << body;
+    };
+    for (const SessionSpec &spec : fleet) {
+        plant(golden + "/" + spec.name + ".curve", "0 1.5 2.0\n");
+        plant(drill + "/" + spec.name + ".curve", "0 1.5 2.0\n");
+    }
+    EXPECT_TRUE(curvesMatch(golden, drill, fleet));
+
+    // One byte off in one session's curve.
+    plant(drill + "/s001.curve", "0 1.5 2.1\n");
+    EXPECT_FALSE(curvesMatch(golden, drill, fleet));
+    plant(drill + "/s001.curve", "0 1.5 2.0\n");
+
+    // A missing or empty golden curve never matches vacuously, even
+    // when the drill side is missing or empty too.
+    plant(golden + "/s001.curve", "");
+    plant(drill + "/s001.curve", "");
+    EXPECT_FALSE(curvesMatch(golden, drill, fleet));
+    fs::remove(golden + "/s001.curve");
+    fs::remove(drill + "/s001.curve");
+    EXPECT_FALSE(curvesMatch(golden, drill, fleet));
+}
+
+TEST(BenchDrill, ReportCloseFailsOnFullDisk)
+{
+    if (!fs::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this host";
+    std::FILE *report = bench::openReport("/dev/full");
+    ASSERT_NE(report, nullptr);
+    std::fprintf(report, "{\n  \"bench\": \"full_disk\"\n}\n");
+    EXPECT_FALSE(bench::closeReport(report, "/dev/full"));
+
+    const std::string path = test::scratchDir() + "/BENCH_ok.json";
+    report = bench::openReport(path);
+    ASSERT_NE(report, nullptr);
+    std::fprintf(report, "{}\n");
+    EXPECT_TRUE(bench::closeReport(report, path));
+    EXPECT_EQ(readFile(path), "{}\n");
 }
 
 TEST(Service, ModelKindNamesRoundTrip)
