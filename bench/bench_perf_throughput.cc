@@ -34,6 +34,12 @@
  * scoreStates call for the returned score vector and the pool's task
  * bookkeeping).
  *
+ * The schedule section times the search's State churn over resnet-18's
+ * subgraphs on one thread: replaySteps of a sampled schedule, mutate,
+ * a State copy and lower, each in microseconds and heap allocations per
+ * call. A replay that records a sequence other than its input exits
+ * nonzero.
+ *
  * Speedups track the machine: on a single-core container every thread
  * count times out to ~1x; the JSON records hardware_concurrency so
  * readers can interpret the numbers.
@@ -56,8 +62,12 @@
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 
 #include "bench/bench_common.h"
+#include "ir/model_zoo.h"
+#include "ir/partition.h"
 #include "models/gbdt.h"
 #include "nn/kernels.h"
+#include "schedule/lower.h"
+#include "sketch/policy.h"
 #include "nn/tensor.h"
 #include "sketch/policy.h"
 #include "support/clock.h"
@@ -241,6 +251,80 @@ measureGemm(int64_t m, int64_t k, int64_t n, int reps, ThreadResult &result)
     });
 }
 
+/** Per-call cost of one schedule operation. */
+struct OpCost
+{
+    double us = 0.0;
+    double allocs = 0.0;
+};
+
+/** State churn of the search, per call, over resnet-18's subgraphs. */
+struct ScheduleCost
+{
+    int64_t states = 0;
+    int reps = 0;
+    OpCost replay, mutate, copy, lower;
+    bool replay_exact = true;
+};
+
+/** Run @p body(state) over every sampled state, @p reps times. */
+template <typename Body>
+OpCost
+timeOp(const std::vector<sched::State> &states, int reps, const Body &body)
+{
+    const uint64_t allocs0 = g_heap_allocs.load();
+    const double t0 = wallSeconds();
+    for (int rep = 0; rep < reps; ++rep)
+        for (const sched::State &state : states)
+            body(state);
+    const double calls = static_cast<double>(states.size()) * reps;
+    return {(wallSeconds() - t0) * 1e6 / calls,
+            static_cast<double>(g_heap_allocs.load() - allocs0) / calls};
+}
+
+ScheduleCost
+measureSchedule()
+{
+    const ir::Workload workload =
+        ir::partitionGraph(ir::buildNetwork("resnet-18"));
+    Rng rng(37);
+    std::vector<sketch::SchedulePolicy> policies;
+    std::vector<sched::State> states;
+    std::vector<size_t> policy_of;
+    for (const ir::SubgraphPtr &sg : workload.subgraphs)
+        policies.emplace_back(sg, false);
+    for (size_t p = 0; p < policies.size(); ++p) {
+        for (sched::State &state : policies[p].sampleInitPopulation(
+                 static_cast<int>(scaledCount(32, 8)), rng)) {
+            states.push_back(std::move(state));
+            policy_of.push_back(p);
+        }
+    }
+
+    ScheduleCost cost;
+    cost.states = static_cast<int64_t>(states.size());
+    cost.reps = static_cast<int>(scaledCount(20, 4));
+    cost.replay = timeOp(states, cost.reps, [&](const sched::State &s) {
+        const sched::State replayed =
+            sched::replaySteps(s.subgraph(), s.isGpu(), s.steps());
+        cost.replay_exact &= replayed.steps() == s.steps();
+    });
+    cost.mutate = timeOp(states, cost.reps, [&](const sched::State &s) {
+        const auto i = static_cast<size_t>(&s - states.data());
+        const auto child = policies[policy_of[i]].mutate(s, rng);
+        (void)child;
+    });
+    cost.copy = timeOp(states, cost.reps, [](const sched::State &s) {
+        const sched::State copy = s;
+        (void)copy;
+    });
+    cost.lower = timeOp(states, cost.reps, [](const sched::State &s) {
+        const sched::LoweredNest nest = sched::lower(s);
+        (void)nest;
+    });
+    return cost;
+}
+
 /** Kernel CPU seconds the process has used so far (all threads). */
 double
 systemCpuSeconds()
@@ -258,6 +342,19 @@ main()
 {
     std::printf("=== Perf: training / inference throughput vs threads "
                 "===\n");
+
+    ThreadPool::setGlobalThreads(1);
+    const ScheduleCost schedule = measureSchedule();
+    std::printf("schedule (resnet-18 cpu, %lld states x %d reps, 1 thread): "
+                "per call us / allocs: replay %.2f / %.1f, mutate "
+                "%.2f / %.1f, copy %.2f / %.1f, lower %.2f / %.1f; "
+                "replay exact %s\n",
+                static_cast<long long>(schedule.states), schedule.reps,
+                schedule.replay.us, schedule.replay.allocs,
+                schedule.mutate.us, schedule.mutate.allocs,
+                schedule.copy.us, schedule.copy.allocs, schedule.lower.us,
+                schedule.lower.allocs,
+                schedule.replay_exact ? "yes" : "NO (BUG)");
 
     data::CollectOptions collect;
     collect.networks = {"resnet-18"};
@@ -439,6 +536,19 @@ main()
                  static_cast<long long>(gemm_width),
                  static_cast<long long>(gemm_width));
     std::fprintf(json, "  \"gemm_reps\": %d,\n", gemm_reps);
+    std::fprintf(
+        json,
+        "  \"schedule\": {\"network\": \"resnet-18\", \"threads\": 1, "
+        "\"states\": %lld, \"reps\": %d, \"replay_exact\": %s,\n"
+        "    \"replay_us\": %.3f, \"replay_allocs\": %.2f, "
+        "\"mutate_us\": %.3f, \"mutate_allocs\": %.2f,\n"
+        "    \"copy_us\": %.3f, \"copy_allocs\": %.2f, "
+        "\"lower_us\": %.3f, \"lower_allocs\": %.2f},\n",
+        static_cast<long long>(schedule.states), schedule.reps,
+        schedule.replay_exact ? "true" : "false", schedule.replay.us,
+        schedule.replay.allocs, schedule.mutate.us, schedule.mutate.allocs,
+        schedule.copy.us, schedule.copy.allocs, schedule.lower.us,
+        schedule.lower.allocs);
     std::fprintf(json, "  \"results\": [\n");
     for (size_t i = 0; i < results.size(); ++i) {
         const auto &result = results[i];
@@ -480,7 +590,8 @@ main()
     if (!bench::closeReport(json, "BENCH_perf.json"))
         return 1;
     std::printf("wrote BENCH_perf.json\n");
-    return bit_identical && predictions_match_legacy && gbdt_bit_identical
+    return bit_identical && predictions_match_legacy &&
+                   gbdt_bit_identical && schedule.replay_exact
                ? 0
                : 1;
 }

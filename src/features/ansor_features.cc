@@ -23,7 +23,7 @@ footprintBytes(const LoweredStage &stage, int depth)
 {
     const auto tiles = stage.tileExtentsBelow(depth);
     double bytes = 0.0;
-    for (const auto &access : stage.spec.accesses) {
+    for (const auto &access : stage.spec->accesses) {
         bytes += static_cast<double>(access.footprintElems(tiles)) *
                  access.elem_bytes;
     }
@@ -41,13 +41,13 @@ stageFeatures(const LoweredNest &nest, const LoweredStage &stage,
             out[idx++] = value;
     };
 
-    const double points = static_cast<double>(stage.spec.totalPoints());
+    const double points = static_cast<double>(stage.spec->totalPoints());
     const double iterations = static_cast<double>(stage.totalIterations());
 
     // --- computation group ---
     put(logf1p(points));
-    put(logf1p(points * stage.spec.flops_per_point));
-    put(static_cast<float>(stage.spec.flops_per_point));
+    put(logf1p(points * stage.spec->flops_per_point));
+    put(static_cast<float>(stage.spec->flops_per_point));
     put(logf1p(iterations));
     put(points > 0 ? static_cast<float>(iterations / points) : 1.0f);
     put(static_cast<float>(stage.loops.size()));
@@ -89,7 +89,7 @@ stageFeatures(const LoweredNest &nest, const LoweredStage &stage,
     int reads = 0, writes = 0;
     double touched = 0.0;
     const auto full = stage.tileExtentsBelow(-1);
-    for (const auto &access : stage.spec.accesses) {
+    for (const auto &access : stage.spec->accesses) {
         (access.is_write ? writes : reads)++;
         touched += static_cast<double>(access.footprintElems(full)) *
                    access.elem_bytes;
@@ -97,7 +97,7 @@ stageFeatures(const LoweredNest &nest, const LoweredStage &stage,
     put(static_cast<float>(reads));
     put(static_cast<float>(writes));
     put(logf1p(touched));
-    const double flops = points * stage.spec.flops_per_point;
+    const double flops = points * stage.spec->flops_per_point;
     put(static_cast<float>(flops / std::max(1.0, touched)));  // intensity
 
     // --- buffer-footprint group ---
@@ -118,7 +118,7 @@ stageFeatures(const LoweredNest &nest, const LoweredStage &stage,
     const auto inner_tiles =
         stage.tileExtentsBelow(static_cast<int>(stage.loops.size()) - 2);
     double inner_bytes = 0.0;
-    for (const auto &access : stage.spec.accesses) {
+    for (const auto &access : stage.spec->accesses) {
         inner_bytes += static_cast<double>(
                            access.footprintElems(inner_tiles)) *
                        access.elem_bytes;
@@ -175,8 +175,8 @@ extractAnsorFeatures(const LoweredNest &nest)
         if (stage.is_placeholder)
             continue;
         if (stage.loc == ComputeLoc::Inlined) {
-            inlined_flops += static_cast<double>(stage.spec.totalPoints()) *
-                             stage.spec.flops_per_point;
+            inlined_flops += static_cast<double>(stage.spec->totalPoints()) *
+                             stage.spec->flops_per_point;
             continue;
         }
         stages.push_back(&stage);
@@ -184,11 +184,11 @@ extractAnsorFeatures(const LoweredNest &nest)
     std::sort(stages.begin(), stages.end(),
               [](const LoweredStage *a, const LoweredStage *b) {
                   const double wa =
-                      static_cast<double>(a->spec.totalPoints()) *
-                      a->spec.flops_per_point;
+                      static_cast<double>(a->spec->totalPoints()) *
+                      a->spec->flops_per_point;
                   const double wb =
-                      static_cast<double>(b->spec.totalPoints()) *
-                      b->spec.flops_per_point;
+                      static_cast<double>(b->spec->totalPoints()) *
+                      b->spec->flops_per_point;
                   return wa > wb;
               });
 
@@ -200,8 +200,8 @@ extractAnsorFeatures(const LoweredNest &nest)
 
     double total_flops = inlined_flops;
     for (const auto *stage : stages) {
-        total_flops += static_cast<double>(stage->spec.totalPoints()) *
-                       stage->spec.flops_per_point;
+        total_flops += static_cast<double>(stage->spec->totalPoints()) *
+                       stage->spec->flops_per_point;
     }
     float *tail = features.data() + kAnsorStages * kAnsorStageFeatures;
     tail[0] = static_cast<float>(stages.size());

@@ -31,7 +31,7 @@ footprintBytesBelow(const LoweredStage &stage, int depth)
 {
     const auto tiles = stage.tileExtentsBelow(depth);
     double bytes = 0.0;
-    for (const auto &access : stage.spec.accesses) {
+    for (const auto &access : stage.spec->accesses) {
         bytes += static_cast<double>(access.footprintElems(tiles)) *
                  access.elem_bytes;
     }
@@ -65,7 +65,7 @@ trafficBytes(const LoweredStage &stage, double capacity, Pred include)
     const auto tiles = stage.tileExtentsBelow(d);
     const double trips = static_cast<double>(stage.iterationsDownTo(d));
     double bytes = 0.0;
-    for (const auto &access : stage.spec.accesses) {
+    for (const auto &access : stage.spec->accesses) {
         if (!include(stage.resolveBuffer(access.buffer)))
             continue;
         bytes += trips *
@@ -95,7 +95,7 @@ std::set<int>
 contiguousIters(const LoweredStage &stage)
 {
     std::set<int> iters;
-    for (const auto &access : stage.spec.accesses) {
+    for (const auto &access : stage.spec->accesses) {
         if (access.dims.empty())
             continue;
         for (const auto &[iter, coef] : access.dims.back().terms)
@@ -135,13 +135,13 @@ annotationIsContiguous(const LoweredStage &stage, Annotation ann)
 double
 aliasingPenalty(const LoweredStage &stage)
 {
-    for (const auto &access : stage.spec.accesses) {
+    for (const auto &access : stage.spec->accesses) {
         if (access.dims.size() < 2)
             continue;
         // Full extent of the innermost dimension = row length.
         int64_t row = 1;
         for (const auto &[iter, coef] : access.dims.back().terms) {
-            row += coef * (stage.spec.iters
+            row += coef * (stage.spec->iters
                                .at(static_cast<size_t>(iter))
                                .extent -
                            1);
@@ -201,11 +201,11 @@ LatencySimulator::cpuStageTime(const LoweredNest &nest,
                                double parallel) const
 {
     // --- compute time ---
-    const double points = static_cast<double>(stage.spec.totalPoints());
+    const double points = static_cast<double>(stage.spec->totalPoints());
     const double iterations = static_cast<double>(stage.totalIterations());
     const double imperfect =
         points > 0 ? std::max(1.0, iterations / points) : 1.0;
-    double flops = points * stage.spec.flops_per_point + extras.flops;
+    double flops = points * stage.spec->flops_per_point + extras.flops;
     flops = std::max(flops, points);   // at least one op per point
 
     // SIMD efficiency.
@@ -347,13 +347,13 @@ LatencySimulator::gpuKernelTime(const LoweredNest &nest, int root,
             extras[static_cast<size_t>(stage.index)];
 
         const double points =
-            static_cast<double>(stage.spec.totalPoints());
+            static_cast<double>(stage.spec->totalPoints());
         const double iterations =
             static_cast<double>(stage.totalIterations());
         const double imperfect =
             points > 0 ? std::max(1.0, iterations / points) : 1.0;
         double flops =
-            std::max(points * stage.spec.flops_per_point + extra.flops,
+            std::max(points * stage.spec->flops_per_point + extra.flops,
                      points);
         total_flops += flops * imperfect;
 
@@ -402,8 +402,8 @@ LatencySimulator::gpuKernelTime(const LoweredNest &nest, int root,
         // Accesses resolved to .shared buffers: their source tensors are
         // fetched from global memory once per attach-loop execution, and
         // re-read from shared memory every point.
-        for (const auto &access : stage.spec.accesses) {
-            const std::string resolved =
+        for (const auto &access : stage.spec->accesses) {
+            const std::string &resolved =
                 stage.resolveBuffer(access.buffer);
             if (!endsWith(resolved, ".shared"))
                 continue;
@@ -552,7 +552,7 @@ LatencySimulator::latencyMs(const LoweredNest &nest) const
                 other.index == stage.index) {
                 continue;
             }
-            for (const auto &access : other.spec.accesses) {
+            for (const auto &access : other.spec->accesses) {
                 if (!access.is_write &&
                     access.buffer == stage.name) {
                     consumer = other.index;
@@ -566,11 +566,11 @@ LatencySimulator::latencyMs(const LoweredNest &nest) const
             consumer = nest.stages.back().index;
         StageExtras &extra = extras[static_cast<size_t>(consumer)];
         const double points =
-            static_cast<double>(stage.spec.totalPoints());
-        extra.flops += points * stage.spec.flops_per_point;
+            static_cast<double>(stage.spec->totalPoints());
+        extra.flops += points * stage.spec->flops_per_point;
         // Additional streamed operands (e.g. the residual side of an
         // inlined add) still come from memory.
-        for (const auto &access : stage.spec.accesses) {
+        for (const auto &access : stage.spec->accesses) {
             if (access.is_write || access.buffer == stage.name)
                 continue;
             const LoweredStage *producer = nullptr;
@@ -579,7 +579,7 @@ LatencySimulator::latencyMs(const LoweredNest &nest) const
                     producer = &other;
             if (producer && producer->is_placeholder) {
                 std::vector<int64_t> full;
-                for (const auto &iter : stage.spec.iters)
+                for (const auto &iter : stage.spec->iters)
                     full.push_back(iter.extent);
                 extra.stream_bytes +=
                     static_cast<double>(access.footprintElems(full)) *

@@ -1,7 +1,5 @@
 #include "ir/dtype.h"
 
-#include <sstream>
-
 namespace tlp::ir {
 
 int
@@ -42,15 +40,14 @@ numElements(const Shape &shape)
 std::string
 shapeToString(const Shape &shape)
 {
-    std::ostringstream os;
-    os << '[';
+    std::string text = "[";
     for (size_t i = 0; i < shape.size(); ++i) {
         if (i > 0)
-            os << ", ";
-        os << shape[i];
+            text += ", ";
+        text += std::to_string(shape[i]);
     }
-    os << ']';
-    return os.str();
+    text += ']';
+    return text;
 }
 
 } // namespace tlp::ir

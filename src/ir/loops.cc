@@ -49,13 +49,6 @@ LoopSpec::totalPoints() const
     return total;
 }
 
-std::string
-bufferName(const Subgraph &subgraph, int index)
-{
-    const OpNode &op = subgraph.op(index);
-    return "T" + std::to_string(index) + "_" + opKindName(op.kind);
-}
-
 namespace {
 
 /** Single-iterator access dimension. */
@@ -96,7 +89,7 @@ makeAccess(const Subgraph &sg, int producer, bool is_write,
            std::vector<AccessDim> dims)
 {
     AccessSpec access;
-    access.buffer = bufferName(sg, producer);
+    access.buffer = sg.bufferName(producer);
     access.elem_bytes = dtypeBytes(sg.op(producer).out.dtype);
     access.is_write = is_write;
     access.dims = std::move(dims);

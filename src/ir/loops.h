@@ -3,8 +3,9 @@
  * Iteration-space descriptions of subgraph operators.
  *
  * Every schedulable op exposes a LoopSpec: its loop iterators (spatial and
- * reduction) plus affine access patterns for each buffer it touches. The
- * scheduler builds its initial State from LoopSpecs, and the hardware
+ * reduction) plus affine access patterns for each buffer it touches. Each
+ * Subgraph builds its ops' LoopSpecs once (Subgraph::loopSpec); the
+ * scheduler builds its initial State from them, and the hardware
  * latency model evaluates tile footprints through the access patterns.
  *
  * An access dimension is the affine form  extent(dim) = Σ coef·(tile_i-1)+1
@@ -63,9 +64,6 @@ struct LoopSpec
     /** Product of all iterator extents. */
     int64_t totalPoints() const;
 };
-
-/** Name of the buffer produced by local op @p index of @p subgraph. */
-std::string bufferName(const Subgraph &subgraph, int index);
 
 /**
  * Loop description of op @p op_index within @p subgraph.

@@ -1,7 +1,5 @@
 #include "ir/op.h"
 
-#include <sstream>
-
 namespace tlp::ir {
 
 std::string
@@ -99,12 +97,15 @@ OpNode::attr(const std::string &name, int64_t fallback) const
 std::string
 OpNode::toString() const
 {
-    std::ostringstream os;
-    os << opKindName(kind);
-    for (const auto &[name, value] : attrs)
-        os << ' ' << name << value;
-    os << ' ' << shapeToString(out.shape);
-    return os.str();
+    std::string text = opKindName(kind);
+    for (const auto &[name, value] : attrs) {
+        text += ' ';
+        text += name;
+        text += std::to_string(value);
+    }
+    text += ' ';
+    text += shapeToString(out.shape);
+    return text;
 }
 
 void

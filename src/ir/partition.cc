@@ -121,19 +121,22 @@ partitionGraph(const ComputeGraph &graph, const PartitionOptions &options)
                 anchor_local_final = local;
         }
 
-        Subgraph subgraph(std::move(local_ops), anchor_local_final);
-        if (options.drop_trivial && subgraph.flops() == 0)
-            continue;
-
-        auto it = dedup.find(subgraph.key());
+        // Deduplicate before building: a Subgraph builds its naive
+        // program, which a repeat would only throw away.
+        const std::string key =
+            Subgraph::keyOf(local_ops, anchor_local_final);
+        auto it = dedup.find(key);
         if (it != dedup.end()) {
             workload.weights[it->second] += 1;
-        } else {
-            dedup[subgraph.key()] = workload.subgraphs.size();
-            workload.subgraphs.push_back(
-                std::make_shared<Subgraph>(std::move(subgraph)));
-            workload.weights.push_back(1);
+            continue;
         }
+        auto subgraph = std::make_shared<Subgraph>(std::move(local_ops),
+                                                   anchor_local_final);
+        if (options.drop_trivial && subgraph->flops() == 0)
+            continue;
+        dedup[key] = workload.subgraphs.size();
+        workload.subgraphs.push_back(std::move(subgraph));
+        workload.weights.push_back(1);
     }
 
     return workload;

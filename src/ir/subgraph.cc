@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "ir/loops.h"
 #include "support/rng.h"
 #include "support/str_util.h"
 
@@ -26,23 +27,30 @@ Subgraph::outputIndex() const
     return static_cast<int>(ops_.size()) - 1;
 }
 
+std::string
+Subgraph::keyOf(const std::vector<OpNode> &ops, int anchor)
+{
+    // Canonical description: op kinds, attrs, and shapes in order.
+    std::string desc;
+    for (const auto &op : ops) {
+        desc += op.toString();
+        desc += ';';
+    }
+    const uint64_t hash = fnv1a(desc.data(), desc.size());
+
+    // Short human prefix + hash for uniqueness.
+    const std::string prefix =
+        anchor >= 0 ? opKindName(ops[static_cast<size_t>(anchor)].kind)
+                    : std::string("elemwise");
+    return prefix + "_" + strFormat("%016llx",
+                                    static_cast<unsigned long long>(hash));
+}
+
 void
 Subgraph::finalize()
 {
     TLP_CHECK(!ops_.empty(), "empty subgraph");
-
-    // Canonical description: op kinds, attrs, and shapes in order.
-    std::ostringstream os;
-    for (const auto &op : ops_)
-        os << op.toString() << ';';
-    const std::string desc = os.str();
-    const uint64_t hash = fnv1a(desc.data(), desc.size());
-
-    // Short human prefix + hash for uniqueness.
-    std::string prefix = anchor_ >= 0 ? opKindName(ops_[static_cast<size_t>(anchor_)].kind)
-                                      : std::string("elemwise");
-    key_ = prefix + "_" + strFormat("%016llx",
-                                    static_cast<unsigned long long>(hash));
+    key_ = keyOf(ops_, anchor_);
 
     flops_ = 0;
     for (const auto &op : ops_) {
@@ -51,6 +59,18 @@ Subgraph::finalize()
         for (int idx : op.inputs)
             descs.push_back(ops_.at(static_cast<size_t>(idx)).out);
         flops_ += opFlops(op, descs);
+    }
+
+    // The naive program: every schedule State of this subgraph starts
+    // from (and shares) these, so they are built exactly once.
+    buffer_names_.clear();
+    for (size_t i = 0; i < ops_.size(); ++i)
+        buffer_names_.push_back("T" + std::to_string(i) + "_" +
+                                opKindName(ops_[i].kind));
+    loop_specs_.clear();
+    for (size_t i = 0; i < ops_.size(); ++i) {
+        loop_specs_.push_back(std::make_shared<const LoopSpec>(
+            describeLoops(*this, static_cast<int>(i))));
     }
 }
 

@@ -18,6 +18,8 @@
 
 namespace tlp::ir {
 
+struct LoopSpec;
+
 /** A fused subgraph extracted from a network. */
 class Subgraph
 {
@@ -46,8 +48,27 @@ class Subgraph
     /** Canonical identity string (stable across runs). */
     const std::string &key() const { return key_; }
 
+    /** The key a Subgraph(@p ops, @p anchor) would have. */
+    static std::string keyOf(const std::vector<OpNode> &ops, int anchor);
+
     /** Total FLOPs of one execution of the subgraph. */
     int64_t flops() const { return flops_; }
+
+    /** Name of the buffer op @p index produces, e.g. "T2_conv2d". */
+    const std::string &bufferName(int index) const
+    {
+        return buffer_names_.at(static_cast<size_t>(index));
+    }
+
+    /**
+     * Loop description of op @p index (empty for placeholders), built
+     * once when the subgraph is and shared, immutable, by every
+     * schedule State of the subgraph.
+     */
+    const std::shared_ptr<const LoopSpec> &loopSpec(int index) const
+    {
+        return loop_specs_.at(static_cast<size_t>(index));
+    }
 
     /** Multi-line human-readable description. */
     std::string toString() const;
@@ -62,6 +83,8 @@ class Subgraph
     int anchor_ = -1;
     std::string key_;
     int64_t flops_ = 0;
+    std::vector<std::string> buffer_names_;
+    std::vector<std::shared_ptr<const LoopSpec>> loop_specs_;
 };
 
 using SubgraphPtr = std::shared_ptr<const Subgraph>;

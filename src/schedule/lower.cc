@@ -10,7 +10,7 @@ namespace tlp::sched {
 std::vector<int64_t>
 LoweredStage::tileExtentsBelow(int loop_index) const
 {
-    std::vector<int64_t> tiles(spec.iters.size(), 1);
+    std::vector<int64_t> tiles(spec->iters.size(), 1);
     for (size_t q = static_cast<size_t>(loop_index + 1); q < loops.size();
          ++q) {
         for (const auto &[orig, extent] : loops[q].coverage) {
@@ -20,7 +20,7 @@ LoweredStage::tileExtentsBelow(int loop_index) const
     }
     // Clamp: coverage may overcount on non-divisible splits.
     for (size_t i = 0; i < tiles.size(); ++i)
-        tiles[i] = std::min(tiles[i], spec.iters[i].extent);
+        tiles[i] = std::min(tiles[i], spec->iters[i].extent);
     return tiles;
 }
 
@@ -41,11 +41,13 @@ LoweredStage::totalIterations() const
     return iterationsDownTo(static_cast<int>(loops.size()) - 1);
 }
 
-std::string
+const std::string &
 LoweredStage::resolveBuffer(const std::string &buffer) const
 {
-    auto it = redirects.find(buffer);
-    return it == redirects.end() ? buffer : it->second;
+    for (const auto &[from, to] : redirects)
+        if (from == buffer)
+            return to;
+    return buffer;
 }
 
 std::vector<std::pair<int, int>>
@@ -68,7 +70,7 @@ lower(const State &state)
     nest.stages.reserve(static_cast<size_t>(state.numStages()));
     for (int i = 0; i < state.numStages(); ++i) {
         const Stage &src = state.stage(i);
-        LoweredStage dst;
+        LoweredStage &dst = nest.stages.emplace_back();
         dst.index = i;
         dst.name = src.name;
         dst.op_index = src.op_index;
@@ -83,15 +85,13 @@ lower(const State &state)
         dst.storage_align = src.storage_align;
         dst.loops.reserve(src.iters.size());
         for (const Iterator &iter : src.iters) {
-            LoweredLoop loop;
-            loop.name = iter.name;
+            LoweredLoop &loop = dst.loops.emplace_back();
+            iter.name.render(*src.spec, loop.name);
             loop.extent = iter.extent;
             loop.is_reduction = iter.is_reduction;
             loop.ann = iter.ann;
             loop.coverage = iter.coverage;
-            dst.loops.push_back(std::move(loop));
         }
-        nest.stages.push_back(std::move(dst));
     }
     return nest;
 }
@@ -142,7 +142,7 @@ printStage(const LoweredNest &nest, int stage_index, int depth,
     os << indent(depth) << stage.name << '[';
     bool first_read = true;
     std::string reads;
-    for (const auto &access : stage.spec.accesses) {
+    for (const auto &access : stage.spec->accesses) {
         if (access.is_write)
             continue;
         if (!first_read)

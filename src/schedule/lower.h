@@ -29,8 +29,7 @@ struct LoweredLoop
     int64_t extent = 1;
     bool is_reduction = false;
     Annotation ann = Annotation::None;
-    /** (original iter, covered extent) pairs. */
-    std::vector<std::pair<int, int64_t>> coverage;
+    Coverage coverage;
 };
 
 /** One stage of the lowered program. */
@@ -47,8 +46,8 @@ struct LoweredStage
     int at_iter = -1;
 
     std::vector<LoweredLoop> loops;   ///< outer -> inner
-    ir::LoopSpec spec;
-    std::map<std::string, std::string> redirects;
+    std::shared_ptr<const ir::LoopSpec> spec;   ///< shared with the State
+    Redirects redirects;
     int64_t pragma_unroll = 0;
     int64_t storage_align = 0;
 
@@ -64,8 +63,8 @@ struct LoweredStage
     /** Product of all loop extents. */
     int64_t totalIterations() const;
 
-    /** Resolve a read buffer name through the redirect map. */
-    std::string resolveBuffer(const std::string &buffer) const;
+    /** Resolve a read buffer name through the redirects. */
+    const std::string &resolveBuffer(const std::string &buffer) const;
 };
 
 /** The lowered tensor program for one subgraph. */

@@ -14,38 +14,142 @@
  * Iterators track *coverage*: which original (pre-transform) iterators a
  * loop spans and by how much. Coverage is what lets the hardware model
  * compute exact tile footprints after arbitrary split/fuse/reorder chains.
+ *
+ * Layout (DESIGN.md §7): search builds, copies, replays and drops a State
+ * for every candidate, so a State holds no per-iterator heap storage.
+ * The naive program's LoopSpecs and buffer names are built once per
+ * Subgraph; a Stage shares its spec (copy-on-write: cache_write,
+ * cache_read and rfactor install new specs). An Iterator is a flat value
+ * with inline coverage and a tokenized name rendered on demand.
  */
 #pragma once
 
-#include <map>
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ir/loops.h"
 #include "ir/subgraph.h"
 #include "schedule/primitive.h"
+#include "support/logging.h"
 
 namespace tlp::sched {
 
-/** One loop of a stage after transforms. */
+/**
+ * A fixed-capacity array stored inline (no heap). Overflowing the
+ * capacity is an invariant failure (TLP_CHECK), not a reallocation.
+ */
+template <typename T, int Capacity>
+class InlineVec
+{
+    static_assert(Capacity > 0 && Capacity < 256);
+
+  public:
+    using value_type = T;
+    using iterator = T *;
+    using const_iterator = const T *;
+
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    T *begin() { return items_; }
+    T *end() { return items_ + size_; }
+    const T *begin() const { return items_; }
+    const T *end() const { return items_ + size_; }
+    T &back() { return items_[size_ - 1]; }
+    void pop_back() { --size_; }
+
+    void
+    push_back(const T &item)
+    {
+        TLP_CHECK(size_ < Capacity, "inline capacity ", Capacity,
+                  " exceeded");
+        items_[size_++] = item;
+    }
+
+    /** Prepend @p item (coverage is consumed innermost-first). */
+    void
+    push_front(const T &item)
+    {
+        push_back(item);
+        std::rotate(items_, items_ + size_ - 1, items_ + size_);
+    }
+
+    bool
+    operator==(const InlineVec &other) const
+    {
+        return std::equal(begin(), end(), other.begin(), other.end());
+    }
+
+  private:
+    T items_[Capacity]{};
+    uint8_t size_ = 0;
+};
+
+/** A stretch of one original iterator a loop spans. */
+struct CoverEntry
+{
+    int iter;             ///< original iterator index (into Stage::spec)
+    int64_t extent;       ///< covered extent
+
+    bool operator==(const CoverEntry &other) const = default;
+};
+
+/** Which original iterators a loop covers, ordered outer -> inner. */
+using Coverage = InlineVec<CoverEntry, 8>;
+
+/**
+ * An iterator's name, kept as tokens and rendered against its stage's
+ * spec only when a string is needed (the SP name parameter, lowering):
+ * a spec iterator ("oc"), a split-part suffix (".2"), or a fuse joint
+ * ("@"). "oc.0@oh.0.1" is [oc, .0, @, oh, .0, .1].
+ */
+class IterName
+{
+  public:
+    /** The name of original iterator @p spec_iter. */
+    static IterName original(int spec_iter);
+
+    /** This name with split-part suffix ".part". */
+    IterName part(int part) const;
+
+    /** Append "@" and @p inner (fusing @p inner after this loop). */
+    void fuseWith(const IterName &inner);
+
+    /** Append the rendered name to @p out. */
+    void render(const ir::LoopSpec &spec, std::string &out) const;
+
+  private:
+    static constexpr uint8_t kJoint = 0xff;
+    static constexpr uint8_t kPart = 0x80;
+
+    InlineVec<uint8_t, 31> tokens_;
+};
+
+/** One loop of a stage after transforms. Holds no heap storage. */
 struct Iterator
 {
-    std::string name;
+    IterName name;
     int64_t extent = 1;
     bool is_reduction = false;
     Annotation ann = Annotation::None;
-    /** (original iter index, covered extent), ordered outer -> inner. */
-    std::vector<std::pair<int, int64_t>> coverage;
+    Coverage coverage;
 };
 
 /** Where a stage's computation is placed. */
 enum class ComputeLoc : uint8_t { Root, Inlined, At };
 
+/** Read-buffer renames installed by cache_read: (buffer, replacement). */
+using Redirects = std::vector<std::pair<std::string, std::string>>;
+
 /** One op (or synthetic cache/rfactor op) in the schedule. */
 struct Stage
 {
     int op_index = -1;            ///< originating subgraph op
-    std::string name;
+    std::string name;             ///< also the buffer the stage writes
     bool is_placeholder = false;
     bool is_cache_stage = false;  ///< cache_write/cache_read/rfactor stage
     std::vector<Iterator> iters;
@@ -57,13 +161,19 @@ struct Stage
     int64_t pragma_unroll = 0;    ///< auto_unroll_max_step value
     int64_t storage_align = 0;
 
-    ir::LoopSpec spec;            ///< access patterns over original iters
-    std::string out_buffer;
-    /** Read-buffer renames installed by cache_read / rfactor. */
-    std::map<std::string, std::string> redirects;
+    /**
+     * Access patterns over the original iterators. Immutable and shared
+     * with the subgraph, copies of the State and lowered nests; a
+     * primitive that changes an access pattern installs a new spec.
+     */
+    std::shared_ptr<const ir::LoopSpec> spec;
+    Redirects redirects;
 
     /** Product of all iterator extents. */
     int64_t totalExtent() const;
+
+    /** Rendered name of iterator @p iter, e.g. "oc.0@oh.0". */
+    std::string iterName(int iter) const;
 };
 
 /** A schedulable tensor program: stages + the primitive sequence so far. */
@@ -80,9 +190,6 @@ class State
     const PrimitiveSeq &steps() const { return steps_; }
     ir::SubgraphPtr subgraph() const { return subgraph_; }
     bool isGpu() const { return is_gpu_; }
-
-    /** Index of the stage currently producing @p buffer; -1 if none. */
-    int stageWriting(const std::string &buffer) const;
 
     // --- primitive applications (each records one step) ---
 
@@ -151,9 +258,19 @@ class State
     void applyRecorded(const Primitive &prim);
 
   private:
+    friend State replaySteps(ir::SubgraphPtr subgraph, bool is_gpu,
+                             const PrimitiveSeq &seq);
+
     Stage &mutableStage(int index);
     Iterator &mutableIter(int stage, int iter);
-    int doSplit(int stage, int iter, const std::vector<int64_t> &lengths);
+    /** Append a step of @p kind with room for @p num_params params. */
+    Primitive &record(PrimKind kind, size_t num_params);
+    int splitImpl(int stage, int iter, std::span<const int64_t> lengths);
+    int followSplitImpl(PrimKind kind, int stage, int iter, int src_step,
+                        int n_split);
+    void reorderImpl(int stage, std::span<const int> order);
+    int fuseImpl(int stage, std::span<const int> iters);
+    int doSplit(int stage, int iter, std::span<const int64_t> lengths);
 
     ir::SubgraphPtr subgraph_;
     bool is_gpu_ = false;

@@ -157,7 +157,7 @@ SchedulePolicy::multiLevelTile(State &state, int stage, int s_parts,
 }
 
 void
-SchedulePolicy::inlineTails(State &state, Rng &rng, int keep_stage) const
+SchedulePolicy::inlineTails(State &state, int keep_stage) const
 {
     for (int i = 0; i < state.numStages(); ++i) {
         const sched::Stage &st = state.stage(i);
@@ -196,7 +196,7 @@ SchedulePolicy::scheduleHeavy(State &state, Rng &rng) const
     };
 
     if (has_tails) {
-        inlineTails(state, rng, output_stage_);
+        inlineTails(state, output_stage_);
         if (consumerCompatible(output_stage_)) {
             consumer = output_stage_;
         } else {
@@ -236,8 +236,6 @@ SchedulePolicy::scheduleHeavy(State &state, Rng &rng) const
     const int s_parts = 4;
     const int r_parts = 2;
     multiLevelTile(state, compute, s_parts, r_parts, rng, &split_steps);
-    const int compute_loops =
-        static_cast<int>(state.stage(compute).iters.size());
     const int compute_first_red = firstReduction(state, compute);
 
     if (consumer >= 0) {
@@ -370,7 +368,6 @@ SchedulePolicy::scheduleHeavy(State &state, Rng &rng) const
     }
 
     state.pragmaUnroll(compute, sampleUnrollStep(rng));
-    (void)compute_loops;
 }
 
 void
@@ -378,7 +375,7 @@ SchedulePolicy::scheduleMedium(State &state, Rng &rng) const
 {
     const bool has_tails = output_stage_ != anchor_stage_;
     if (has_tails)
-        inlineTails(state, rng, output_stage_);
+        inlineTails(state, output_stage_);
     const int stage = anchor_stage_;
 
     // Optional reduction factoring on CPU (large single reductions).
@@ -465,7 +462,7 @@ SchedulePolicy::scheduleMedium(State &state, Rng &rng) const
 void
 SchedulePolicy::scheduleElementwise(State &state, Rng &rng) const
 {
-    inlineTails(state, rng, output_stage_);
+    inlineTails(state, output_stage_);
     const int stage = output_stage_;
     const int ns = numLeadingSpatial(state, stage);
     if (ns == 0)

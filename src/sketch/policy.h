@@ -55,8 +55,7 @@ class SchedulePolicy
     void scheduleHeavy(sched::State &state, Rng &rng) const;
     void scheduleMedium(sched::State &state, Rng &rng) const;
     void scheduleElementwise(sched::State &state, Rng &rng) const;
-    void inlineTails(sched::State &state, Rng &rng,
-                     int keep_stage) const;
+    void inlineTails(sched::State &state, int keep_stage) const;
 
     /**
      * Multi-level tile @p stage: split every spatial iterator into

@@ -139,13 +139,15 @@ TEST_P(SplitProperty, SplitConservesCoverage)
     // and total coverage of original iter 0 spans the full extent.
     int64_t product = 1;
     int64_t covered = 1;
-    for (const auto &iter : state.stage(2).iters) {
+    const sched::Stage &stage = state.stage(2);
+    for (size_t q = 0; q < stage.iters.size(); ++q) {
+        const sched::Iterator &iter = stage.iters[q];
         bool covers_zero = false;
         for (const auto &[orig, ext] : iter.coverage)
             covers_zero |= orig == 0;
         if (covers_zero || iter.coverage.empty()) {
             // Parts of the split iterator.
-            if (iter.name.rfind("i.", 0) == 0) {
+            if (stage.iterName(static_cast<int>(q)).rfind("i.", 0) == 0) {
                 product *= iter.extent;
                 int64_t own = 1;
                 for (const auto &[orig, ext] : iter.coverage)

@@ -148,8 +148,8 @@ TEST(State, CacheWriteSplitsComputeAndCopy)
     EXPECT_EQ(copy.iters.size(), 2u);        // spatial only
     // The copy stage reads the local buffer.
     bool reads_local = false;
-    for (const auto &access : copy.spec.accesses)
-        if (!access.is_write && access.buffer == compute.out_buffer)
+    for (const auto &access : copy.spec->accesses)
+        if (!access.is_write && access.buffer == compute.name)
             reads_local = true;
     EXPECT_TRUE(reads_local);
 }
@@ -178,7 +178,36 @@ TEST(State, CacheReadRedirectsConsumer)
     EXPECT_TRUE(shared.is_cache_stage);
     const Stage &consumer = state.stage(2);
     ASSERT_EQ(consumer.redirects.size(), 1u);
-    EXPECT_EQ(consumer.redirects.begin()->second, shared.out_buffer);
+    EXPECT_EQ(consumer.redirects.front().second, shared.name);
+}
+
+TEST(State, CacheReadTwiceKeepsOneRedirect)
+{
+    auto sg = denseSubgraph();
+    State state(sg, true);
+    state.cacheRead(0, 2);
+    const int second = state.cacheRead(0, 2);
+    const Stage &consumer = state.stage(2);
+    ASSERT_EQ(consumer.redirects.size(), 1u);
+    EXPECT_EQ(consumer.redirects.front().second, state.stage(second).name);
+}
+
+TEST(State, SplitAndFuseDropAnnotationsAndComposeNames)
+{
+    auto sg = denseSubgraph();
+    State state(sg, false);
+    state.annotate(2, 0, Annotation::Parallel);
+    state.split(2, 0, {4});          // i -> [i.0, i.1]
+    EXPECT_EQ(state.stage(2).iters[0].ann, Annotation::None);
+    state.annotate(2, 0, Annotation::Parallel);
+    state.fuse(2, {0, 1});
+    const Stage &stage = state.stage(2);
+    EXPECT_EQ(stage.iters[0].ann, Annotation::None);
+    EXPECT_EQ(stage.iterName(0), "i.0@i.1");
+    state.split(2, 0, {2});
+    EXPECT_EQ(std::get<std::string>(state.steps().prims.back().params.back()),
+              "i.0@i.1");
+    EXPECT_EQ(state.stage(2).iterName(1), "i.0@i.1.1");
 }
 
 TEST(State, RfactorCreatesPartialStage)

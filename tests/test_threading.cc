@@ -20,6 +20,7 @@
 #include "models/tenset_mlp.h"
 #include "models/tlp_model.h"
 #include "nn/ops.h"
+#include "schedule/lower.h"
 #include "sketch/policy.h"
 #include "support/thread_pool.h"
 #include "gbdt_stress.h"
@@ -361,6 +362,46 @@ TEST(BitIdentical, GbdtFitAtAnyThreadCount)
     }
     EXPECT_EQ(runs[0], runs[1]);
     EXPECT_EQ(runs[0], runs[2]);
+}
+
+TEST(SharedSpec, ParallelLowerMatchesSerial)
+{
+    // Stage specs are shared, immutable, between a subgraph, every State
+    // of it and every lowered nest (dataset collection and Ansor
+    // features lower in parallel). Copying and lowering one population
+    // on 4 threads must read them race-free and change nothing.
+    const auto workload = ir::partitionGraph(ir::buildNetwork("resnet-18"));
+    std::vector<sched::State> population;
+    Rng rng(41);
+    for (bool is_gpu : {false, true}) {
+        for (const auto &sg : workload.subgraphs) {
+            const sketch::SchedulePolicy policy(sg, is_gpu);
+            for (auto &state : policy.sampleInitPopulation(4, rng))
+                population.push_back(std::move(state));
+        }
+    }
+    auto lowerAll = [&] {
+        std::vector<uint64_t> prints(population.size());
+        ThreadPool::global().parallelFor(
+            0, static_cast<int64_t>(population.size()), 1,
+            [&](int64_t begin, int64_t end) {
+                for (int64_t i = begin; i < end; ++i) {
+                    const sched::State copy =
+                        population[static_cast<size_t>(i)];
+                    const auto nest = sched::lower(copy);
+                    const std::string text = nest.prettyPrint();
+                    prints[static_cast<size_t>(i)] = hashCombine(
+                        nest.fingerprint(),
+                        fnv1a(text.data(), text.size()));
+                }
+            });
+        return prints;
+    };
+    GlobalThreadsGuard guard;
+    ThreadPool::setGlobalThreads(1);
+    const auto serial = lowerAll();
+    ThreadPool::setGlobalThreads(4);
+    EXPECT_EQ(lowerAll(), serial);
 }
 
 } // namespace
