@@ -191,8 +191,8 @@ standardDataset(const std::vector<std::string> &platforms, bool is_gpu)
     // Regeneration is also the moment to reap temp files a crashed
     // bench stranded next to this memo (scoped to this artifact: /tmp
     // is shared, a directory-wide sweep could race live writers) —
-    // through the audit module, the same debris policy tlp_fsck runs.
-    artifact::sweepDebrisFor(path);
+    // with the io_env sweeper, the same debris policy tlp_fsck runs.
+    sweepStaleTempsFor(path);
     data::Dataset dataset = data::collectDataset(options);
     const Status status = writeBenchMemo(path, fingerprint, dataset);
     if (!status.ok()) {
@@ -244,15 +244,9 @@ loadBenchMemo(std::istream &is, uint64_t fingerprint)
 Result<data::Dataset>
 loadBenchMemo(const std::string &path, uint64_t fingerprint)
 {
-    const Status injected = IoEnv::global().checkRead(path);
-    if (!injected.ok())
-        return injected;
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-        return Status::error(ErrorCode::IoError,
-                             "cannot open for read: " + path);
-    }
-    return loadBenchMemo(is, fingerprint);
+    return readArtifactFile(path, [&](std::istream &is) {
+        return loadBenchMemo(is, fingerprint);
+    });
 }
 
 std::vector<int>

@@ -109,7 +109,11 @@ main(int argc, char **argv)
     std::printf("collecting %zu networks x %zu platforms...\n",
                 options.networks.size(), options.platforms.size());
     const auto dataset = data::collectDataset(options);
-    dataset.save(args.getString("out"));
+    const Status saved = dataset.save(args.getString("out"));
+    if (!saved.ok()) {
+        TLP_FATAL("cannot save dataset ", args.getString("out"), ": ",
+                  saved.toString());
+    }
     std::printf("saved %zu records over %zu subgraph groups to %s\n\n",
                 dataset.records.size(), dataset.groups.size(),
                 args.getString("out").c_str());

@@ -185,7 +185,7 @@ verifyArtifact(ArtifactKind kind, std::istream &is)
       case ArtifactKind::TuningCheckpoint:
         return tune::verifyCheckpoint(is);
       case ArtifactKind::TrainCheckpoint:
-        return model::verifyTrainCheckpoint(is);
+        return model::loadTrainCheckpoint(is).status();
       case ArtifactKind::BenchMemo:
         return verifyBenchMemo(is);
       case ArtifactKind::Curve:
@@ -339,18 +339,6 @@ quarantineDamaged(const std::string &path, int max_generations)
     return action;
 }
 
-int
-sweepDebris(const std::string &dir)
-{
-    return sweepStaleTemps(dir);
-}
-
-int
-sweepDebrisFor(const std::string &artifact_path)
-{
-    return sweepStaleTempsFor(artifact_path);
-}
-
 RepairReport
 repairDirectory(const std::string &dir, const RepairOptions &options)
 {
@@ -364,7 +352,7 @@ repairDirectory(const std::string &dir, const RepairOptions &options)
         if (record.state == ArtifactState::StaleTemp)
             out.actions.push_back("sweep " + record.name);
     }
-    out.swept = sweepDebris(dir);
+    out.swept = sweepStaleTemps(dir);
 
     for (const ArtifactRecord &record : audit.records) {
         if (record.state != ArtifactState::Corrupt &&
@@ -389,7 +377,7 @@ repairDirectory(const std::string &dir, const RepairOptions &options)
                     continue;
                 }
                 const data::Dataset salvaged = rebuilt.take();
-                const Status saved = salvaged.trySave(path);
+                const Status saved = salvaged.save(path);
                 if (saved.ok()) {
                     out.salvaged_datasets += 1;
                     out.salvaged_records += static_cast<int64_t>(

@@ -124,7 +124,7 @@ ArtifactKind kindFromName(const std::string &name);
 /**
  * Verify one artifact payload of a known @p kind from @p is, using the
  * same loader-grade verifier a consumer would (Dataset::tryLoad,
- * snapshot load + either arch, verifyCheckpoint, verifyTrainCheckpoint,
+ * snapshot load + either arch, verifyCheckpoint, loadTrainCheckpoint,
  * memo header + embedded dataset; a memo's fingerprint staleness is a
  * cache miss, not damage, and is NOT checked here). Ok means the
  * consumer would accept the file structurally.
@@ -203,13 +203,5 @@ struct QuarantineAction
 QuarantineAction
 quarantineDamaged(const std::string &path,
                   int max_generations = kQuarantineMaxGenerations);
-
-/** Sweep "<name>.tmp.<pid>.<seq>" debris directly under @p dir (the
- *  io_env sweeper, re-exported so audit callers need one header). */
-int sweepDebris(const std::string &dir);
-
-/** Sweep debris of one artifact only — safe in shared directories
- *  like /tmp where a directory-wide sweep could race live writers. */
-int sweepDebrisFor(const std::string &artifact_path);
 
 } // namespace tlp::artifact

@@ -1,12 +1,9 @@
 #include "dataset/dataset.h"
 
 #include <algorithm>
-#include <fstream>
 #include <set>
 
 #include "features/tlp_features.h"
-#include "support/io_env.h"
-#include "support/logging.h"
 
 namespace tlp::data {
 
@@ -20,7 +17,6 @@ constexpr uint32_t kGroupsTag = sectionTag("GRPS");
 constexpr uint32_t kRecordsTag = sectionTag("RECS");
 constexpr uint32_t kNetworksTag = sectionTag("NETS");
 constexpr uint32_t kFailuresTag = sectionTag("FAIL");
-constexpr uint32_t kEndTag = sectionTag("TEND");
 
 /**
  * Records are framed in chunks of this many so one flipped byte costs at
@@ -33,12 +29,12 @@ constexpr size_t kRecordsPerChunk = 256;
 std::string
 sectionName(uint32_t tag)
 {
-    if (tag == kMetaTag)     return "meta";
-    if (tag == kGroupsTag)   return "groups";
-    if (tag == kRecordsTag)  return "records";
-    if (tag == kNetworksTag) return "networks";
-    if (tag == kFailuresTag) return "failures";
-    if (tag == kEndTag)      return "end";
+    if (tag == kMetaTag)       return "meta";
+    if (tag == kGroupsTag)     return "groups";
+    if (tag == kRecordsTag)    return "records";
+    if (tag == kNetworksTag)   return "networks";
+    if (tag == kFailuresTag)   return "failures";
+    if (tag == kEndSectionTag) return "end";
     return "tag_" + sectionTagName(tag);
 }
 
@@ -183,26 +179,6 @@ parseV2Body(BinaryReader &reader, Dataset &dataset)
 
 } // namespace
 
-int
-Dataset::platformIndex(const std::string &platform) const
-{
-    for (size_t i = 0; i < platforms.size(); ++i)
-        if (platforms[i] == platform)
-            return static_cast<int>(i);
-    // tlp-lint: allow(loader-fatal) -- user-error lookup (bad --platform), not a parse path; the loaders are tryLoad/trySave
-    TLP_FATAL("platform not in dataset: ", platform);
-}
-
-std::vector<int>
-Dataset::recordsOfGroup(int group) const
-{
-    std::vector<int> indices;
-    for (size_t r = 0; r < records.size(); ++r)
-        if (records[r].group == static_cast<uint32_t>(group))
-            indices.push_back(static_cast<int>(r));
-    return indices;
-}
-
 void
 Dataset::refreshMinLatencies()
 {
@@ -232,17 +208,8 @@ Dataset::label(int record, int platform) const
     return min_lat / rec.latency_ms[static_cast<size_t>(platform)];
 }
 
-void
-Dataset::save(const std::string &path) const
-{
-    const Status status = trySave(path);
-    if (!status.ok())
-        // tlp-lint: allow(loader-fatal) -- documented fatal convenience wrapper over trySave for CLI/bench callers
-        TLP_FATAL("cannot save dataset ", path, ": ", status.toString());
-}
-
 Status
-Dataset::trySave(const std::string &path) const
+Dataset::save(const std::string &path) const
 {
     return atomicWriteFile(path,
                            [this](std::ostream &os) { save(os); });
@@ -297,43 +264,14 @@ Dataset::save(std::ostream &os) const
             w.writePod<int64_t>(count);
         }
     });
-    writeSectionRaw(writer, kEndTag, "");
-}
-
-Dataset
-Dataset::load(const std::string &path)
-{
-    auto result = tryLoad(path);
-    if (!result.ok()) {
-        // tlp-lint: allow(loader-fatal) -- documented fatal convenience wrapper over tryLoad for CLI/bench callers
-        TLP_FATAL("cannot load dataset ", path, ": ",
-                  result.status().toString());
-    }
-    return result.take();
-}
-
-Dataset
-Dataset::load(std::istream &is)
-{
-    auto result = tryLoad(is);
-    if (!result.ok())
-        // tlp-lint: allow(loader-fatal) -- documented fatal convenience wrapper over tryLoad for CLI/bench callers
-        TLP_FATAL("cannot load dataset: ", result.status().toString());
-    return result.take();
+    writeSectionRaw(writer, kEndSectionTag, "");
 }
 
 Result<Dataset>
 Dataset::tryLoad(const std::string &path, const LoadOptions &options)
 {
-    const Status injected = IoEnv::global().checkRead(path);
-    if (!injected.ok())
-        return injected;
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-        return Status::error(ErrorCode::IoError,
-                             "cannot open for read: " + path);
-    }
-    return tryLoad(is, options);
+    return readArtifactFile(
+        path, [&](std::istream &is) { return tryLoad(is, options); });
 }
 
 Result<Dataset>
@@ -363,6 +301,8 @@ Dataset::tryLoad(std::istream &is, const LoadOptions &options)
         bool seen_networks = false;
         bool seen_failures = false;
         bool seen_end = false;
+        // Not readSectionsToEnd: salvage must keep reading past a bad
+        // checksum or a section that fails to parse, and count it.
         while (!seen_end && reader.remaining() > 0) {
             Section section;
             try {
@@ -384,7 +324,7 @@ Dataset::tryLoad(std::istream &is, const LoadOptions &options)
                 tally(name + "_crc");
                 continue;
             }
-            if (section.tag == kEndTag) {
+            if (section.tag == kEndSectionTag) {
                 seen_end = true;
                 continue;
             }

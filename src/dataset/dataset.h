@@ -104,12 +104,6 @@ class Dataset
      */
     std::map<std::string, int64_t> corruption_counts;
 
-    /** Index of @p platform; fatal when absent. */
-    int platformIndex(const std::string &platform) const;
-
-    /** Indices of records belonging to @p group. */
-    std::vector<int> recordsOfGroup(int group) const;
-
     /** Recompute per-group minimum latencies from the records. */
     void refreshMinLatencies();
 
@@ -119,17 +113,15 @@ class Dataset
      */
     float label(int record, int platform) const;
 
-    /** Save atomically (write-tmp-then-rename); fatal on failure. */
-    void save(const std::string &path) const;
-    /** Load; fatal on any error (legacy convenience over tryLoad). */
-    static Dataset load(const std::string &path);
+    /**
+     * Save atomically (write-tmp-then-rename through atomicWriteFile);
+     * an I/O failure comes back as a Status and leaves any previous
+     * file at @p path intact.
+     */
+    Status save(const std::string &path) const;
 
-    /** Stream variants, for embedding a dataset in a larger file. */
+    /** Stream variant, for embedding a dataset in a larger file. */
     void save(std::ostream &os) const;
-    static Dataset load(std::istream &is);
-
-    /** Save atomically, reporting failure instead of dying. */
-    Status trySave(const std::string &path) const;
 
     /**
      * Load with recoverable errors: corruption, truncation, version

@@ -18,18 +18,6 @@ logf1p(double value)
     return static_cast<float>(std::log1p(std::max(0.0, value)));
 }
 
-double
-footprintBytes(const LoweredStage &stage, int depth)
-{
-    const auto tiles = stage.tileExtentsBelow(depth);
-    double bytes = 0.0;
-    for (const auto &access : stage.spec->accesses) {
-        bytes += static_cast<double>(access.footprintElems(tiles)) *
-                 access.elem_bytes;
-    }
-    return bytes;
-}
-
 /** Summarize one compute stage into kAnsorStageFeatures floats. */
 void
 stageFeatures(const LoweredNest &nest, const LoweredStage &stage,
@@ -107,7 +95,7 @@ stageFeatures(const LoweredNest &nest, const LoweredStage &stage,
     // which is the limitation TLP's primitive-sequence features remove.
     const int depth_n = static_cast<int>(stage.loops.size());
     const int mid = std::max(0, depth_n / 2);
-    put(logf1p(footprintBytes(stage, std::min(depth_n - 1, mid))));
+    put(logf1p(stage.footprintBytesBelow(std::min(depth_n - 1, mid))));
     put(logf1p(static_cast<double>(
         stage.iterationsDownTo(std::min(depth_n - 1, mid)))));
     put(static_cast<float>(depth_n));
@@ -153,8 +141,8 @@ stageFeatures(const LoweredNest &nest, const LoweredStage &stage,
     put(logf1p(reduction_extent));
     put(logf1p(outer_extent));
     put(static_cast<float>(annotated_loops));
-    put(logf1p(footprintBytes(stage,
-                              static_cast<int>(stage.loops.size()) - 1)));
+    put(logf1p(stage.footprintBytesBelow(
+        static_cast<int>(stage.loops.size()) - 1)));
 
     while (idx < kAnsorStageFeatures)
         put(0.0f);

@@ -11,14 +11,6 @@ namespace {
 /** Fraction of seconds_per_measure burned by a failed compile. */
 constexpr double kCompileFraction = 0.4;
 
-/** Map a 64-bit hash to a uniform double in [0, 1). */
-double
-hashUniform(uint64_t key)
-{
-    uint64_t state = key;
-    return static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53;
-}
-
 } // namespace
 
 std::string

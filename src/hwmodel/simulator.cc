@@ -25,19 +25,6 @@ isSyntheticBuffer(const std::string &buffer)
            endsWith(buffer, ".rf");
 }
 
-/** Total footprint in bytes of all accesses below loop @p depth. */
-double
-footprintBytesBelow(const LoweredStage &stage, int depth)
-{
-    const auto tiles = stage.tileExtentsBelow(depth);
-    double bytes = 0.0;
-    for (const auto &access : stage.spec->accesses) {
-        bytes += static_cast<double>(access.footprintElems(tiles)) *
-                 access.elem_bytes;
-    }
-    return bytes;
-}
-
 /** Smallest loop depth whose working set fits in @p capacity (or -1 if
  *  the whole stage fits; loops.size()-1 if only the innermost body). */
 int
@@ -45,7 +32,7 @@ fitDepth(const LoweredStage &stage, double capacity)
 {
     const int n = static_cast<int>(stage.loops.size());
     for (int d = -1; d < n; ++d) {
-        if (footprintBytesBelow(stage, d) <= capacity)
+        if (stage.footprintBytesBelow(d) <= capacity)
             return d;
     }
     return n - 1;

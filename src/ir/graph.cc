@@ -212,14 +212,6 @@ ComputeGraph::maxPool2d(NodeRef x, int64_t kernel, int64_t stride)
 }
 
 NodeRef
-ComputeGraph::avgPool2d(NodeRef x, int64_t kernel, int64_t stride)
-{
-    NodeRef ref = maxPool2d(x, kernel, stride);
-    nodes_.back().kind = OpKind::AvgPool2d;
-    return ref;
-}
-
-NodeRef
 ComputeGraph::globalAvgPool(NodeRef x)
 {
     const TensorDesc &in = desc(x);

@@ -66,7 +66,6 @@ class ComputeGraph
 
     /** Pooling (square window). */
     NodeRef maxPool2d(NodeRef x, int64_t kernel, int64_t stride);
-    NodeRef avgPool2d(NodeRef x, int64_t kernel, int64_t stride);
     NodeRef globalAvgPool(NodeRef x);
 
     /** Reductions over the last axis. */

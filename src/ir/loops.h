@@ -55,9 +55,6 @@ struct LoopSpec
     /** FLOPs executed per innermost iteration point. */
     double flops_per_point = 1.0;
 
-    /** Indices of spatial iterators in order. */
-    std::vector<int> spatialIters() const;
-
     /** Indices of reduction iterators in order. */
     std::vector<int> reductionIters() const;
 

@@ -1,11 +1,8 @@
 #include "models/snapshot.h"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 
 #include "models/supervisor.h"
-#include "support/io_env.h"
 
 namespace tlp::model {
 
@@ -13,7 +10,6 @@ namespace {
 
 constexpr uint32_t kConfigTag = sectionTag("CONF");
 constexpr uint32_t kParamsTag = sectionTag("PARM");
-constexpr uint32_t kEndTag = sectionTag("TEND");
 
 // Architecture discriminator stored in the config section.
 constexpr uint8_t kArchTlp = 0;
@@ -61,12 +57,12 @@ writeSnapshot(std::ostream &os, nn::Module &net, WriteConfig &&config)
     writeSection(writer, kConfigTag, config);
     writeSection(writer, kParamsTag,
                  [&](BinaryWriter &w) { net.saveParameters(w); });
-    writeSectionRaw(writer, kEndTag, "");
+    writeSectionRaw(writer, kEndSectionTag, "");
 }
 
 /**
- * Shared load loop: validates framing and hands the CONF / PARM
- * payloads to @p parse_config / @p parse_params in file order.
+ * Shared load: checks the header, then hands the CONF / PARM payloads
+ * to @p parse_config / @p parse_params in file order.
  */
 template <typename ParseConfig, typename ParseParams>
 void
@@ -77,32 +73,21 @@ readSnapshot(std::istream &is, ParseConfig &&parse_config,
     readHeader(reader, kSnapshotMagic, kSnapshotVersion, kSnapshotVersion);
     bool seen_config = false;
     bool seen_params = false;
-    bool seen_end = false;
-    while (!seen_end && reader.remaining() > 0) {
-        Section section = readSection(reader);
-        if (!section.crc_ok) {
-            throw SerializeError(ErrorCode::Corrupt,
-                                 "checksum mismatch in snapshot section " +
-                                     sectionTagName(section.tag));
-        }
-        std::istringstream payload(section.payload);
-        BinaryReader body(payload);
-        if (section.tag == kConfigTag) {
-            parse_config(body);
-            seen_config = true;
-        } else if (section.tag == kParamsTag) {
-            if (!seen_config) {
-                throw SerializeError(ErrorCode::Corrupt,
-                                     "snapshot parameters before config");
+    readSectionsToEnd(
+        reader, "snapshot", [&](uint32_t tag, BinaryReader &body) {
+            if (tag == kConfigTag) {
+                parse_config(body);
+                seen_config = true;
+            } else if (tag == kParamsTag) {
+                if (!seen_config) {
+                    throw SerializeError(ErrorCode::Corrupt,
+                                         "snapshot parameters before config");
+                }
+                parse_params(body);
+                seen_params = true;
             }
-            parse_params(body);
-            seen_params = true;
-        } else if (section.tag == kEndTag) {
-            seen_end = true;
-        }
-        // Unknown tags: skipped for forward compatibility.
-    }
-    if (!seen_config || !seen_params || !seen_end) {
+        });
+    if (!seen_config || !seen_params) {
         throw SerializeError(ErrorCode::Truncated,
                              "snapshot is missing required sections");
     }
@@ -172,15 +157,8 @@ loadTlpSnapshot(std::istream &is)
 Result<std::shared_ptr<TlpNet>>
 loadTlpSnapshot(const std::string &path)
 {
-    const Status injected = IoEnv::global().checkRead(path);
-    if (!injected.ok())
-        return injected;
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-        return Status::error(ErrorCode::IoError,
-                             "cannot open for read: " + path);
-    }
-    return loadTlpSnapshot(is);
+    return readArtifactFile(
+        path, [](std::istream &is) { return loadTlpSnapshot(is); });
 }
 
 Status
@@ -270,15 +248,8 @@ loadMlpSnapshot(std::istream &is)
 Result<std::shared_ptr<TensetMlpNet>>
 loadMlpSnapshot(const std::string &path)
 {
-    const Status injected = IoEnv::global().checkRead(path);
-    if (!injected.ok())
-        return injected;
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-        return Status::error(ErrorCode::IoError,
-                             "cannot open for read: " + path);
-    }
-    return loadMlpSnapshot(is);
+    return readArtifactFile(
+        path, [](std::istream &is) { return loadMlpSnapshot(is); });
 }
 
 } // namespace tlp::model

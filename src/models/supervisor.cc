@@ -3,19 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <sstream>
 
 #include "support/clock.h"
-#include "support/io_env.h"
 
 namespace tlp::model {
 
 namespace {
 
 constexpr uint32_t kStateTag = sectionTag("STAT");
-constexpr uint32_t kEndTag = sectionTag("TEND");
 
 // Stream discriminators of the per-(step, attempt) fault draws, so the
 // nan-grad and loss-spike Bernoullis are independent.
@@ -187,7 +184,7 @@ writeTrainCheckpoint(std::ostream &os, const TrainCheckpoint &ckpt)
             w.writeVector(param);
         w.writeString(ckpt.optimizer_state);
     });
-    writeSectionRaw(writer, kEndTag, "");
+    writeSectionRaw(writer, kEndSectionTag, "");
 }
 
 Result<TrainCheckpoint>
@@ -199,18 +196,11 @@ loadTrainCheckpoint(std::istream &is)
         readHeader(reader, kTrainCheckpointMagic, kTrainCheckpointVersion,
                    kTrainCheckpointVersion);
         bool seen_state = false;
-        bool seen_end = false;
-        while (!seen_end && reader.remaining() > 0) {
-            Section section = readSection(reader);
-            if (!section.crc_ok) {
-                throw SerializeError(
-                    ErrorCode::Corrupt,
-                    "checksum mismatch in training-checkpoint section " +
-                        sectionTagName(section.tag));
-            }
-            std::istringstream payload(section.payload);
-            BinaryReader body(payload);
-            if (section.tag == kStateTag) {
+        readSectionsToEnd(
+            reader, "training-checkpoint",
+            [&](uint32_t tag, BinaryReader &body) {
+                if (tag != kStateTag)
+                    return;
                 ckpt.epoch = body.readPod<int32_t>();
                 ckpt.steps_done = body.readPod<int64_t>();
                 ckpt.loss_ewma = body.readPod<double>();
@@ -228,12 +218,8 @@ loadTrainCheckpoint(std::istream &is)
                     ckpt.params.push_back(body.readVector<float>());
                 ckpt.optimizer_state = body.readString();
                 seen_state = true;
-            } else if (section.tag == kEndTag) {
-                seen_end = true;
-            }
-            // Unknown tags: skipped for forward compatibility.
-        }
-        if (!seen_state || !seen_end) {
+            });
+        if (!seen_state) {
             throw SerializeError(
                 ErrorCode::Truncated,
                 "training checkpoint is missing required sections");
@@ -247,22 +233,8 @@ loadTrainCheckpoint(std::istream &is)
 Result<TrainCheckpoint>
 loadTrainCheckpoint(const std::string &path)
 {
-    const Status injected = IoEnv::global().checkRead(path);
-    if (!injected.ok())
-        return injected;
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-        return Status::error(ErrorCode::IoError,
-                             "cannot open for read: " + path);
-    }
-    return loadTrainCheckpoint(is);
-}
-
-Status
-verifyTrainCheckpoint(std::istream &is)
-{
-    Result<TrainCheckpoint> result = loadTrainCheckpoint(is);
-    return result.ok() ? Status() : result.status();
+    return readArtifactFile(
+        path, [](std::istream &is) { return loadTrainCheckpoint(is); });
 }
 
 // --- TrainSupervisor ----------------------------------------------------

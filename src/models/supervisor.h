@@ -239,9 +239,6 @@ void writeTrainCheckpoint(std::ostream &os, const TrainCheckpoint &ckpt);
 Result<TrainCheckpoint> loadTrainCheckpoint(std::istream &is);
 Result<TrainCheckpoint> loadTrainCheckpoint(const std::string &path);
 
-/** Parse + integrity-check a training checkpoint without applying it. */
-Status verifyTrainCheckpoint(std::istream &is);
-
 /**
  * The per-step supervisor. One instance wraps one training run: it owns
  * the last-good snapshot of (parameters, optimizer state) and decides,

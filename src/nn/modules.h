@@ -52,9 +52,6 @@ class Linear : public Module
 
     std::vector<Tensor> parameters() override;
 
-    int inFeatures() const { return in_; }
-    int outFeatures() const { return out_; }
-
   private:
     int in_, out_;
     Tensor weight_;   ///< [in, out]
@@ -103,8 +100,6 @@ class Lstm : public Module
     Tensor forward(const Tensor &x);
 
     std::vector<Tensor> parameters() override;
-
-    int hiddenDim() const { return hidden_; }
 
   private:
     int input_, hidden_;

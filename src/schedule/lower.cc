@@ -24,6 +24,18 @@ LoweredStage::tileExtentsBelow(int loop_index) const
     return tiles;
 }
 
+double
+LoweredStage::footprintBytesBelow(int depth) const
+{
+    const auto tiles = tileExtentsBelow(depth);
+    double bytes = 0.0;
+    for (const auto &access : spec->accesses) {
+        bytes += static_cast<double>(access.footprintElems(tiles)) *
+                 access.elem_bytes;
+    }
+    return bytes;
+}
+
 int64_t
 LoweredStage::iterationsDownTo(int loop_index) const
 {

@@ -57,6 +57,10 @@ struct LoweredStage
      */
     std::vector<int64_t> tileExtentsBelow(int loop_index) const;
 
+    /** Bytes touched by all accesses inside the body of loop @p depth
+     *  (-1 = the whole stage): the working set of one such tile. */
+    double footprintBytesBelow(int depth) const;
+
     /** Product of loop extents at positions [0, loop_index]. */
     int64_t iterationsDownTo(int loop_index) const;
 

@@ -14,22 +14,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/** splitmix64 finalizer, the same mixer the other keyed draws use. */
-uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-double
-hashUniform(uint64_t key)
-{
-    return static_cast<double>(mix64(key) >> 11) * 0x1.0p-53;
-}
-
 /** Domain-separation salts so write draws, read draws, and derived
  *  values never correlate across streams of the same (seed, path). */
 constexpr uint64_t kWriteSalt = 0x770a17ull;

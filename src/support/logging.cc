@@ -8,7 +8,8 @@ namespace tlp {
 
 namespace {
 
-LogLevel global_level = LogLevel::Info;
+/** Lowest severity printed. */
+constexpr LogLevel kMinLevel = LogLevel::Info;
 std::mutex log_mutex;
 
 const char *
@@ -25,24 +26,12 @@ levelTag(LogLevel level)
 
 } // namespace
 
-void
-setLogLevel(LogLevel level)
-{
-    global_level = level;
-}
-
-LogLevel
-logLevel()
-{
-    return global_level;
-}
-
 namespace detail {
 
 void
 logLine(LogLevel level, const std::string &msg)
 {
-    if (static_cast<int>(level) < static_cast<int>(global_level))
+    if (static_cast<int>(level) < static_cast<int>(kMinLevel))
         return;
     std::lock_guard<std::mutex> guard(log_mutex);
     std::fprintf(stderr, "[tlp:%s] %s\n", levelTag(level), msg.c_str());

@@ -30,12 +30,6 @@ inline constexpr int kExitCorruptArtifact = 3;
 /** Log severity levels in increasing order of importance. */
 enum class LogLevel { Debug = 0, Info = 1, Warn = 2, Error = 3, Silent = 4 };
 
-/** Set the global minimum severity that is actually printed. */
-void setLogLevel(LogLevel level);
-
-/** Current global log level. */
-LogLevel logLevel();
-
 namespace detail {
 
 /** Emit one formatted log line to stderr if @p level passes the filter. */

@@ -24,6 +24,18 @@ splitmix64(uint64_t &state)
 }
 
 uint64_t
+mix64(uint64_t key)
+{
+    return splitmix64(key);
+}
+
+double
+hashUniform(uint64_t key)
+{
+    return static_cast<double>(mix64(key) >> 11) * 0x1.0p-53;
+}
+
+uint64_t
 hashCombine(uint64_t a, uint64_t b)
 {
     uint64_t s = a ^ (b + 0x9e3779b97f4a7c15ull + (a << 6) + (a >> 2));

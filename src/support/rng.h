@@ -91,6 +91,12 @@ class Rng
 /** splitmix64 step, exposed for hashing uses. */
 uint64_t splitmix64(uint64_t &state);
 
+/** splitmix64 finalizer of @p key (one splitmix64 step on a copy). */
+uint64_t mix64(uint64_t key);
+
+/** Keyed uniform draw in [0, 1): the top 53 bits of mix64(@p key). */
+double hashUniform(uint64_t key);
+
 /** Mix two 64-bit values into one (for deterministic per-key noise). */
 uint64_t hashCombine(uint64_t a, uint64_t b);
 

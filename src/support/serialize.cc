@@ -186,6 +186,30 @@ readSection(BinaryReader &reader)
     return section;
 }
 
+void
+readSectionsToEnd(
+    BinaryReader &reader, const char *what,
+    const std::function<void(uint32_t, BinaryReader &)> &on_section)
+{
+    while (reader.remaining() > 0) {
+        const Section section = readSection(reader);
+        if (!section.crc_ok) {
+            throw SerializeError(ErrorCode::Corrupt,
+                                 std::string("checksum mismatch in ") +
+                                     what + " section " +
+                                     sectionTagName(section.tag));
+        }
+        if (section.tag == kEndSectionTag)
+            return;
+        std::istringstream payload(section.payload);
+        BinaryReader body(payload);
+        on_section(section.tag, body);
+    }
+    throw SerializeError(ErrorCode::Truncated,
+                         std::string(what) +
+                             " ends before the end-of-file marker");
+}
+
 Status
 atomicWriteFile(const std::string &path,
                 const std::function<void(std::ostream &)> &body)
@@ -296,6 +320,20 @@ atomicWriteFile(const std::string &path,
                              "cannot move temp file into place: " + path);
     }
     env.noteWriteCommitted();
+    return Status();
+}
+
+Status
+openArtifactFile(const std::string &path, std::ifstream &is)
+{
+    const Status injected = IoEnv::global().checkRead(path);
+    if (!injected.ok())
+        return injected;
+    is.open(path, std::ios::binary);
+    if (!is) {
+        return Status::error(ErrorCode::IoError,
+                             "cannot open for read: " + path);
+    }
     return Status();
 }
 

@@ -32,6 +32,7 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "support/logging.h"
@@ -250,6 +251,22 @@ writeSection(BinaryWriter &writer, uint32_t tag, Fn &&body)
  */
 Section readSection(BinaryReader &reader);
 
+/** The section that closes every framed artifact ("TEND", empty). */
+inline constexpr uint32_t kEndSectionTag = sectionTag("TEND");
+
+/**
+ * The strict section loop of the framed formats: read sections until
+ * the end marker, handing each other section's payload to
+ * @p on_section(tag, body) in file order. The handler skips tags it
+ * does not know (forward compatibility). A checksum mismatch throws
+ * SerializeError(Corrupt) and a stream that ends before the marker
+ * throws SerializeError(Truncated); @p what names the format in both
+ * messages. Required-section checks stay with the caller.
+ */
+void readSectionsToEnd(
+    BinaryReader &reader, const char *what,
+    const std::function<void(uint32_t, BinaryReader &)> &on_section);
+
 // --- Boundary helpers ---------------------------------------------------
 
 /**
@@ -289,5 +306,30 @@ guardedParse(Fn &&body)
  */
 Status atomicWriteFile(const std::string &path,
                        const std::function<void(std::ostream &)> &body);
+
+/**
+ * Open @p path for a path-level artifact load: one IoEnv::checkRead
+ * (the read half of the I/O chaos seam, DESIGN.md §14), then a binary
+ * open. A drawn read fault returns IoError before the file is opened;
+ * a failed open returns IoError too.
+ */
+Status openArtifactFile(const std::string &path, std::ifstream &is);
+
+/**
+ * Load the artifact at @p path with the stream loader @p parse
+ * (std::istream & -> Status or Result<T>). Every path-level loader is
+ * this call, so each load makes exactly one checkRead.
+ */
+template <typename Parse>
+auto
+readArtifactFile(const std::string &path, Parse &&parse)
+    -> decltype(parse(std::declval<std::istream &>()))
+{
+    std::ifstream is;
+    const Status opened = openArtifactFile(path, is);
+    if (!opened.ok())
+        return opened;
+    return parse(is);
+}
 
 } // namespace tlp

@@ -11,26 +11,11 @@
 #include "ir/partition.h"
 #include "support/io_env.h"
 #include "support/logging.h"
+#include "support/rng.h"
 
 namespace tlp::serve {
 
 namespace {
-
-/** splitmix64 finalizer, the same mixer the measurer's draws use. */
-uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-double
-hashUniform(uint64_t key)
-{
-    return static_cast<double>(mix64(key) >> 11) * 0x1.0p-53;
-}
 
 /** Domain-separation salt for checkpoint-retry backoff jitter, so the
  *  I/O schedule never correlates with the transient-fault schedule. */
@@ -424,7 +409,7 @@ TuningService::tripBreaker(Slot &slot)
         evidence = action.removed ? std::string("removed")
                                   : action.jail;
     }
-    artifact::sweepDebrisFor(ckpt);
+    sweepStaleTempsFor(ckpt);
     warn("circuit breaker tripped: session '", slot.spec.name,
          "' poison-quarantined after ", slot.breaker_count,
          " consecutive strikes (checkpoint evidence: ", evidence, ")");

@@ -9,7 +9,6 @@
 
 #include "schedule/lower.h"
 #include "support/clock.h"
-#include "support/io_env.h"
 #include "support/logging.h"
 
 namespace tlp::tune {
@@ -137,6 +136,8 @@ readCheckpoint(std::istream &is, const uint64_t *expect_digest,
         BinaryReader reader(is);
         const uint32_t version = readHeader(
             reader, kSessionMagic, kMinSessionVersion, kSessionVersion);
+        // One STAT frame and no TEND marker, so this is not
+        // readSectionsToEnd: adding the marker would change the format.
         Section section = readSection(reader);
         if (section.tag != kStateTag) {
             throw SerializeError(ErrorCode::Corrupt,
@@ -268,15 +269,9 @@ Result<CheckpointState>
 readCheckpointFile(const std::string &path, const uint64_t *expect_digest,
                    const size_t *expect_tasks, hw::Measurer *measurer)
 {
-    const Status injected = IoEnv::global().checkRead(path);
-    if (!injected.ok())
-        return injected;
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-        return Status::error(ErrorCode::IoError,
-                             "cannot open for read: " + path);
-    }
-    return readCheckpoint(is, expect_digest, expect_tasks, measurer);
+    return readArtifactFile(path, [&](std::istream &is) {
+        return readCheckpoint(is, expect_digest, expect_tasks, measurer);
+    });
 }
 
 bool

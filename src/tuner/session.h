@@ -215,7 +215,6 @@ class TuningSession
     {
         checkpointing_enabled_ = enabled;
     }
-    bool checkpointingEnabled() const { return checkpointing_enabled_; }
 
     /**
      * Finalize the result from the accumulated state and transition to

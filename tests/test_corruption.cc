@@ -8,7 +8,8 @@
  * and inflated length prefixes; every mutant must come back as a clean
  * Status (or, rarely, as a still-valid artifact) — never a crash, hang,
  * or allocation proportional to a hostile length field. Salvage-mode
- * recovery and version-skew reporting are pinned down exactly.
+ * recovery and version-skew reporting are pinned down exactly, and so
+ * is the shared read path every loader goes through (ArtifactIo.*).
  */
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -339,7 +341,7 @@ TEST(CorruptionFuzz, TrainCheckpointNeverCrashes)
     const int survivors =
         fuzzFormat(golden, 8, 0x717c, [](const std::string &bytes) {
             std::istringstream is(bytes);
-            return model::verifyTrainCheckpoint(is).ok();
+            return model::loadTrainCheckpoint(is).ok();
         });
     EXPECT_LT(survivors, kMutationsPerFormat / 10);
 }
@@ -610,7 +612,7 @@ TEST(Corruption, TrainCheckpointVersionSkewIsClean)
          {model::kTrainCheckpointVersion + 1, 0u}) {
         std::istringstream is(
             withVersion(goldenTrainCheckpointBytes(), version));
-        const Status status = model::verifyTrainCheckpoint(is);
+        const Status status = model::loadTrainCheckpoint(is).status();
         ASSERT_FALSE(status.ok());
         EXPECT_EQ(status.code(), ErrorCode::VersionSkew)
             << status.toString();
@@ -866,6 +868,166 @@ TEST(Corruption, SnapshotRoundTripPredictsIdentically)
     std::ostringstream os2;
     model::saveTlpSnapshot(os2, *result.value());
     EXPECT_EQ(os.str(), os2.str());
+}
+
+// --- the shared read path (support/serialize) ---------------------------
+
+/** Framed sections (no file header) for the readSectionsToEnd tests. */
+std::string
+framedSections(const std::vector<std::pair<uint32_t, std::string>> &sections)
+{
+    std::ostringstream os(std::ios::binary);
+    BinaryWriter writer(os);
+    for (const auto &[tag, payload] : sections)
+        writeSectionRaw(writer, tag, payload);
+    return os.str();
+}
+
+/** Run readSectionsToEnd over @p bytes, recording every handed tag. */
+Status
+walkSections(const std::string &bytes, std::vector<uint32_t> &seen)
+{
+    return guardedParse([&] {
+        std::istringstream is(bytes);
+        BinaryReader reader(is);
+        readSectionsToEnd(reader, "test",
+                          [&](uint32_t tag, BinaryReader &) {
+                              seen.push_back(tag);
+                          });
+    });
+}
+
+TEST(ArtifactIo, SectionsToEndHandsOverEverySectionUpToTheMarker)
+{
+    const uint32_t data = sectionTag("DATA");
+    const uint32_t unknown = sectionTag("ZZZZ");
+    std::vector<uint32_t> seen;
+    const Status status = walkSections(
+        framedSections({{data, "a"}, {unknown, "b"}, {kEndSectionTag, ""},
+                        {data, "after the marker"}}),
+        seen);
+    ASSERT_TRUE(status.ok()) << status.toString();
+    EXPECT_EQ(seen, (std::vector<uint32_t>{data, unknown}));
+}
+
+TEST(ArtifactIo, SectionsToEndChecksumMismatchIsCorrupt)
+{
+    std::string bytes = framedSections(
+        {{sectionTag("DATA"), "payload"}, {kEndSectionTag, ""}});
+    bytes[16] ^= 0x01;   // first payload byte, past the 16-byte frame head
+    std::vector<uint32_t> seen;
+    const Status status = walkSections(bytes, seen);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), ErrorCode::Corrupt) << status.toString();
+    EXPECT_TRUE(seen.empty());
+}
+
+TEST(ArtifactIo, SectionsToEndMissingMarkerIsTruncated)
+{
+    std::vector<uint32_t> seen;
+    const Status status =
+        walkSections(framedSections({{sectionTag("DATA"), "x"}}), seen);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), ErrorCode::Truncated) << status.toString();
+    EXPECT_EQ(seen.size(), 1u);
+}
+
+TEST(ArtifactIo, StrictLoadersSkipUnknownSections)
+{
+    // Splice an unknown section in front of the closing TEND frame (the
+    // last 16 bytes: an empty payload's tag, length and CRC).
+    const std::string unknown =
+        framedSections({{sectionTag("ZZZZ"), "from a newer writer"}});
+    const auto splice = [&](const std::string &golden) {
+        return golden.substr(0, golden.size() - 16) + unknown +
+               golden.substr(golden.size() - 16);
+    };
+    {
+        std::istringstream is(splice(goldenSnapshotBytes()));
+        const auto result = model::loadTlpSnapshot(is);
+        EXPECT_TRUE(result.ok()) << result.status().toString();
+    }
+    {
+        std::istringstream is(splice(goldenTrainCheckpointBytes()));
+        const auto result = model::loadTrainCheckpoint(is);
+        EXPECT_TRUE(result.ok()) << result.status().toString();
+    }
+}
+
+TEST(ArtifactIo, EveryPathLoadMakesExactlyOneReadCheck)
+{
+    // Golden bytes first: building the tuning checkpoint does I/O.
+    const std::vector<std::pair<std::string, std::string>> files = {
+        {"dataset", goldenDatasetBytes()},
+        {"snapshot", goldenSnapshotBytes()},
+        {"checkpoint", goldenCheckpointBytes()},
+        {"train_ckpt", goldenTrainCheckpointBytes()},
+        {"memo", goldenMemoBytes()},
+    };
+    const std::map<std::string,
+                   std::function<Status(const std::string &)>>
+        loaders = {
+            {"dataset",
+             [](const std::string &path) {
+                 return data::Dataset::tryLoad(path).status();
+             }},
+            {"snapshot",
+             [](const std::string &path) {
+                 return model::loadTlpSnapshot(path).status();
+             }},
+            {"checkpoint",
+             [](const std::string &path) {
+                 return tune::verifyCheckpoint(path);
+             }},
+            {"train_ckpt",
+             [](const std::string &path) {
+                 return model::loadTrainCheckpoint(path).status();
+             }},
+            {"memo",
+             [](const std::string &path) {
+                 return bench::loadBenchMemo(path, kMemoFingerprint)
+                     .status();
+             }},
+        };
+    const std::string dir = test::scratchDir();
+    for (const auto &[name, bytes] : files) {
+        const std::string path = dir + "/" + name + ".bin";
+        {
+            std::ofstream os(path, std::ios::binary);
+            os << bytes;
+        }
+        ScopedIoFaults scope{IoFaultProfile{}};   // counters reset
+        const Status status = loaders.at(name)(path);
+        EXPECT_TRUE(status.ok()) << name << ": " << status.toString();
+        EXPECT_EQ(IoEnv::global().counters().read_checks, 1) << name;
+    }
+}
+
+TEST(ArtifactIo, ReadFaultFailsBeforeTheFileIsOpened)
+{
+    const std::string path = test::scratchDir() + "/model.snap";
+    {
+        std::ofstream os(path, std::ios::binary);
+        os << goldenSnapshotBytes();
+    }
+    IoFaultProfile always;
+    always.fault_rate = 1.0;   // every read draw faults
+    ScopedIoFaults scope(always);
+
+    std::ifstream is;
+    const Status opened = openArtifactFile(path, is);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.code(), ErrorCode::IoError);
+    EXPECT_FALSE(is.is_open());
+
+    bool parsed = false;
+    const Status loaded = readArtifactFile(path, [&](std::istream &) {
+        parsed = true;
+        return Status();
+    });
+    EXPECT_EQ(loaded.code(), ErrorCode::IoError);
+    EXPECT_FALSE(parsed);
+    EXPECT_EQ(IoEnv::global().counters().read_faults, 2);
 }
 
 } // namespace

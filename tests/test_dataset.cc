@@ -74,8 +74,10 @@ TEST(Dataset, SaveLoadRoundTrip)
 {
     const Dataset ds = smallDataset();
     const std::string path = test::scratchDir() + "/dataset.bin";
-    ds.save(path);
-    const Dataset loaded = Dataset::load(path);
+    ASSERT_TRUE(ds.save(path).ok());
+    auto result = Dataset::tryLoad(path);
+    ASSERT_TRUE(result.ok()) << result.status().toString();
+    const Dataset loaded = result.take();
 
     EXPECT_EQ(loaded.platforms, ds.platforms);
     EXPECT_EQ(loaded.groups.size(), ds.groups.size());
@@ -148,8 +150,10 @@ TEST(Dataset, NanLabelsRoundTripExactly)
 {
     const Dataset ds = faultyDataset();
     const std::string path = test::scratchDir() + "/faulty_dataset.bin";
-    ds.save(path);
-    const Dataset loaded = Dataset::load(path);
+    ASSERT_TRUE(ds.save(path).ok());
+    auto result = Dataset::tryLoad(path);
+    ASSERT_TRUE(result.ok()) << result.status().toString();
+    const Dataset loaded = result.take();
 
     ASSERT_EQ(loaded.records.size(), ds.records.size());
     for (size_t r = 0; r < ds.records.size(); ++r) {

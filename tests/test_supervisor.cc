@@ -412,7 +412,7 @@ TEST(SupervisorCheckpoint, CorruptionComesBackAsStatus)
     bytes[bytes.size() / 2] ^= 0x40;
 
     std::istringstream is(bytes);
-    const Status status = verifyTrainCheckpoint(is);
+    const Status status = loadTrainCheckpoint(is).status();
     ASSERT_FALSE(status.ok());
     EXPECT_EQ(status.code(), ErrorCode::Corrupt);
 }
