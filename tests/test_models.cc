@@ -6,8 +6,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "dataset/collect.h"
 #include "dataset/metrics.h"
@@ -77,17 +79,16 @@ TEST(TlpNet, MultiTaskHeadsAreIndependent)
     EXPECT_GT(net.backboneParameters().size(), 0u);
 }
 
+// One training draw is not the method: across net/shuffle seeds the same
+// recipe's held-out top-5 scatters around 0.85 (0.80-0.89), and which side
+// a single seed lands on moves with the build's FMA contraction. So the
+// bounds hold for the median over five seeds.
 TEST(TlpNet, TrainingImprovesTopK)
 {
     const auto &ds = sharedDataset();
     const auto split = data::makeSplit(ds, {"bert-tiny"});
     auto train = data::buildTlpSet(ds, split.train_records, {0});
     auto test = data::buildTlpSet(ds, split.test_records, {0});
-
-    Rng rng(4);
-    TlpNetConfig config;
-    config.hidden = 48;
-    TlpNet net(config, rng);
 
     // Random-score reference.
     Rng score_rng(40);
@@ -98,15 +99,39 @@ TEST(TlpNet, TrainingImprovesTopK)
                                             split.test_records,
                                             random_scores);
 
-    TrainOptions options;
-    options.epochs = 6;
-    trainTlpNet(net, train, options);
-    const auto after = predictTlpNet(net, test);
-    const auto tk_after = data::topKScores(ds, {"bert-tiny"}, 0,
-                                           split.test_records, after);
-    EXPECT_GT(tk_after.top1, tk_random.top1);
-    EXPECT_GT(tk_after.top1, 0.6);
-    EXPECT_GT(tk_after.top5, 0.85);
+    constexpr int kSeeds = 5;
+    std::vector<double> top1, top5;
+    std::string spread = "random top1 " + std::to_string(tk_random.top1);
+    for (int s = 0; s < kSeeds; ++s) {
+        Rng rng(4 + s);
+        TlpNetConfig config;
+        config.hidden = 48;
+        TlpNet net(config, rng);
+
+        TrainOptions options;
+        options.epochs = 6;
+        options.seed = 0x7ea1 + s;
+        trainTlpNet(net, train, options);
+        const auto after = predictTlpNet(net, test);
+        const auto tk = data::topKScores(ds, {"bert-tiny"}, 0,
+                                         split.test_records, after);
+        top1.push_back(tk.top1);
+        top5.push_back(tk.top5);
+        spread += "; s=" + std::to_string(s) + " top1 " +
+                  std::to_string(tk.top1) + " top5 " +
+                  std::to_string(tk.top5);
+    }
+    SCOPED_TRACE(spread);
+
+    const auto median = [](std::vector<double> v) {
+        std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+        return v[v.size() / 2];
+    };
+    const double top1_median = median(top1);
+    const double top5_median = median(top5);
+    EXPECT_GT(top1_median, tk_random.top1);
+    EXPECT_GT(top1_median, 0.6);
+    EXPECT_GT(top5_median, 0.85);
 }
 
 TEST(TlpNet, MtlMaskedLabelsTrain)
