@@ -50,10 +50,11 @@ collectionFingerprint(const data::CollectOptions &options)
     hash = hashCombine(hash,
                        static_cast<uint64_t>(options.programs_per_subgraph));
     hash = hashCombine(hash, options.seed);
-    hash = mixDouble(hash, options.measure_noise);
+    const hw::MeasureOptions collect_measure;   // what collection uses
+    hash = mixDouble(hash, collect_measure.noise_std);
     hash = hashCombine(hash, options.faults.digest());
     hash = hashCombine(hash,
-                       static_cast<uint64_t>(options.measure_retries));
+                       static_cast<uint64_t>(collect_measure.max_retries));
 
     const ir::Workload probe_workload =
         ir::partitionGraph(ir::buildNetwork("resnet-18"));
@@ -64,10 +65,8 @@ collectionFingerprint(const data::CollectOptions &options)
     TLP_CHECK(!population.empty(), "empty probe population");
     const auto nest = sched::lower(population.front());
     for (const auto &platform : options.platforms) {
-        hw::MeasureOptions measure_options;
-        measure_options.noise_std = options.measure_noise;
         hw::Measurer measurer(hw::HardwarePlatform::preset(platform),
-                              measure_options, options.seed);
+                              collect_measure, options.seed);
         hash = mixDouble(hash, measurer.measureMs(nest));
     }
 

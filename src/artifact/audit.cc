@@ -47,25 +47,6 @@ readMagic(std::istream &is, uint32_t &magic)
     return true;
 }
 
-/** Snapshot verifier: the header does not name the architecture (the
- *  arch byte lives inside the CONF section), so try the TLP loader and
- *  fall back to the MLP one when the file is well-formed but the other
- *  arch. Buffers the stream: each loader needs a fresh read. */
-Status
-verifySnapshot(std::istream &is)
-{
-    std::ostringstream buffer;
-    buffer << is.rdbuf();
-    const std::string bytes = buffer.str();
-
-    std::istringstream as_tlp(bytes);
-    const auto tlp = model::loadTlpSnapshot(as_tlp);
-    if (tlp.ok() || tlp.status().code() != ErrorCode::Invalid)
-        return tlp.status();
-    std::istringstream as_mlp(bytes);
-    return model::loadMlpSnapshot(as_mlp).status();
-}
-
 /** Memo verifier: header + fingerprint frame, then the embedded
  *  dataset. Deliberately does NOT compare the fingerprint — a stale
  *  memo is a cache miss, not damage. */
@@ -181,7 +162,7 @@ verifyArtifact(ArtifactKind kind, std::istream &is)
       case ArtifactKind::Dataset:
         return data::Dataset::tryLoad(is).status();
       case ArtifactKind::Snapshot:
-        return verifySnapshot(is);
+        return model::loadTlpSnapshot(is).status();
       case ArtifactKind::TuningCheckpoint:
         return tune::verifyCheckpoint(is);
       case ArtifactKind::TrainCheckpoint:

@@ -26,9 +26,7 @@ collectDataset(const CollectOptions &options)
     std::vector<hw::Measurer> measurers;
     for (const auto &platform : options.platforms) {
         hw::MeasureOptions measure_options;
-        measure_options.noise_std = options.measure_noise;
         measure_options.faults = options.faults;
-        measure_options.max_retries = options.measure_retries;
         measurers.emplace_back(hw::HardwarePlatform::preset(platform),
                                measure_options, options.seed);
     }

@@ -22,12 +22,11 @@ struct CollectOptions
     bool is_gpu = false;                  ///< GPU sketch rules
     int programs_per_subgraph = 128;
     uint64_t seed = 0xda7a;
-    double measure_noise = 0.02;
     /** Fault injection for the measurement campaign (default: none).
      *  Failed measurements become NaN labels and are tallied in
-     *  Dataset::failure_counts. */
+     *  Dataset::failure_counts. Noise and retries are
+     *  hw::MeasureOptions' defaults. */
     hw::FaultProfile faults;
-    int measure_retries = 2;              ///< retries for transient faults
 };
 
 /** Collect a dataset according to @p options. */

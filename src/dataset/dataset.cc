@@ -425,15 +425,6 @@ Dataset::tryLoad(std::istream &is, const LoadOptions &options)
     return dataset;
 }
 
-std::map<int, int64_t>
-Dataset::seqLenHistogram() const
-{
-    std::map<int, int64_t> histogram;
-    for (const auto &record : records)
-        histogram[record.seq.size()] += 1;
-    return histogram;
-}
-
 std::map<std::string, int>
 Dataset::maxEmbeddingSizes() const
 {

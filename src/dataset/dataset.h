@@ -136,9 +136,6 @@ class Dataset
 
     // --- statistics (paper Fig. 6, Table 1, Sec. 4.3) ---
 
-    /** Histogram of primitive-sequence lengths. */
-    std::map<int, int64_t> seqLenHistogram() const;
-
     /** Max embedding size per primitive kind (paper Table 1). */
     std::map<std::string, int> maxEmbeddingSizes() const;
 

@@ -18,7 +18,7 @@ struct Group
 } // namespace
 
 Workload
-partitionGraph(const ComputeGraph &graph, const PartitionOptions &options)
+partitionGraph(const ComputeGraph &graph)
 {
     const auto &nodes = graph.nodes();
     std::vector<int> group_of(nodes.size(), -1);
@@ -55,8 +55,7 @@ partitionGraph(const ComputeGraph &graph, const PartitionOptions &options)
             }
             const int g = group_of[static_cast<size_t>(input)];
             if (g >= 0 && groups[static_cast<size_t>(g)].tail == input &&
-                groups[static_cast<size_t>(g)].op_count <
-                    options.max_group_ops) {
+                groups[static_cast<size_t>(g)].op_count < kMaxGroupOps) {
                 join = g;
                 break;
             }
@@ -132,7 +131,7 @@ partitionGraph(const ComputeGraph &graph, const PartitionOptions &options)
         }
         auto subgraph = std::make_shared<Subgraph>(std::move(local_ops),
                                                    anchor_local_final);
-        if (options.drop_trivial && subgraph->flops() == 0)
+        if (subgraph->flops() == 0)
             continue;
         dedup[key] = workload.subgraphs.size();
         workload.subgraphs.push_back(std::move(subgraph));

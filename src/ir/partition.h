@@ -14,17 +14,13 @@
 
 namespace tlp::ir {
 
-/** Partitioning knobs. */
-struct PartitionOptions
-{
-    /** Maximum number of ops fused into one group (excluding inputs). */
-    int max_group_ops = 6;
-    /** Drop zero-FLOP subgraphs (pure reshape/transpose chains). */
-    bool drop_trivial = true;
-};
+/** Maximum number of ops fused into one group (excluding inputs). */
+inline constexpr int kMaxGroupOps = 6;
 
-/** Partition @p graph into a Workload of deduplicated subgraphs. */
-Workload partitionGraph(const ComputeGraph &graph,
-                        const PartitionOptions &options = {});
+/**
+ * Partition @p graph into a Workload of deduplicated subgraphs.
+ * Zero-FLOP subgraphs (pure reshape/transpose chains) are dropped.
+ */
+Workload partitionGraph(const ComputeGraph &graph);
 
 } // namespace tlp::ir

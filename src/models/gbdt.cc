@@ -47,13 +47,13 @@ struct SplitCandidate
 /**
  * Exact greedy scan of one sorted column of @p count entries whose
  * residuals add up to @p sum: the first split with the largest gain
- * above @p options.min_gain, or a gain of exactly min_gain if none is.
+ * above kGbdtMinGain, or a gain of exactly kGbdtMinGain if none is.
  */
 SplitCandidate
 scanColumn(const Entry *order, int count, double sum,
            const std::vector<float> &residuals, const GbdtOptions &options)
 {
-    SplitCandidate best{options.min_gain, 0.0f};
+    SplitCandidate best{kGbdtMinGain, 0.0f};
     if (order[0].first == order[count - 1].first)
         return best;   // constant feature
     // Minimize total SSE = maximize the sum^2/n terms.
@@ -177,7 +177,7 @@ Gbdt::buildNode(Tree &tree, FitScratch &fit, int begin, int end, int depth)
         });
     // Ascending feature order with a strict '>': the first feature to
     // reach the best gain wins, exactly as in one serial scan.
-    double best_gain = options_.min_gain;
+    double best_gain = kGbdtMinGain;
     int best_feature = -1;
     float best_threshold = 0.0f;
     for (int f = 0; f < fit.dim; ++f) {
@@ -276,13 +276,13 @@ Gbdt::fit(const std::vector<float> &features, int rows, int dim,
             }
         });
 
-    for (int t = 0; t < options_.trees; ++t) {
+    for (int t = 0; t < kGbdtTrees; ++t) {
         std::iota(fit.samples.begin(), fit.samples.end(), 0);
         Tree tree;
         buildNode(tree, fit, 0, rows, 0);
         // Shrink leaves and update residuals.
         for (auto &node : tree)
-            node.value *= static_cast<float>(options_.learning_rate);
+            node.value *= static_cast<float>(kGbdtLearningRate);
         bool any_split = false;
         for (const auto &node : tree)
             any_split |= node.feature >= 0;

@@ -21,14 +21,18 @@
 
 namespace tlp::model {
 
-/** Boosting hyper-parameters. */
+/** Trees per fit. */
+inline constexpr int kGbdtTrees = 30;
+/** Shrinkage applied to every leaf. */
+inline constexpr double kGbdtLearningRate = 0.3;
+/** A split must gain more than this to be taken. */
+inline constexpr double kGbdtMinGain = 1e-7;
+
+/** Tree-shape hyper-parameters. */
 struct GbdtOptions
 {
-    int trees = 30;
     int max_depth = 5;
-    double learning_rate = 0.3;
     int min_samples_leaf = 4;
-    double min_gain = 1e-7;
 };
 
 /** The boosted-tree ensemble. */

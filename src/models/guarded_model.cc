@@ -57,7 +57,7 @@ GuardedCostModel::judgeScores(const std::vector<double> &scores) const
             static_cast<size_t>(options_.min_probe_candidates);
     return scoreHealth(scores,
                        judge_spread
-                           ? options_.constant_eps
+                           ? kGuardConstantEps
                            : -std::numeric_limits<double>::infinity());
 }
 
@@ -112,10 +112,8 @@ GuardedCostModel::update(int task_id,
         probe_states_.push_back(*states[i]);
         probe_latencies_.push_back(latency_ms[i]);
     }
-    const size_t window = static_cast<size_t>(
-        std::max(1, options_.probe_window));
-    if (probe_states_.size() > window) {
-        const size_t drop = probe_states_.size() - window;
+    if (probe_states_.size() > kGuardProbeWindow) {
+        const size_t drop = probe_states_.size() - kGuardProbeWindow;
         probe_states_.erase(probe_states_.begin(),
                             probe_states_.begin() +
                                 static_cast<long>(drop));
@@ -148,7 +146,7 @@ GuardedCostModel::update(int task_id,
     for (size_t i = 0; i < probe_latencies_.size(); ++i)
         neg_latency[i] = -probe_latencies_[i];
     const double corr = spearman(scores, neg_latency);
-    if (std::isfinite(corr) && corr < options_.rank_corr_floor)
+    if (std::isfinite(corr) && corr < kGuardRankCorrFloor)
         failover(HealthEvent::LowRankCorrelation);
     publishHealth();
 }

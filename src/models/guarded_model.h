@@ -16,8 +16,7 @@
  * checkpoint, so a resumed session continues in the same degraded mode.
  *
  * FaultInjectedCostModel deterministically breaks a wrapped model after
- * a fixed number of online updates (TrainFaultProfile::
- * collapse_after_updates), making every failover path testable.
+ * a fixed number of online updates, making every failover path testable.
  */
 #pragma once
 
@@ -28,20 +27,21 @@
 
 namespace tlp::model {
 
+/** Scores spanning no more than this over >= min_probe_candidates
+ *  candidates count as output collapse (see scoreHealth). */
+inline constexpr double kGuardConstantEps = 1e-9;
+/** Spearman(model scores, -latency) below this floor is sick. */
+inline constexpr double kGuardRankCorrFloor = -0.2;
+/** Measured records the correlation probe keeps (most recent). */
+inline constexpr size_t kGuardProbeWindow = 64;
+
 /** GuardedCostModel knobs. */
 struct GuardOptions
 {
-    /** Scores spanning no more than this over >= min_probe_candidates
-     *  candidates count as output collapse (see scoreHealth). */
-    double constant_eps = 1e-9;
     /** Collapse is only judged on populations at least this large. */
     int min_probe_candidates = 8;
     /** Rank-correlation probe cadence: every Nth update() (0 = off). */
     int probe_every = 4;
-    /** Spearman(model scores, -latency) below this floor is sick. */
-    double rank_corr_floor = -0.2;
-    /** Measured records the correlation probe keeps (most recent). */
-    int probe_window = 64;
     /** Where health counters accumulate (optional, caller-owned). */
     HealthCounters *health_out = nullptr;
 };
@@ -115,8 +115,8 @@ class GuardedCostModel : public CostModel
 /**
  * Deterministic model-sickness injection: forwards to @p inner until
  * @p collapse_after_updates update() calls have happened, then returns
- * alternating NaN / constant scores. Mirrors TrainFaultProfile on the
- * search side; never used outside tests and benches.
+ * alternating NaN / constant scores. The search-side counterpart of
+ * TrainFaultProfile; never used outside tests and benches.
  */
 class FaultInjectedCostModel : public CostModel
 {

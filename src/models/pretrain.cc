@@ -69,8 +69,7 @@ pretrain(TlpNet &net, const data::LabeledSet &set,
                 } else {
                     // BERT: zero masked rows, reconstruct only them.
                     for (int t = 0; t < l; ++t) {
-                        const bool masked =
-                            rng.bernoulli(options.mask_prob);
+                        const bool masked = rng.bernoulli(kBertMaskProb);
                         for (int c = 0; c < e; ++c) {
                             input.push_back(masked ? 0.0f
                                                    : row[t * e + c]);

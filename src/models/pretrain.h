@@ -17,13 +17,15 @@
 
 namespace tlp::model {
 
+/** BERT row-masking probability. */
+inline constexpr double kBertMaskProb = 0.15;
+
 /** Pretraining options. */
 struct PretrainOptions
 {
     int epochs = 3;
     int batch_size = 128;
     double lr = 1e-3;
-    double mask_prob = 0.15;   ///< BERT row-masking probability
     uint64_t seed = 0x9e7;
     bool verbose = false;
     /** Training-run supervision (disabled by default). */

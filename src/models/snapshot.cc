@@ -13,7 +13,6 @@ constexpr uint32_t kParamsTag = sectionTag("PARM");
 
 // Architecture discriminator stored in the config section.
 constexpr uint8_t kArchTlp = 0;
-constexpr uint8_t kArchMlp = 1;
 
 /**
  * Reject nonsensical dimensions before any tensor is allocated: a
@@ -33,63 +32,14 @@ checkedDim(int64_t value, const char *what, int64_t lo, int64_t hi)
     return static_cast<int>(value);
 }
 
-uint8_t
-readArch(BinaryReader &reader, uint8_t want, const char *want_name)
+/** Read the config's arch byte; any model other than TLP is invalid. */
+void
+readArch(BinaryReader &reader)
 {
-    const auto arch = reader.readPod<uint8_t>();
-    if (arch != want) {
+    if (reader.readPod<uint8_t>() != kArchTlp) {
         throw SerializeError(ErrorCode::Invalid,
-                             std::string("snapshot holds a different "
-                                         "architecture than the "
-                                         "requested ") +
-                                 want_name + " model");
-    }
-    return arch;
-}
-
-/** Shared tail: header + CONF (via @p config) + PARM + TEND. */
-template <typename WriteConfig>
-void
-writeSnapshot(std::ostream &os, nn::Module &net, WriteConfig &&config)
-{
-    BinaryWriter writer(os);
-    writeHeader(writer, kSnapshotMagic, kSnapshotVersion);
-    writeSection(writer, kConfigTag, config);
-    writeSection(writer, kParamsTag,
-                 [&](BinaryWriter &w) { net.saveParameters(w); });
-    writeSectionRaw(writer, kEndSectionTag, "");
-}
-
-/**
- * Shared load: checks the header, then hands the CONF / PARM payloads
- * to @p parse_config / @p parse_params in file order.
- */
-template <typename ParseConfig, typename ParseParams>
-void
-readSnapshot(std::istream &is, ParseConfig &&parse_config,
-             ParseParams &&parse_params)
-{
-    BinaryReader reader(is);
-    readHeader(reader, kSnapshotMagic, kSnapshotVersion, kSnapshotVersion);
-    bool seen_config = false;
-    bool seen_params = false;
-    readSectionsToEnd(
-        reader, "snapshot", [&](uint32_t tag, BinaryReader &body) {
-            if (tag == kConfigTag) {
-                parse_config(body);
-                seen_config = true;
-            } else if (tag == kParamsTag) {
-                if (!seen_config) {
-                    throw SerializeError(ErrorCode::Corrupt,
-                                         "snapshot parameters before config");
-                }
-                parse_params(body);
-                seen_params = true;
-            }
-        });
-    if (!seen_config || !seen_params) {
-        throw SerializeError(ErrorCode::Truncated,
-                             "snapshot is missing required sections");
+                             "snapshot holds a different architecture "
+                             "than the requested TLP model");
     }
 }
 
@@ -99,7 +49,9 @@ void
 saveTlpSnapshot(std::ostream &os, TlpNet &net)
 {
     const TlpNetConfig &config = net.config();
-    writeSnapshot(os, net, [&](BinaryWriter &w) {
+    BinaryWriter writer(os);
+    writeHeader(writer, kSnapshotMagic, kSnapshotVersion);
+    writeSection(writer, kConfigTag, [&](BinaryWriter &w) {
         w.writePod<uint8_t>(kArchTlp);
         w.writePod<int32_t>(config.seq_len);
         w.writePod<int32_t>(config.emb_size);
@@ -110,6 +62,9 @@ saveTlpSnapshot(std::ostream &os, TlpNet &net)
         w.writePod<int32_t>(config.head_hidden);
         w.writePod<int32_t>(config.num_tasks);
     });
+    writeSection(writer, kParamsTag,
+                 [&](BinaryWriter &w) { net.saveParameters(w); });
+    writeSectionRaw(writer, kEndSectionTag, "");
 }
 
 Status
@@ -124,30 +79,46 @@ loadTlpSnapshot(std::istream &is)
 {
     std::shared_ptr<TlpNet> net;
     const Status status = guardedParse([&] {
-        readSnapshot(
-            is,
-            [&](BinaryReader &body) {
-                readArch(body, kArchTlp, "TLP");
-                TlpNetConfig config;
-                config.seq_len = checkedDim(body.readPod<int32_t>(),
-                                            "seq_len", 1, 4096);
-                config.emb_size = checkedDim(body.readPod<int32_t>(),
-                                             "emb_size", 1, 4096);
-                config.hidden = checkedDim(body.readPod<int32_t>(),
-                                           "hidden", 1, 1 << 14);
-                config.heads = checkedDim(body.readPod<int32_t>(),
-                                          "heads", 1, 256);
-                config.lstm_backbone = body.readPod<uint8_t>() != 0;
-                config.residual_blocks = checkedDim(
-                    body.readPod<int32_t>(), "residual_blocks", 0, 64);
-                config.head_hidden = checkedDim(body.readPod<int32_t>(),
-                                                "head_hidden", 1, 1 << 14);
-                config.num_tasks = checkedDim(body.readPod<int32_t>(),
-                                              "num_tasks", 1, 4096);
-                Rng rng(0);
-                net = std::make_shared<TlpNet>(config, rng);
-            },
-            [&](BinaryReader &body) { net->loadParameters(body); });
+        BinaryReader reader(is);
+        readHeader(reader, kSnapshotMagic, kSnapshotVersion,
+                   kSnapshotVersion);
+        bool seen_params = false;
+        readSectionsToEnd(
+            reader, "snapshot", [&](uint32_t tag, BinaryReader &body) {
+                if (tag == kConfigTag) {
+                    readArch(body);
+                    TlpNetConfig config;
+                    config.seq_len = checkedDim(body.readPod<int32_t>(),
+                                                "seq_len", 1, 4096);
+                    config.emb_size = checkedDim(body.readPod<int32_t>(),
+                                                 "emb_size", 1, 4096);
+                    config.hidden = checkedDim(body.readPod<int32_t>(),
+                                               "hidden", 1, 1 << 14);
+                    config.heads = checkedDim(body.readPod<int32_t>(),
+                                              "heads", 1, 256);
+                    config.lstm_backbone = body.readPod<uint8_t>() != 0;
+                    config.residual_blocks = checkedDim(
+                        body.readPod<int32_t>(), "residual_blocks", 0, 64);
+                    config.head_hidden = checkedDim(
+                        body.readPod<int32_t>(), "head_hidden", 1, 1 << 14);
+                    config.num_tasks = checkedDim(body.readPod<int32_t>(),
+                                                  "num_tasks", 1, 4096);
+                    Rng rng(0);
+                    net = std::make_shared<TlpNet>(config, rng);
+                } else if (tag == kParamsTag) {
+                    if (!net) {
+                        throw SerializeError(
+                            ErrorCode::Corrupt,
+                            "snapshot parameters before config");
+                    }
+                    net->loadParameters(body);
+                    seen_params = true;
+                }
+            });
+        if (!net || !seen_params) {
+            throw SerializeError(ErrorCode::Truncated,
+                                 "snapshot is missing required sections");
+        }
     });
     if (!status.ok())
         return status;
@@ -198,58 +169,6 @@ probeSnapshotHealth(TlpNet &net)
                                  "); parameters look zeroed");
     }
     return Status();
-}
-
-void
-saveMlpSnapshot(std::ostream &os, TensetMlpNet &net)
-{
-    const MlpConfig &config = net.config();
-    writeSnapshot(os, net, [&](BinaryWriter &w) {
-        w.writePod<uint8_t>(kArchMlp);
-        w.writePod<int32_t>(config.input);
-        w.writePod<int32_t>(config.hidden);
-        w.writePod<int32_t>(config.layers);
-    });
-}
-
-Status
-saveMlpSnapshot(const std::string &path, TensetMlpNet &net)
-{
-    return atomicWriteFile(
-        path, [&](std::ostream &os) { saveMlpSnapshot(os, net); });
-}
-
-Result<std::shared_ptr<TensetMlpNet>>
-loadMlpSnapshot(std::istream &is)
-{
-    std::shared_ptr<TensetMlpNet> net;
-    const Status status = guardedParse([&] {
-        readSnapshot(
-            is,
-            [&](BinaryReader &body) {
-                readArch(body, kArchMlp, "TenSet-MLP");
-                MlpConfig config;
-                config.input = checkedDim(body.readPod<int32_t>(),
-                                          "input", 1, 1 << 16);
-                config.hidden = checkedDim(body.readPod<int32_t>(),
-                                           "hidden", 1, 1 << 14);
-                config.layers = checkedDim(body.readPod<int32_t>(),
-                                           "layers", 1, 64);
-                Rng rng(0);
-                net = std::make_shared<TensetMlpNet>(config, rng);
-            },
-            [&](BinaryReader &body) { net->loadParameters(body); });
-    });
-    if (!status.ok())
-        return status;
-    return net;
-}
-
-Result<std::shared_ptr<TensetMlpNet>>
-loadMlpSnapshot(const std::string &path)
-{
-    return readArtifactFile(
-        path, [](std::istream &is) { return loadMlpSnapshot(is); });
 }
 
 } // namespace tlp::model

@@ -1,6 +1,6 @@
 /**
  * @file
- * Pretrained-model snapshots (TLP / MTL-TLP and the TenSet MLP).
+ * Pretrained-model snapshots (TLP / MTL-TLP).
  *
  * A snapshot holds the architecture config plus every parameter tensor,
  * wrapped in the standard CRC32-checksummed section framing, so a
@@ -14,7 +14,6 @@
 #include <iosfwd>
 #include <memory>
 
-#include "models/tenset_mlp.h"
 #include "models/tlp_model.h"
 #include "support/result.h"
 
@@ -47,13 +46,5 @@ Result<std::shared_ptr<TlpNet>> loadTlpSnapshot(std::istream &is);
  * service can reject a hot-swap before any session scores with it.
  */
 Status probeSnapshotHealth(TlpNet &net);
-
-/** Save the TenSet-MLP baseline the same way. */
-Status saveMlpSnapshot(const std::string &path, TensetMlpNet &net);
-void saveMlpSnapshot(std::ostream &os, TensetMlpNet &net);
-
-Result<std::shared_ptr<TensetMlpNet>>
-loadMlpSnapshot(const std::string &path);
-Result<std::shared_ptr<TensetMlpNet>> loadMlpSnapshot(std::istream &is);
 
 } // namespace tlp::model

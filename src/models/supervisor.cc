@@ -122,13 +122,6 @@ HealthCounters::deserialize(BinaryReader &reader)
 
 // --- TrainFaultProfile --------------------------------------------------
 
-bool
-TrainFaultProfile::enabled() const
-{
-    return nan_grad_prob > 0.0 || loss_spike_prob > 0.0 ||
-           collapse_after_updates > 0;
-}
-
 TrainFaultProfile
 TrainFaultProfile::uniform(double total_rate, uint64_t seed)
 {
@@ -137,17 +130,6 @@ TrainFaultProfile::uniform(double total_rate, uint64_t seed)
     profile.loss_spike_prob = total_rate / 2.0;
     profile.seed = seed;
     return profile;
-}
-
-uint64_t
-TrainFaultProfile::digest() const
-{
-    uint64_t digest = fnv1a(&nan_grad_prob, sizeof(nan_grad_prob));
-    digest = fnv1a(&loss_spike_prob, sizeof(loss_spike_prob), digest);
-    digest = fnv1a(&collapse_after_updates, sizeof(collapse_after_updates),
-                   digest);
-    digest = fnv1a(&seed, sizeof(seed), digest);
-    return digest;
 }
 
 bool
@@ -343,13 +325,13 @@ TrainSupervisor::step(const std::function<double()> &attempt)
         if (!std::isfinite(loss)) {
             problem = HealthEvent::NanLoss;
         } else if (ewma_ready_ &&
-                   loss > options_.loss_divergence_factor * loss_ewma_ +
-                              options_.loss_divergence_floor) {
+                   loss > kSupervisorLossDivergenceFactor * loss_ewma_ +
+                              kSupervisorLossDivergenceFloor) {
             problem = HealthEvent::LossDivergence;
         } else if (gradsUnhealthy(&grad_norm)) {
             problem = HealthEvent::NanGrad;
         } else if (!std::isfinite(grad_norm) ||
-                   grad_norm > options_.grad_norm_limit) {
+                   grad_norm > kSupervisorGradNormLimit) {
             problem = HealthEvent::GradExplosion;
         }
 
@@ -357,8 +339,8 @@ TrainSupervisor::step(const std::function<double()> &attempt)
             adam_.step();
             adam_.setLr(schedule_lr); // backoff is per-step, not sticky
             loss_ewma_ = ewma_ready_
-                             ? (1.0 - options_.loss_ewma_alpha) * loss_ewma_ +
-                                   options_.loss_ewma_alpha * loss
+                             ? (1.0 - kSupervisorLossEwmaAlpha) * loss_ewma_ +
+                                   kSupervisorLossEwmaAlpha * loss
                              : loss;
             ewma_ready_ = true;
             ++steps_done_;
@@ -387,7 +369,7 @@ TrainSupervisor::step(const std::function<double()> &attempt)
         // genuinely borderline step explore slightly different updates.
         const double jitter = backoff_rng_.uniform(0.9, 1.0);
         adam_.setLr(schedule_lr *
-                    std::pow(options_.lr_backoff, att + 1) * jitter);
+                    std::pow(kSupervisorLrBackoff, att + 1) * jitter);
     }
     // tlp-lint: allow(loader-fatal) -- internal invariant in training logic, unreachable from artifact bytes; checkpoint parsing is guardedParse
     TLP_PANIC("unreachable: supervisor retry loop fell through");

@@ -124,21 +124,12 @@ struct TrainFaultProfile
     double nan_grad_prob = 0.0;
     /** Chance a step attempt's observed loss is inflated 1e4x. */
     double loss_spike_prob = 0.0;
-    /** Search side: cost-model scores collapse after this many online
-     *  updates (0 = never). Consumed by FaultInjectedCostModel. */
-    int collapse_after_updates = 0;
     /** Seed of the fault draws. */
     uint64_t seed = 0x7fa1;
-
-    /** True when any fault has a non-zero probability/threshold. */
-    bool enabled() const;
 
     /** Split @p total_rate evenly over nan-grad and loss-spike. */
     static TrainFaultProfile uniform(double total_rate,
                                      uint64_t seed = 0x7fa1);
-
-    /** Mix the profile parameters into a config digest. */
-    uint64_t digest() const;
 
     /** Deterministic Bernoulli draw for (step, attempt, stream). */
     bool draw(int64_t step, int attempt, uint64_t stream,
@@ -152,6 +143,20 @@ enum class RecoveryPolicy : uint8_t
     AbortOnFault,      ///< roll back and stop the run at the first fault
 };
 
+/** Learning-rate backoff factor applied on each rollback-retry. */
+inline constexpr double kSupervisorLrBackoff = 0.5;
+/** Hard gradient global-norm limit (NaN/Inf always unhealthy). Generous
+ *  on purpose: Adam's nn::kAdamGradClip handles the routine clipping;
+ *  this catches true explosions. */
+inline constexpr double kSupervisorGradNormLimit = 1e6;
+/** Loss EWMA smoothing factor. */
+inline constexpr double kSupervisorLossEwmaAlpha = 0.1;
+/** A loss above this factor x EWMA (+ floor) is divergent. */
+inline constexpr double kSupervisorLossDivergenceFactor = 10.0;
+/** Absolute slack added to the divergence threshold so tiny early
+ *  losses don't trip it. */
+inline constexpr double kSupervisorLossDivergenceFloor = 1.0;
+
 /** Supervisor parameters. */
 struct SupervisorOptions
 {
@@ -163,22 +168,8 @@ struct SupervisorOptions
 
     /** Retry attempts per step before the batch is skipped. */
     int max_retries = 3;
-    /** Learning-rate backoff factor applied on each rollback-retry. */
-    double lr_backoff = 0.5;
     /** Seed of the deterministic backoff jitter. */
     uint64_t seed = 0x5afe;
-
-    /** Hard gradient global-norm limit (NaN/Inf always unhealthy).
-     *  Generous on purpose: OptimConfig::grad_clip handles the routine
-     *  clipping; this catches true explosions. */
-    double grad_norm_limit = 1e6;
-    /** Loss EWMA smoothing factor. */
-    double loss_ewma_alpha = 0.1;
-    /** A loss above divergence_factor x EWMA (+ floor) is divergent. */
-    double loss_divergence_factor = 10.0;
-    /** Absolute slack added to the divergence threshold so tiny early
-     *  losses don't trip it. */
-    double loss_divergence_floor = 1.0;
 
     /** Wall-clock budget in seconds (0 = unlimited). Real time, so only
      *  the stop decision is nondeterministic — the weights returned are

@@ -121,7 +121,7 @@ trainMlp(TensetMlpNet &net, const data::LabeledSet &set,
         epoch_loss = count > 0 ? total / static_cast<double>(count) : 0.0;
         if (options.verbose)
             inform("mlp epoch ", epoch, " loss ", epoch_loss);
-        adam.setLr(adam.lr() * options.lr_decay);
+        adam.setLr(adam.lr() * kLrDecayPerEpoch);
         supervisor.endEpoch(epoch);
     }
     return epoch_loss;

@@ -252,7 +252,7 @@ trainTlpNet(TlpNet &net, const data::LabeledSet &set,
             inform("epoch ", epoch, " loss ", epoch_loss, " lr ",
                    adam.lr());
         }
-        adam.setLr(adam.lr() * options.lr_decay);
+        adam.setLr(adam.lr() * kLrDecayPerEpoch);
         supervisor.endEpoch(epoch);
     }
     return epoch_loss;

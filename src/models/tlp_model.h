@@ -70,13 +70,15 @@ class TlpNet : public nn::Module
     std::vector<Head> heads_;
 };
 
+/** Learning-rate decay factor applied after every training epoch. */
+inline constexpr double kLrDecayPerEpoch = 0.85;
+
 /** Training options shared by the learned models. */
 struct TrainOptions
 {
     int epochs = 6;
     int batch_size = 256;
     double lr = 2e-3;
-    double lr_decay = 0.85;        ///< per epoch
     bool use_rank_loss = true;     ///< else MSE (paper Table 3)
     double weight_decay = 1e-6;
     uint64_t seed = 0x7ea1;

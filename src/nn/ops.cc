@@ -592,30 +592,6 @@ sliceCols(const Tensor &x, int start, int len)
 }
 
 Tensor
-dropout(const Tensor &x, double p, Rng &rng, bool training)
-{
-    if (!training || p <= 0.0)
-        return x;
-    auto node = makeNode(x.shape(), {x.node()});
-    auto mask = std::make_shared<std::vector<float>>(x.value().size());
-    const float keep_scale = static_cast<float>(1.0 / (1.0 - p));
-    const auto &xv = x.value();
-    // Serial: the mask must consume the Rng stream in index order.
-    for (size_t i = 0; i < xv.size(); ++i) {
-        (*mask)[i] = rng.bernoulli(p) ? 0.0f : keep_scale;
-        node->value[i] = xv[i] * (*mask)[i];
-    }
-    node->backward_fn = [mask](Node &self) {
-        float *gx = self.parents[0]->grad.data();
-        const float *g = self.grad.data();
-        const float *mv = mask->data();
-        parallelMap(self.numel(), kCheapGrain,
-                    [=](int64_t i) { gx[i] += g[i] * mv[i]; });
-    };
-    return Tensor::fromNode(std::move(node));
-}
-
-Tensor
 layerNorm(const Tensor &x, const Tensor &gamma, const Tensor &beta,
           float eps)
 {

@@ -73,9 +73,6 @@ Tensor stackAxis1(const std::vector<Tensor> &slices);
 /** Column slice of a 2-D tensor: [n, m] -> [n, len]. */
 Tensor sliceCols(const Tensor &x, int start, int len);
 
-/** Inverted dropout; identity when @p training is false or p == 0. */
-Tensor dropout(const Tensor &x, double p, Rng &rng, bool training);
-
 /** Layer normalization over the last axis with affine params. */
 Tensor layerNorm(const Tensor &x, const Tensor &gamma, const Tensor &beta,
                  float eps = 1e-5f);

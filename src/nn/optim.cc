@@ -19,22 +19,17 @@ void
 Adam::step()
 {
     ++t_;
-    const double bias1 = 1.0 - std::pow(options_.beta1,
-                                        static_cast<double>(t_));
-    const double bias2 = 1.0 - std::pow(options_.beta2,
-                                        static_cast<double>(t_));
+    const double bias1 = 1.0 - std::pow(kAdamBeta1, static_cast<double>(t_));
+    const double bias2 = 1.0 - std::pow(kAdamBeta2, static_cast<double>(t_));
 
-    // Optional global-norm gradient clipping.
-    double clip_scale = 1.0;
-    if (options_.grad_clip > 0.0) {
-        double norm_sq = 0.0;
-        for (Tensor &param : params_)
-            for (float g : param.grad())
-                norm_sq += static_cast<double>(g) * g;
-        const double norm = std::sqrt(norm_sq);
-        if (norm > options_.grad_clip)
-            clip_scale = options_.grad_clip / norm;
-    }
+    // Global-norm gradient clipping.
+    double norm_sq = 0.0;
+    for (Tensor &param : params_)
+        for (float g : param.grad())
+            norm_sq += static_cast<double>(g) * g;
+    const double norm = std::sqrt(norm_sq);
+    const double clip_scale =
+        norm > kAdamGradClip ? kAdamGradClip / norm : 1.0;
 
     for (size_t p = 0; p < params_.size(); ++p) {
         auto &value = params_[p].value();
@@ -47,14 +42,14 @@ Adam::step()
                 value[i] -= static_cast<float>(options_.lr *
                                                options_.weight_decay *
                                                value[i]);
-            m[i] = static_cast<float>(options_.beta1 * m[i] +
-                                      (1.0 - options_.beta1) * g);
-            v[i] = static_cast<float>(options_.beta2 * v[i] +
-                                      (1.0 - options_.beta2) * g * g);
+            m[i] = static_cast<float>(kAdamBeta1 * m[i] +
+                                      (1.0 - kAdamBeta1) * g);
+            v[i] = static_cast<float>(kAdamBeta2 * v[i] +
+                                      (1.0 - kAdamBeta2) * g * g);
             const double m_hat = m[i] / bias1;
             const double v_hat = v[i] / bias2;
             value[i] -= static_cast<float>(
-                options_.lr * m_hat / (std::sqrt(v_hat) + options_.eps));
+                options_.lr * m_hat / (std::sqrt(v_hat) + kAdamEps));
         }
     }
 }

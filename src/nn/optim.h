@@ -9,16 +9,19 @@
 
 namespace tlp::nn {
 
-/** Adam hyper-parameters. */
+/** Adam hyper-parameters a training loop chooses. */
 struct AdamOptions
 {
     double lr = 1e-3;
-    double beta1 = 0.9;
-    double beta2 = 0.999;
-    double eps = 1e-8;
     double weight_decay = 0.0;
-    double grad_clip = 5.0;   ///< global-norm clip (0 disables)
 };
+
+/** Adam's fixed moment decays and denominator epsilon. */
+inline constexpr double kAdamBeta1 = 0.9;
+inline constexpr double kAdamBeta2 = 0.999;
+inline constexpr double kAdamEps = 1e-8;
+/** Global gradient-norm clip applied before every Adam step. */
+inline constexpr double kAdamGradClip = 5.0;
 
 /** Adam over a fixed parameter list. */
 class Adam

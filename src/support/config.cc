@@ -5,17 +5,6 @@
 
 namespace tlp {
 
-// Call-graph edges resolve by name: the hot path (configuredThreads)
-// uses the non-allocating double overload below; this string overload
-// is config-time only.
-std::string
-envOr(const std::string &name, // tlp-lint: allow(hot-call-alloc) -- string overload is config-time only
-      const std::string &fallback)
-{
-    const char *value = std::getenv(name.c_str());
-    return value ? std::string(value) : fallback;
-}
-
 double
 envOr(const std::string &name, double fallback)
 {

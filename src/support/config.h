@@ -20,9 +20,6 @@ double benchScale();
 /** Scale a default count, with a floor so tiny scales stay functional. */
 int64_t scaledCount(int64_t base, int64_t floor = 1);
 
-/** Read an environment variable with a default. */
-std::string envOr(const std::string &name, const std::string &fallback);
-
 /** Read a numeric environment variable with a default. */
 double envOr(const std::string &name, double fallback);
 

@@ -69,14 +69,6 @@ warn(Args &&...args)
     detail::logLine(LogLevel::Warn, detail::concat(std::forward<Args>(args)...));
 }
 
-/** Debug message (level Debug). */
-template <typename... Args>
-void
-debugLog(Args &&...args)
-{
-    detail::logLine(LogLevel::Debug, detail::concat(std::forward<Args>(args)...));
-}
-
 } // namespace tlp
 
 /** User-error termination: print message with location and exit(2). */

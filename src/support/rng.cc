@@ -158,12 +158,6 @@ Rng::weightedIndex(const std::vector<double> &weights)
     return weights.size() - 1;
 }
 
-Rng
-Rng::fork()
-{
-    return Rng(next());
-}
-
 void
 Rng::serialize(BinaryWriter &writer) const
 {

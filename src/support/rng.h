@@ -72,9 +72,6 @@ class Rng
         }
     }
 
-    /** Derive an independent child generator (for parallel components). */
-    Rng fork();
-
     /**
      * Persist the exact generator state (for checkpoint/resume). A
      * deserialized Rng continues the stream bit-identically.

@@ -10,42 +10,6 @@
 namespace tlp {
 
 void
-RunningStat::add(double value)
-{
-    ++count_;
-    sum_ += value;
-    const double delta = value - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (value - mean_);
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-}
-
-double
-RunningStat::mean() const
-{
-    return count_ == 0 ? 0.0 : mean_;
-}
-
-double
-RunningStat::variance() const
-{
-    return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_);
-}
-
-double
-RunningStat::stddev() const
-{
-    return std::sqrt(variance());
-}
-
-void
-RunningStat::reset()
-{
-    *this = RunningStat();
-}
-
-void
 IntHistogram::add(int64_t key)
 {
     auto it = std::lower_bound(

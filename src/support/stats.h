@@ -1,6 +1,6 @@
 /**
  * @file
- * Streaming statistics accumulators and a fixed-bin histogram.
+ * An integer-key histogram and series correlations.
  */
 #pragma once
 
@@ -9,46 +9,6 @@
 #include <vector>
 
 namespace tlp {
-
-/** Welford-style running mean/variance plus min/max. */
-class RunningStat
-{
-  public:
-    /** Fold one observation into the accumulator. */
-    void add(double value);
-
-    /** Number of observations so far. */
-    uint64_t count() const { return count_; }
-
-    /** Arithmetic mean (0 when empty). */
-    double mean() const;
-
-    /** Population variance (0 when fewer than two samples). */
-    double variance() const;
-
-    /** Standard deviation. */
-    double stddev() const;
-
-    /** Smallest observation (+inf when empty). */
-    double min() const { return min_; }
-
-    /** Largest observation (-inf when empty). */
-    double max() const { return max_; }
-
-    /** Sum of all observations. */
-    double sum() const { return sum_; }
-
-    /** Reset to the empty state. */
-    void reset();
-
-  private:
-    uint64_t count_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double sum_ = 0.0;
-    double min_ = 1e300;
-    double max_ = -1e300;
-};
 
 /** Histogram over integer keys (e.g., sequence lengths). */
 class IntHistogram

@@ -93,7 +93,7 @@ evolveOneRound(const sketch::SchedulePolicy &policy,
         const uint64_t h = population[idx].steps().hash();
         if (already_measured.count(h))
             continue;
-        if (!chosen.empty() && rng.bernoulli(options.eps_greedy)) {
+        if (!chosen.empty() && rng.bernoulli(kEpsGreedy)) {
             // Replace this pick with a random unmeasured candidate.
             const size_t random_idx = order[static_cast<size_t>(
                 rng.randint(static_cast<int64_t>(order.size())))];

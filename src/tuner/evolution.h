@@ -18,13 +18,16 @@
 
 namespace tlp::tune {
 
+/** Chance that each measured pick after the first is swapped for a
+ *  random unmeasured candidate (Ansor's epsilon-greedy). */
+inline constexpr double kEpsGreedy = 0.05;
+
 /** Evolution parameters. */
 struct EvolutionOptions
 {
     int population = 128;
     int iterations = 4;
     int children_per_iter = 64;
-    double eps_greedy = 0.05;
 };
 
 /** Result of one evolution round. */

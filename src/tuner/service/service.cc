@@ -417,6 +417,19 @@ TuningService::tripBreaker(Slot &slot)
 }
 
 void
+TuningService::backOff(Slot &slot, int64_t tick_now, int attempt,
+                       uint64_t jitter_key)
+{
+    int64_t delay = static_cast<int64_t>(options_.backoff_base_ticks)
+                    << std::min(attempt, 20);
+    delay = std::min<int64_t>(delay, options_.backoff_cap_ticks);
+    delay += static_cast<int64_t>(mix64(jitter_key) % 2);
+    slot.backoff_until_tick = tick_now + std::max<int64_t>(1, delay);
+    slot.status = SessionStatus::BackedOff;
+    stats_.backoff_ticks_slept += slot.backoff_until_tick - tick_now;
+}
+
+void
 TuningService::noteCheckpointFailure(Slot &slot, int64_t tick_now)
 {
     stats_.ckpt_write_failures += 1;
@@ -437,20 +450,12 @@ TuningService::noteCheckpointFailure(Slot &slot, int64_t tick_now)
              slot.ckpt_failures, " failed checkpoint writes");
         return;
     }
-    // Same seeded exponential backoff as transient faults, salted so
-    // the two schedules stay independent.
-    const int shift = std::min(slot.ckpt_failures - 1, 20);
-    int64_t delay = static_cast<int64_t>(options_.backoff_base_ticks)
-                    << shift;
-    delay = std::min<int64_t>(delay, options_.backoff_cap_ticks);
-    delay += static_cast<int64_t>(
-        mix64(hashCombine(hashCombine(slot.key, kCkptBackoffSalt),
-                          static_cast<uint64_t>(slot.ckpt_failures))) %
-        2);
+    // The transient-fault backoff, salted so the two schedules stay
+    // independent.
     slot.ckpt_retry_pending = true;
-    slot.backoff_until_tick = tick_now + std::max<int64_t>(1, delay);
-    slot.status = SessionStatus::BackedOff;
-    stats_.backoff_ticks_slept += slot.backoff_until_tick - tick_now;
+    backOff(slot, tick_now, slot.ckpt_failures - 1,
+            hashCombine(hashCombine(slot.key, kCkptBackoffSalt),
+                        static_cast<uint64_t>(slot.ckpt_failures)));
     if (options_.verbose) {
         inform("session '", slot.spec.name,
                "' checkpoint write failed (attempt ",
@@ -532,18 +537,10 @@ TuningService::tick()
         stats_.faults_injected += 1;
         if (noteBreakerStrike(slot))
             return !idle();
-        const int shift = std::min(slot.fault_attempts, 20);
-        int64_t delay = static_cast<int64_t>(options_.backoff_base_ticks)
-                        << shift;
-        delay = std::min<int64_t>(delay, options_.backoff_cap_ticks);
-        delay += static_cast<int64_t>(
-            mix64(hashCombine(slot.key, static_cast<uint64_t>(
-                                            slot.fault_attempts))) %
-            2);
+        backOff(slot, tick_now, slot.fault_attempts,
+                hashCombine(slot.key,
+                            static_cast<uint64_t>(slot.fault_attempts)));
         slot.fault_attempts += 1;
-        slot.backoff_until_tick = tick_now + std::max<int64_t>(1, delay);
-        slot.status = SessionStatus::BackedOff;
-        stats_.backoff_ticks_slept += slot.backoff_until_tick - tick_now;
         if (options_.verbose) {
             inform("session '", slot.spec.name,
                    "' transient fault before round ",

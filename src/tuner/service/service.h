@@ -325,6 +325,13 @@ class TuningService
     /** Finalize @p slot, write its curve file, promote the queue. */
     void finalize(Slot &slot, SessionStatus terminal);
 
+    /** Seeded exponential backoff of @p slot after its @p attempt-th
+     *  consecutive failure (0-based): min(backoff_cap_ticks,
+     *  backoff_base_ticks << attempt) plus a jitter tick drawn from
+     *  @p jitter_key, at least one tick. */
+    void backOff(Slot &slot, int64_t tick_now, int attempt,
+                 uint64_t jitter_key);
+
     /** Register a failed checkpoint write: back off and schedule a
      *  retry, or degrade the session to Checkpointless past the limit
      *  (DESIGN.md §14). Never touches tuning state. */

@@ -18,11 +18,13 @@ namespace {
 constexpr uint32_t kSessionMagic = kSessionCheckpointMagic;   // "TLPS"
 // v4 widens CurvePoint with the simulated-seconds column and appends the
 // session phase byte so a service can tell a cleanly finished session
-// from a mid-flight one without knowing its budget; v2/v3 checkpoints
-// still load (narrow curve points, phase derived from the round count).
+// from a mid-flight one without knowing its budget. v5 keeps wall clock
+// out of the file: no model_seconds and no per-point search_seconds, so
+// two identical sessions write identical bytes. v2-v4 checkpoints still
+// load (v2/v3: narrow curve points, phase derived from the round count).
 // v1 (flat stream) checkpoints get a clean versioned error, not a parse
 // crash.
-constexpr uint32_t kSessionVersion = 4;
+constexpr uint32_t kSessionVersion = 5;
 constexpr uint32_t kMinSessionVersion = 2;
 constexpr uint32_t kStateTag = sectionTag("STAT");
 
@@ -32,6 +34,14 @@ struct CurvePointV3
     int64_t measurements = 0;
     double search_seconds = 0.0;
     double workload_latency_ms = 0.0;
+};
+
+/** CurvePoint layout of v5 checkpoints (no wall-clock column). */
+struct CurvePointV5
+{
+    int64_t measurements = 0;
+    double workload_latency_ms = 0.0;
+    double measure_seconds = 0.0;
 };
 
 /** One task's slice of a parsed checkpoint. */
@@ -108,7 +118,7 @@ configDigest(const ir::Workload &workload,
                        static_cast<uint64_t>(options.evolution.iterations));
     hash = hashCombine(
         hash, static_cast<uint64_t>(options.evolution.children_per_iter));
-    hash = mixDouble(hash, options.evolution.eps_greedy);
+    hash = mixDouble(hash, kEpsGreedy);
     hash = hashCombine(hash, static_cast<uint64_t>(options.measure.repeats));
     hash = mixDouble(hash, options.measure.noise_std);
     hash = mixDouble(hash, options.measure.seconds_per_measure);
@@ -177,21 +187,28 @@ readCheckpoint(std::istream &is, const uint64_t *expect_digest,
             scratch.deserializeState(body);
         }
 
-        state.model_seconds = body.readPod<double>();
+        // v5 restarts the wall tally at zero; each restored point's
+        // search time is its simulated measurement time.
+        if (version <= 4)
+            state.model_seconds = body.readPod<double>();
         state.total_measurements = body.readPod<int64_t>();
-        if (version >= 4) {
+        if (version >= 5) {
+            for (const CurvePointV5 &saved :
+                 body.readVector<CurvePointV5>()) {
+                state.curve.push_back({saved.measurements,
+                                       saved.measure_seconds,
+                                       saved.workload_latency_ms,
+                                       saved.measure_seconds});
+            }
+        } else if (version == 4) {
             state.curve = body.readVector<CurvePoint>();
         } else {
             // v2/v3: narrow curve points; the simulated-seconds column
             // is unknowable after the fact and reads back as zero.
-            const auto narrow = body.readVector<CurvePointV3>();
-            state.curve.reserve(narrow.size());
-            for (const CurvePointV3 &old : narrow) {
-                CurvePoint point;
-                point.measurements = old.measurements;
-                point.search_seconds = old.search_seconds;
-                point.workload_latency_ms = old.workload_latency_ms;
-                state.curve.push_back(point);
+            for (const CurvePointV3 &old :
+                 body.readVector<CurvePointV3>()) {
+                state.curve.push_back({old.measurements, old.search_seconds,
+                                       old.workload_latency_ms, 0.0});
             }
         }
         state.best_per_task_ms = body.readVector<double>();
@@ -446,9 +463,15 @@ TuningSession::saveCheckpoint() const
             rng_.serialize(w);
             measurer_.serializeState(w);
 
-            w.writePod(result_.model_seconds);
             w.writePod(result_.total_measurements);
-            w.writeVector(result_.curve);
+            std::vector<CurvePointV5> curve;
+            curve.reserve(result_.curve.size());
+            for (const CurvePoint &point : result_.curve) {
+                curve.push_back({point.measurements,
+                                 point.workload_latency_ms,
+                                 point.measure_seconds});
+            }
+            w.writeVector(curve);
             w.writeVector(result_.best_per_task_ms);
 
             w.writePod<uint32_t>(static_cast<uint32_t>(tasks_.size()));
@@ -616,7 +639,6 @@ TuningSession::step()
          rounds_done_ == options_.rounds)) {
         last_ckpt_status_ = saveCheckpoint();
         if (!last_ckpt_status_.ok()) {
-            ckpt_failures_ += 1;
             warn("checkpoint write skipped (previous checkpoint kept): ",
                  last_ckpt_status_.toString());
         }

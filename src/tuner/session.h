@@ -201,9 +201,6 @@ class TuningSession
         return last_ckpt_status_;
     }
 
-    /** Cadence-triggered checkpoint writes that failed so far. */
-    int64_t checkpointFailures() const { return ckpt_failures_; }
-
     /**
      * Enable/disable checkpoint writes at runtime — the service's
      * Checkpointless degraded mode (DESIGN.md §14). Purely an I/O
@@ -269,7 +266,6 @@ class TuningSession
     std::vector<RoundHistory> history_;
     bool checkpointing_enabled_ = true;
     Status last_ckpt_status_;
-    int64_t ckpt_failures_ = 0;
 };
 
 /** Tune @p workload on @p platform guided by @p cost_model. */

@@ -115,16 +115,6 @@ snapshotBytes()
 }
 
 std::string
-mlpSnapshotBytes()
-{
-    Rng rng(8);
-    model::TensetMlpNet net(model::MlpConfig{}, rng);
-    std::ostringstream os;
-    model::saveMlpSnapshot(os, net);
-    return os.str();
-}
-
-std::string
 checkpointBytes()
 {
     static const std::string bytes = [] {
@@ -197,7 +187,6 @@ TEST_F(ArtifactAudit, DetectsAllFiveFormatsByMagicPlusCurves)
 {
     plant("d.bin", datasetBytes(smallDataset()));
     plant("w.bin", snapshotBytes());
-    plant("m.bin", mlpSnapshotBytes());
     plant("s.bin", checkpointBytes());
     plant("t.bin", trainCheckpointBytes());
     plant("memo.bin", memoBytes(0xfeedbeef));
@@ -206,9 +195,8 @@ TEST_F(ArtifactAudit, DetectsAllFiveFormatsByMagicPlusCurves)
     using K = artifact::ArtifactKind;
     const std::pair<const char *, K> expect[] = {
         {"d.bin", K::Dataset},          {"w.bin", K::Snapshot},
-        {"m.bin", K::Snapshot},         {"s.bin", K::TuningCheckpoint},
-        {"t.bin", K::TrainCheckpoint},  {"memo.bin", K::BenchMemo},
-        {"c.curve", K::Curve},
+        {"s.bin", K::TuningCheckpoint}, {"t.bin", K::TrainCheckpoint},
+        {"memo.bin", K::BenchMemo},     {"c.curve", K::Curve},
     };
     for (const auto &[name, kind] : expect) {
         const artifact::ArtifactRecord record =

@@ -546,8 +546,8 @@ TEST(Corruption, SnapshotVersionSkewIsClean)
 
 TEST(Corruption, CheckpointVersionSkewIsClean)
 {
-    // v2 (pre-guarded-search) checkpoints still load; v5 and v1 do not.
-    for (const uint32_t version : {5u, 1u}) {
+    // v2 (pre-guarded-search) checkpoints still load; v6 and v1 do not.
+    for (const uint32_t version : {6u, 1u}) {
         std::istringstream is(
             withVersion(goldenCheckpointBytes(), version));
         const Status status = tune::verifyCheckpoint(is);
@@ -557,10 +557,12 @@ TEST(Corruption, CheckpointVersionSkewIsClean)
     }
 }
 
-/** Hand-built v3 checkpoint bytes (narrow curve points, no phase byte);
- *  a valid-but-different artifact for skew and crash-drill tests. */
+/** Hand-built checkpoint bytes of the wall-clock-carrying layouts: v3
+ *  (narrow curve points, no phase byte) or v4 (wide curve points and a
+ *  phase byte). A valid-but-different artifact for skew and crash-drill
+ *  tests. */
 std::string
-v3CheckpointBytes()
+legacyCheckpointBytes(uint32_t version)
 {
     struct NarrowCurvePoint
     {
@@ -570,7 +572,7 @@ v3CheckpointBytes()
     };
     std::ostringstream os;
     BinaryWriter writer(os);
-    writeHeader(writer, 0x544c5053, 3);
+    writeHeader(writer, 0x544c5053, version);
     writeSection(writer, sectionTag("STAT"), [&](BinaryWriter &w) {
         w.writePod<uint64_t>(0xfeedULL);    // digest (unchecked on verify)
         w.writePod<int32_t>(2);             // rounds_done
@@ -581,8 +583,15 @@ v3CheckpointBytes()
         measurer.serializeState(w);
         w.writePod<double>(0.25);           // model_seconds
         w.writePod<int64_t>(8);             // total_measurements
-        std::vector<NarrowCurvePoint> curve{{4, 0.5, 9.0}, {8, 1.0, 7.5}};
-        w.writeVector(curve);
+        if (version >= 4) {
+            std::vector<tune::CurvePoint> curve{{4, 0.5, 9.0, 0.25},
+                                                {8, 1.0, 7.5, 0.75}};
+            w.writeVector(curve);
+        } else {
+            std::vector<NarrowCurvePoint> curve{{4, 0.5, 9.0},
+                                                {8, 1.0, 7.5}};
+            w.writeVector(curve);
+        }
         std::vector<double> best{7.5};
         w.writeVector(best);
         w.writePod<uint32_t>(1);            // num_tasks
@@ -594,14 +603,24 @@ v3CheckpointBytes()
         w.writePod<uint64_t>(0);            // num history rounds
         w.writeString("random:5");          // v3: model name
         w.writeString("");                  // v3: model state blob
+        if (version >= 4)
+            w.writePod<uint8_t>(1);         // v4: phase (running)
     });
     return os.str();
 }
 
 TEST(Corruption, CheckpointV3StillLoads)
 {
-    // The format bump to v4 must not orphan existing v3 checkpoints.
-    std::istringstream is(v3CheckpointBytes());
+    // Later format bumps must not orphan existing v3 checkpoints.
+    std::istringstream is(legacyCheckpointBytes(3));
+    const Status status = tune::verifyCheckpoint(is);
+    EXPECT_TRUE(status.ok()) << status.toString();
+}
+
+TEST(Corruption, CheckpointV4StillLoads)
+{
+    // v5 dropped the wall-clock fields; v4 files carrying them still load.
+    std::istringstream is(legacyCheckpointBytes(4));
     const Status status = tune::verifyCheckpoint(is);
     EXPECT_TRUE(status.ok()) << status.toString();
 }
@@ -795,7 +814,7 @@ TEST(CrashConsistency, SnapshotSaveFaultsKeepPreviousArtifact)
 
 TEST(CrashConsistency, CheckpointSaveFaultsKeepPreviousArtifact)
 {
-    runSaveDrill("checkpoint", v3CheckpointBytes(),
+    runSaveDrill("checkpoint", legacyCheckpointBytes(3),
                  goldenCheckpointBytes(), 8,
                  [](const std::string &path) {
                      return tune::verifyCheckpoint(path);
@@ -840,10 +859,14 @@ TEST(CrashConsistency, BenchMemoSaveFaultsKeepPreviousArtifact)
 
 TEST(Corruption, SnapshotArchMismatchIsClean)
 {
-    Rng rng(5);
-    model::TensetMlpNet mlp(model::MlpConfig{}, rng);
+    // A well-framed snapshot whose CONF section names an architecture
+    // other than TLP (arch byte 1).
     std::ostringstream os;
-    model::saveMlpSnapshot(os, mlp);
+    BinaryWriter writer(os);
+    writeHeader(writer, model::kSnapshotMagic, model::kSnapshotVersion);
+    writeSection(writer, sectionTag("CONF"),
+                 [](BinaryWriter &w) { w.writePod<uint8_t>(1); });
+    writeSectionRaw(writer, kEndSectionTag, "");
 
     std::istringstream is(os.str());
     auto result = model::loadTlpSnapshot(is);

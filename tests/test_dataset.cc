@@ -11,6 +11,7 @@
 #include "dataset/metrics.h"
 #include "dataset/splits.h"
 #include "support/rng.h"
+#include "support/stats.h"
 #include "scratch.h"
 
 namespace tlp::data {
@@ -92,15 +93,12 @@ TEST(Dataset, SaveLoadRoundTrip)
 TEST(Dataset, StatisticsSaneRanges)
 {
     const Dataset ds = smallDataset();
-    const auto hist = ds.seqLenHistogram();
-    EXPECT_FALSE(hist.empty());
-    int64_t total = 0;
-    for (const auto &[len, count] : hist) {
-        EXPECT_GT(len, 0);
-        EXPECT_LE(len, 100);
-        total += count;
-    }
-    EXPECT_EQ(total, static_cast<int64_t>(ds.records.size()));
+    IntHistogram hist;
+    for (const auto &record : ds.records)
+        hist.add(static_cast<int64_t>(record.seq.size()));
+    EXPECT_EQ(hist.total(), ds.records.size());
+    EXPECT_GT(hist.minKey(), 0);
+    EXPECT_LE(hist.maxKey(), 100);
 
     const auto sizes = ds.maxEmbeddingSizes();
     EXPECT_GE(sizes.size(), 5u);   // several primitive kinds in use

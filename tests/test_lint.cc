@@ -215,7 +215,7 @@ TEST(LintRules, SeededRngUseIsClean)
     const char *text = R"(
 #include "support/rng.h"
 double draw(tlp::Rng &rng) { return rng.uniform(); }
-tlp::Rng forked = rng.fork();
+tlp::Rng seeded(0x5eed);
 )";
     EXPECT_TRUE(lintFile("src/support/good.cc", text, m).empty());
 }

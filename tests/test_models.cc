@@ -39,6 +39,15 @@ sharedDataset()
     return ds;
 }
 
+/** Median of @p values (the upper one for an even count). */
+double
+median(std::vector<double> values)
+{
+    std::nth_element(values.begin(), values.begin() + values.size() / 2,
+                     values.end());
+    return values[values.size() / 2];
+}
+
 TEST(TlpNet, ForwardShapesAndParams)
 {
     Rng rng(1);
@@ -123,10 +132,6 @@ TEST(TlpNet, TrainingImprovesTopK)
     }
     SCOPED_TRACE(spread);
 
-    const auto median = [](std::vector<double> v) {
-        std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-        return v[v.size() / 2];
-    };
     const double top1_median = median(top1);
     const double top5_median = median(top5);
     EXPECT_GT(top1_median, tk_random.top1);
@@ -134,6 +139,8 @@ TEST(TlpNet, TrainingImprovesTopK)
     EXPECT_GT(top5_median, 0.85);
 }
 
+// Like TrainingImprovesTopK, the bounds hold for the median over five
+// net/shuffle seeds, not for one draw.
 TEST(TlpNet, MtlMaskedLabelsTrain)
 {
     const auto &ds = sharedDataset();
@@ -146,22 +153,36 @@ TEST(TlpNet, MtlMaskedLabelsTrain)
             train.labels[static_cast<size_t>(r) * 2] =
                 std::numeric_limits<float>::quiet_NaN();
     }
-    Rng rng(6);
-    TlpNetConfig config;
-    config.hidden = 48;
-    config.num_tasks = 2;
-    TlpNet net(config, rng);
-    TrainOptions options;
-    options.epochs = 4;
-    const double loss = trainTlpNet(net, train, options);
-    EXPECT_TRUE(std::isfinite(loss));
-
     auto test = data::buildTlpSet(ds, split.test_records, {0, 1});
-    const auto scores = predictTlpNet(net, test, 0);
-    const auto tk = data::topKScores(ds, {"bert-tiny"}, 0,
-                                     split.test_records, scores);
-    EXPECT_GT(tk.top1, 0.45);
-    EXPECT_GT(tk.top5, 0.8);
+
+    constexpr int kSeeds = 5;
+    std::vector<double> top1, top5;
+    std::string spread;
+    for (int s = 0; s < kSeeds; ++s) {
+        SCOPED_TRACE("s=" + std::to_string(s));
+        Rng rng(6 + s);
+        TlpNetConfig config;
+        config.hidden = 48;
+        config.num_tasks = 2;
+        TlpNet net(config, rng);
+        TrainOptions options;
+        options.epochs = 4;
+        options.seed += s;
+        const double loss = trainTlpNet(net, train, options);
+        EXPECT_TRUE(std::isfinite(loss));
+
+        const auto scores = predictTlpNet(net, test, 0);
+        const auto tk = data::topKScores(ds, {"bert-tiny"}, 0,
+                                         split.test_records, scores);
+        top1.push_back(tk.top1);
+        top5.push_back(tk.top5);
+        spread += "s=" + std::to_string(s) + " top1 " +
+                  std::to_string(tk.top1) + " top5 " +
+                  std::to_string(tk.top5) + "; ";
+    }
+    SCOPED_TRACE(spread);
+    EXPECT_GT(median(top1), 0.45);
+    EXPECT_GT(median(top5), 0.8);
 }
 
 TEST(TlpNet, SaveLoadPreservesPredictions)

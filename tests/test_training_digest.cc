@@ -6,8 +6,8 @@
  * storage, op arithmetic, accumulation order, batching or the optimizer
  * moves a digest. The cases cover every tape training loop: trainTlpNet
  * (attention and LSTM backbones, rank and MSE loss, a masked 2-task MTL
- * run, a supervised run with a forced retry), GPT pretraining and the
- * TenSet-MLP fit. Batch sizes are ragged within each epoch, so per-step
+ * run, a supervised run with a forced retry), GPT and BERT pretraining
+ * and the TenSet-MLP fit. Batch sizes are ragged within each epoch, so per-step
  * tape shapes both grow and shrink.
  *
  * The digests hold for the uninstrumented x86-64-v3 builds
@@ -181,6 +181,22 @@ TEST_F(TrainingDigest, GptPretrain)
     EXPECT_TRUE(std::isfinite(loss));
     const uint64_t digest = trainingDigest(net, loss);
     EXPECT_EQ(digest, 0xc7d4f38c8738dfd7ull) << std::hex << digest;
+}
+
+TEST_F(TrainingDigest, BertPretrain)
+{
+    const TlpNetConfig config = smallTlpConfig();
+    const auto set =
+        raggedSet(37, config.seq_len * config.emb_size, 1, 0xa7);
+    Rng rng(0xd4);
+    TlpNet net(config, rng);
+    PretrainOptions options;
+    options.epochs = 2;
+    options.batch_size = 16;
+    const double loss = bertPretrain(net, set, options);
+    EXPECT_TRUE(std::isfinite(loss));
+    const uint64_t digest = trainingDigest(net, loss);
+    EXPECT_EQ(digest, 0x166c02b6e06ab757ull) << std::hex << digest;
 }
 
 TEST_F(TrainingDigest, TensetMlpFit)

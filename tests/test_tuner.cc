@@ -6,6 +6,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <limits>
 
 #include "ir/model_zoo.h"
@@ -344,6 +346,37 @@ TEST(Session, CheckpointEveryRoundNeverRemeasuresFinalRound)
     EXPECT_DOUBLE_EQ(result.best_workload_latency_ms,
                      reference.best_workload_latency_ms);
     std::remove(ckpt.c_str());
+}
+
+TEST(Session, IdenticalSessionsWriteIdenticalCheckpoints)
+{
+    // Checkpoints carry no wall clock, so two identical sessions write
+    // the same bytes. A resume restarts the wall tally at zero and times
+    // each restored point by its simulated seconds.
+    const auto workload = tinyWorkload();
+    const auto platform = hw::HardwarePlatform::preset("e5-2673");
+    TuneOptions options = quickOptions();
+    options.checkpoint_every = 1;
+    std::string bytes[2];
+    for (int run = 0; run < 2; ++run) {
+        options.checkpoint_path =
+            test::scratchDir("run" + std::to_string(run)) + "/s.ckpt";
+        model::AnsorOnlineCostModel cost_model;
+        tuneWorkload(workload, platform, cost_model, options);
+        std::ifstream is(options.checkpoint_path, std::ios::binary);
+        bytes[run].assign(std::istreambuf_iterator<char>(is), {});
+    }
+    ASSERT_FALSE(bytes[0].empty());
+    EXPECT_EQ(bytes[0], bytes[1]);
+
+    model::AnsorOnlineCostModel cost_model;
+    TuningSession session(workload, platform, cost_model, options);
+    const Status status = session.resumeFromCheckpoint();
+    ASSERT_TRUE(status.ok()) << status.toString();
+    EXPECT_DOUBLE_EQ(session.result().model_seconds, 0.0);
+    ASSERT_FALSE(session.result().curve.empty());
+    for (const CurvePoint &point : session.result().curve)
+        EXPECT_DOUBLE_EQ(point.search_seconds, point.measure_seconds);
 }
 
 TEST(Session, ResumeRejectsForeignCheckpoint)
