@@ -9,7 +9,7 @@
  *
  * TLP scoring is timed twice. The cold variant scores the batch with a
  * fresh cost model each iteration, so every candidate misses the
- * feature/score cache: feature extraction plus the fused forward, the
+ * score cache: feature extraction plus the fused forward, the
  * cost a search round pays for new candidates. The warm variant
  * re-scores the same batch on one model, so it times score-cache hits.
  */

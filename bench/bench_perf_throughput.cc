@@ -8,7 +8,7 @@
  *
  * Inference runs the same population through both the legacy path
  * (interpreted autograd forward, no cache) and the fast path (fused
- * forward + feature/score cache, DESIGN.md §13) in the same binary:
+ * forward + score cache, DESIGN.md §13) in the same binary:
  * the headline infer_candidates_per_sec is the fast path, the
  * fast_vs_legacy_speedup column is measured, not inferred, and the
  * bench exits nonzero if the two paths ever disagree on a single bit.
@@ -433,8 +433,8 @@ main()
             static_cast<double>(population.size()) * infer_reps /
             result.legacy_seconds;
 
-        // Fast path: fused forward + feature/score cache. The first
-        // rep is the warm-up (arena growth, cache fills); the remaining
+        // Fast path: fused forward + score cache. The first rep is
+        // the warm-up (arena growth, score memos); the remaining
         // reps are the steady state whose allocations we account.
         const uint64_t allocs_before = g_heap_allocs.load();
         model::TlpCostModel fast_model(

@@ -21,7 +21,9 @@
  * corrupt or mismatched snapshot is one clear fatal message.
  * --fault-rate injects deterministic measurement failures (compile
  * errors, timeouts, runtime errors, outliers in equal parts); --resume
- * continues a checkpointed campaign after a crash or kill.
+ * continues a checkpointed campaign after a crash or kill and keeps
+ * checkpointing to the same file (a different --checkpoint file is a
+ * user error; a missing --resume file starts a fresh session there).
  */
 #include <algorithm>
 #include <cstdio>
@@ -58,7 +60,9 @@ main(int argc, char **argv)
     args.addInt("checkpoint-every", 5,
                 "rounds between checkpoint writes");
     args.addString("resume", "",
-                   "resume from this checkpoint (implies --checkpoint)");
+                   "resume from this checkpoint and keep writing it "
+                   "(implies --checkpoint; a missing file starts a "
+                   "fresh session that checkpoints there)");
     args.addString("verify-checkpoint", "",
                    "integrity-check this artifact (any of the five "
                    "formats, auto-detected by magic) and exit "
@@ -108,6 +112,12 @@ main(int argc, char **argv)
     const int threads = static_cast<int>(args.getInt("threads"));
     if (threads < 0)
         TLP_FATAL("--threads must be >= 0, got ", threads);
+    const std::string checkpoint = args.getString("checkpoint");
+    const std::string resume = args.getString("resume");
+    if (!checkpoint.empty() && !resume.empty() && checkpoint != resume)
+        TLP_FATAL("--checkpoint ", checkpoint, " and --resume ", resume,
+                  " name different files; --resume keeps checkpointing "
+                  "to the file it resumes from");
     if (threads > 0)
         ThreadPool::setGlobalThreads(threads);
     std::printf("threads: %d\n", ThreadPool::global().numThreads());
@@ -234,13 +244,13 @@ main(int argc, char **argv)
     if (fault_rate > 0.0)
         options.measure.faults = hw::FaultProfile::uniform(fault_rate);
     options.measure.max_retries = static_cast<int>(args.getInt("retries"));
-    options.checkpoint_path = args.getString("checkpoint");
+    options.checkpoint_path = checkpoint;
     options.checkpoint_every =
         static_cast<int>(args.getInt("checkpoint-every"));
     if (options.checkpoint_every <= 0)
         TLP_FATAL("--checkpoint-every must be positive");
-    if (!args.getString("resume").empty()) {
-        options.checkpoint_path = args.getString("resume");
+    if (!resume.empty()) {
+        options.checkpoint_path = resume;
         options.resume = true;
         // Damaged checkpoints are an artifact problem (exit 3), not a
         // usage problem: verify up front instead of dying mid-resume.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "features/ansor_features.h"
 #include "schedule/lower.h"
@@ -84,12 +83,8 @@ TlpCostModel::TlpCostModel(std::shared_ptr<TlpNet> net,
         fused_ = std::make_unique<FusedTlpInference>(net_);
         packed_epoch_ = paramsFingerprint();
     }
-    if (infer_options_.cache_capacity > 0) {
-        cache_ = std::make_unique<FeatureCache>(
-            static_cast<int64_t>(feature_options_.seq_len) *
-                feature_options_.emb_size,
-            infer_options_.cache_capacity);
-    }
+    if (infer_options_.cache_capacity > 0)
+        cache_ = std::make_unique<FeatureCache>(infer_options_.cache_capacity);
 }
 
 uint64_t
@@ -148,111 +143,53 @@ TlpCostModel::scoreStates(int task_id,
         packed_epoch_ = epoch;
     }
 
-    if (!cache_) {
-        // No cache: extract every row (parallel; extractTlpFeaturesInto
-        // reads only the PrimitiveSeq and each candidate owns a
-        // disjoint row) and forward the whole population.
-        batch_.resize(states.size() * dim);
+    // Pass 1: hash every candidate's sequence (parallel), then classify
+    // against the cache (serial). A valid score memo resolves at once;
+    // everything else — every candidate when there is no cache — joins
+    // the pending forward set. In-batch duplicates and stale memos are
+    // simply pending: nothing is inserted before the forward, so no
+    // cache slot is referenced while an insert could evict it.
+    if (cache_) {
+        keys_.resize(states.size());
         ThreadPool::global().parallelFor(
             0, n, 1, [&](int64_t begin, int64_t end) {
-                for (int64_t i = begin; i < end; ++i) {
-                    feat::extractTlpFeaturesInto(
-                        states[static_cast<size_t>(i)].steps(),
-                        feature_options_,
-                        batch_.data() + static_cast<size_t>(i) * dim);
-                }
+                for (int64_t i = begin; i < end; ++i)
+                    keys_[static_cast<size_t>(i)] = seqKeyOf(
+                        states[static_cast<size_t>(i)].steps());
             });
-        if (fused_) {
-            fused_->predict(batch_.data(), n, head_task_,
-                            scores.data());
-            return scores;
-        }
-        return interpretedForward(batch_, static_cast<int>(n));
     }
-
-    // Cached path. Pass 1 (parallel): hash every candidate's sequence.
-    keys_.resize(states.size());
-    ThreadPool::global().parallelFor(
-        0, n, 1, [&](int64_t begin, int64_t end) {
-            for (int64_t i = begin; i < end; ++i)
-                keys_[static_cast<size_t>(i)] = seqKeyOf(
-                    states[static_cast<size_t>(i)].steps());
-        });
-
-    // Pass 2 (serial): classify against the cache. Score memos resolve
-    // immediately; everything else joins the pending forward set. A
-    // batch reads its referenced slots only after classification, so an
-    // insert must never evict a slot an earlier candidate of this batch
-    // still points at — when the FIFO victim is claimed, the candidate
-    // bypasses the cache (slot -1: extracted straight into the batch
-    // buffer, never memoized).
     pending_state_.clear();
-    pending_slot_.clear();
-    pending_fresh_.clear();
-    claimed_.assign(static_cast<size_t>(cache_->capacity()), 0);
     for (int64_t i = 0; i < n; ++i) {
-        int64_t slot = cache_->find(keys_[static_cast<size_t>(i)]);
-        bool fresh = false;
-        if (slot < 0) {
-            fresh = true;
-            if (cache_->full() &&
-                claimed_[static_cast<size_t>(cache_->nextVictim())]) {
-                cache_->noteBypass();
-                slot = -1;
-            } else {
-                slot = cache_->insert(keys_[static_cast<size_t>(i)]);
+        if (cache_) {
+            const int64_t slot =
+                cache_->find(keys_[static_cast<size_t>(i)]);
+            if (slot >= 0 &&
+                cache_->scoreAt(slot, head_task_, epoch,
+                                &scores[static_cast<size_t>(i)])) {
+                cache_->noteScoreHit();
+                continue;
             }
-        } else if (cache_->scoreAt(slot, head_task_, epoch,
-                                   &scores[static_cast<size_t>(i)])) {
-            cache_->noteScoreHit();
-            continue;
-        } else {
-            cache_->noteFeatureHit();
+            cache_->noteMiss();
         }
-        if (slot >= 0)
-            claimed_[static_cast<size_t>(slot)] = 1;
         pending_state_.push_back(i);
-        pending_slot_.push_back(slot);
-        pending_fresh_.push_back(fresh ? 1 : 0);
     }
     const auto pending = static_cast<int64_t>(pending_state_.size());
     if (pending == 0)
         return scores;
 
-    // Pass 3 (parallel): extract the fresh rows — into their cache slot,
-    // or directly into the batch buffer for bypassed candidates. A
-    // duplicated candidate elsewhere in `states` maps to the same slot
-    // as a feature hit, so row fills must complete before any slot is
-    // read — hence the separate gather pass below.
+    // Pass 2 (parallel): extract the pending rows straight into the
+    // batch. extractTlpFeaturesInto reads only the PrimitiveSeq and
+    // each candidate owns a disjoint row.
     batch_.resize(static_cast<size_t>(pending) * dim);
     ThreadPool::global().parallelFor(
         0, pending, 1, [&](int64_t begin, int64_t end) {
             for (int64_t p = begin; p < end; ++p) {
-                if (!pending_fresh_[static_cast<size_t>(p)])
-                    continue;
-                const int64_t slot =
-                    pending_slot_[static_cast<size_t>(p)];
                 feat::extractTlpFeaturesInto(
                     states[static_cast<size_t>(
                                pending_state_[static_cast<size_t>(p)])]
                         .steps(),
                     feature_options_,
-                    slot >= 0
-                        ? cache_->rowAt(slot)
-                        : batch_.data() + static_cast<size_t>(p) * dim);
-            }
-        });
-
-    // Pass 4 (parallel): gather cached pending rows into the batch.
-    ThreadPool::global().parallelFor(
-        0, pending, 1, [&](int64_t begin, int64_t end) {
-            for (int64_t p = begin; p < end; ++p) {
-                const int64_t slot =
-                    pending_slot_[static_cast<size_t>(p)];
-                if (slot < 0)
-                    continue;
-                std::memcpy(batch_.data() + static_cast<size_t>(p) * dim,
-                            cache_->rowAt(slot), dim * sizeof(float));
+                    batch_.data() + static_cast<size_t>(p) * dim);
             }
         });
 
@@ -267,13 +204,20 @@ TlpCostModel::scoreStates(int task_id,
         forward_scores_ =
             interpretedForward(batch_, static_cast<int>(pending));
     }
+
+    // Scatter, and memoize each pending key (find-then-insert: a
+    // duplicate or stale entry is overwritten in place).
     for (int64_t p = 0; p < pending; ++p) {
         const double score = forward_scores_[static_cast<size_t>(p)];
-        scores[static_cast<size_t>(
-            pending_state_[static_cast<size_t>(p)])] = score;
-        if (pending_slot_[static_cast<size_t>(p)] >= 0)
-            cache_->storeScore(pending_slot_[static_cast<size_t>(p)],
-                               head_task_, epoch, score);
+        const int64_t i = pending_state_[static_cast<size_t>(p)];
+        scores[static_cast<size_t>(i)] = score;
+        if (!cache_)
+            continue;
+        const SeqKey &key = keys_[static_cast<size_t>(i)];
+        int64_t slot = cache_->find(key);
+        if (slot < 0)
+            slot = cache_->insert(key);
+        cache_->storeScore(slot, head_task_, epoch, score);
     }
     return scores;
 }

@@ -41,7 +41,8 @@ struct TlpInferOptions
     /** Use the packed fused forward (FusedTlpInference) instead of the
      *  interpreted autograd forward. Ignored for LSTM backbones. */
     bool fused = true;
-    /** Feature/score cache entries; 0 disables the cache entirely. */
+    /** Score-memo cache entries (scores only, no feature rows); 0
+     *  disables the cache entirely. */
     int64_t cache_capacity = 4096;
 
     /** Both accelerators off — the interpreted, uncached oracle. */
@@ -121,6 +122,8 @@ class TlpCostModel : public CostModel
 
     /** Cache accounting (zeros when the cache is disabled). */
     FeatureCache::Stats cacheStats() const;
+    /** Live cache entries (0 when the cache is disabled). */
+    int64_t cacheSize() const { return cache_ ? cache_->size() : 0; }
 
   private:
     /** Content fingerprint of every net parameter: stale-score guard. */
@@ -145,9 +148,6 @@ class TlpCostModel : public CostModel
     std::vector<SeqKey> keys_;
     std::vector<float> batch_;
     std::vector<int64_t> pending_state_;
-    std::vector<int64_t> pending_slot_;
-    std::vector<uint8_t> pending_fresh_;
-    std::vector<uint8_t> claimed_;   ///< cache slots this batch reads
     std::vector<double> forward_scores_;
 };
 

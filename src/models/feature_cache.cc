@@ -35,10 +35,8 @@ seqKeyOf(const sched::PrimitiveSeq &seq)
     return key;
 }
 
-FeatureCache::FeatureCache(int64_t dim, int64_t capacity)
-    : dim_(dim), capacity_(capacity)
+FeatureCache::FeatureCache(int64_t capacity) : capacity_(capacity)
 {
-    TLP_CHECK(dim_ > 0, "feature cache needs a positive row width");
     TLP_CHECK(capacity_ > 0, "feature cache needs a positive capacity");
     // All storage up front: the steady state must never allocate.
     uint64_t table_size = 64;
@@ -46,8 +44,6 @@ FeatureCache::FeatureCache(int64_t dim, int64_t capacity)
         table_size *= 2;
     mask_ = table_size - 1;
     // Every find/insert/evict afterwards reuses this storage.
-    // tlp-lint: allow(hot-alloc) -- one-time construction sizing.
-    slab_.resize(static_cast<size_t>(capacity_ * dim_));
     // tlp-lint: allow(hot-alloc) -- one-time construction sizing.
     entries_.resize(static_cast<size_t>(capacity_));
     // tlp-lint: allow(hot-alloc) -- one-time construction sizing.
@@ -124,7 +120,6 @@ FeatureCache::find(const SeqKey &key) const
 int64_t
 FeatureCache::insert(const SeqKey &key)
 {
-    ++stats_.misses;
     int64_t slot;
     if (size_ < capacity_) {
         slot = size_++;
@@ -148,18 +143,6 @@ FeatureCache::insert(const SeqKey &key)
     entry.score = 0.0;
     tableInsert(key, slot);
     return slot;
-}
-
-const float *
-FeatureCache::rowAt(int64_t slot) const
-{
-    return slab_.data() + slot * dim_;
-}
-
-float *
-FeatureCache::rowAt(int64_t slot)
-{
-    return slab_.data() + slot * dim_;
 }
 
 bool

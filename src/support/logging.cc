@@ -8,20 +8,17 @@ namespace tlp {
 
 namespace {
 
-/** Lowest severity printed. */
-constexpr LogLevel kMinLevel = LogLevel::Info;
 std::mutex log_mutex;
 
 const char *
 levelTag(LogLevel level)
 {
     switch (level) {
-      case LogLevel::Debug: return "debug";
       case LogLevel::Info:  return "info";
       case LogLevel::Warn:  return "warn";
-      case LogLevel::Error: return "error";
-      default:              return "?";
+      case LogLevel::Error: break;
     }
+    return "error";
 }
 
 } // namespace
@@ -31,8 +28,6 @@ namespace detail {
 void
 logLine(LogLevel level, const std::string &msg)
 {
-    if (static_cast<int>(level) < static_cast<int>(kMinLevel))
-        return;
     std::lock_guard<std::mutex> guard(log_mutex);
     std::fprintf(stderr, "[tlp:%s] %s\n", levelTag(level), msg.c_str());
 }

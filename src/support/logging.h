@@ -28,11 +28,11 @@ inline constexpr int kExitUserError = 2;
 inline constexpr int kExitCorruptArtifact = 3;
 
 /** Log severity levels in increasing order of importance. */
-enum class LogLevel { Debug = 0, Info = 1, Warn = 2, Error = 3, Silent = 4 };
+enum class LogLevel { Info, Warn, Error };
 
 namespace detail {
 
-/** Emit one formatted log line to stderr if @p level passes the filter. */
+/** Emit one formatted log line to stderr. */
 void logLine(LogLevel level, const std::string &msg);
 
 /** Print @p msg and exit(kExitUserError). Used for user errors. */

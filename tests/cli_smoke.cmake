@@ -59,6 +59,27 @@ foreach(cli TUNE_WORKLOAD TLP_SERVE)
 endforeach()
 file(REMOVE_RECURSE "${legacy_serve_dir}")
 
+# --resume writes its checkpoints back to the file it resumes from, so a
+# different --checkpoint file would be silently dropped: a user error.
+execute_process(
+    COMMAND "${TUNE_WORKLOAD}" --model random --rounds 1 --subgraphs 1
+        --checkpoint "${WORK_DIR}/cli_smoke_ckpt_a.ckpt"
+        --resume "${WORK_DIR}/cli_smoke_ckpt_b.ckpt"
+    RESULT_VARIABLE clash_code
+    OUTPUT_QUIET ERROR_VARIABLE clash_output)
+if(NOT clash_code EQUAL 2 OR NOT clash_output MATCHES "--resume")
+    message(FATAL_ERROR
+            "tune_workload --checkpoint A --resume B: expected exit 2 "
+            "naming --resume, got '${clash_code}'. stderr: "
+            "${clash_output}")
+endif()
+if(EXISTS "${WORK_DIR}/cli_smoke_ckpt_a.ckpt"
+   OR EXISTS "${WORK_DIR}/cli_smoke_ckpt_b.ckpt")
+    message(FATAL_ERROR
+            "tune_workload --checkpoint A --resume B wrote a checkpoint "
+            "before rejecting the flags")
+endif()
+
 # --- corrupt artifact must exit 3, with a Status-shaped message ---------
 
 set(garbage "${WORK_DIR}/cli_smoke_garbage.bin")
@@ -308,6 +329,7 @@ if(NOT lint_bad_code EQUAL 2)
 endif()
 
 message(STATUS "cli exit-code contract holds: user error=2 (incl. "
-               "retired --legacy-infer), corrupt=3, "
+               "retired --legacy-infer and --checkpoint A --resume B), "
+               "corrupt=3, "
                "verify-checkpoint 0/3, fsck 0/2/3, lint clean=0 / "
                "findings=1 / bad manifest=2")

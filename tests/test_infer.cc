@@ -2,7 +2,7 @@
  * @file
  * Tests for the inference hot path (DESIGN.md §13): the Arena scratch
  * allocator, the in-place feature extractor, the fused forward, and the
- * primitive-seq feature/score cache. The load-bearing claim everywhere
+ * primitive-seq score cache. The load-bearing claim everywhere
  * is bit-identity — fused or interpreted, cached or cold, the model
  * must predict the exact same bits.
  */
@@ -10,6 +10,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "features/tlp_features.h"
@@ -253,7 +255,7 @@ TEST(FeatureCache, InterleavedGenerationsMatchUncached)
 
     // Evolution-shaped workload: each generation keeps survivors from
     // the previous one (score-memo hits), mutates some (fresh rows), and
-    // injects duplicates (same-batch slot sharing).
+    // injects duplicates (same-batch repeats).
     static const ir::Workload workload =
         ir::partitionGraph(ir::buildNetwork("mlp-mixer"));
     sketch::SchedulePolicy policy(workload.subgraphs[0], false);
@@ -262,7 +264,7 @@ TEST(FeatureCache, InterleavedGenerationsMatchUncached)
         policy.sampleInitPopulation(24, rng);
     ASSERT_FALSE(population.empty());
     for (int generation = 0; generation < 4; ++generation) {
-        // Duplicates inside one batch exercise the two-phase fill.
+        // Duplicates inside one batch are scored before either is cached.
         std::vector<sched::State> batch = population;
         batch.push_back(population[0]);
         batch.push_back(population[population.size() / 2]);
@@ -324,11 +326,65 @@ TEST(FeatureCache, ScoreMemosInvalidateWhenParametersChange)
     EXPECT_NE(after, before);
 }
 
+TEST(FeatureCache, DuplicatesAndStaleMemosScoreFreshOnce)
+{
+    model::TlpNetConfig config;
+    config.hidden = 32;
+    config.heads = 4;
+    const auto states = samplePopulation(12, 51);
+    ASSERT_EQ(states.size(), 12u);
+    for (const bool fused : {false, true}) {
+        auto net = makeNet(config);
+        model::TlpCostModel cached(net, {}, 0,
+                                   model::TlpInferOptions{fused, 256});
+        // Memoize the first half, then move the weights: those memos
+        // are now stale.
+        const std::vector<sched::State> first(states.begin(),
+                                              states.begin() + 6);
+        cached.scoreStates(0, first);
+        net->parameters().back().value()[0] += 0.25f;
+
+        // Two stale memos, six unseen candidates, and in-batch
+        // duplicates of both kinds (one key three times).
+        std::vector<sched::State> batch(states.begin() + 4, states.end());
+        batch.push_back(states[4]);
+        batch.push_back(states[9]);
+        batch.push_back(states[9]);
+        const auto legacy =
+            scoresWith(net, model::TlpInferOptions::legacy(), batch);
+        const auto before = cached.cacheStats();
+        EXPECT_EQ(cached.scoreStates(0, batch), legacy) << fused;
+        const auto after = cached.cacheStats();
+        EXPECT_EQ(after.score_hits, before.score_hits) << fused;
+        EXPECT_EQ(after.misses - before.misses, batch.size()) << fused;
+
+        // Every distinct key holds exactly one entry, now memoized.
+        std::set<std::pair<uint64_t, uint64_t>> distinct;
+        for (const sched::State &state : states) {
+            const model::SeqKey key = model::seqKeyOf(state.steps());
+            distinct.insert({key.lo, key.hi});
+        }
+        EXPECT_EQ(cached.cacheSize(),
+                  static_cast<int64_t>(distinct.size()))
+            << fused;
+        EXPECT_EQ(cached.scoreStates(0, batch), legacy) << fused;
+        const auto again = cached.cacheStats();
+        EXPECT_EQ(again.score_hits - after.score_hits, batch.size())
+            << fused;
+        EXPECT_EQ(again.score_hits + again.misses,
+                  first.size() + 2 * batch.size())
+            << fused;
+        EXPECT_EQ(again.feature_hits, 0u) << fused;
+        EXPECT_EQ(again.bypasses, 0u) << fused;
+        EXPECT_EQ(again.evictions, 0u) << fused;
+    }
+}
+
 TEST(FeatureCache, EvictionUnitSemantics)
 {
     const auto states = samplePopulation(8, 50);
     ASSERT_GE(states.size(), 5u);
-    model::FeatureCache cache(4, 2);
+    model::FeatureCache cache(2);
     std::vector<model::SeqKey> keys;
     for (const sched::State &state : states)
         keys.push_back(model::seqKeyOf(state.steps()));

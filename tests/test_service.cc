@@ -381,7 +381,7 @@ TEST(Service, SnapshotProbeJudgesNonFiniteAndSpread)
 
 TEST(Service, InferenceHotPathNeverPerturbsCurves)
 {
-    // DESIGN.md §13: the fused forward and the feature/score cache are
+    // DESIGN.md §13: the fused forward and the score cache are
     // pure accelerators. A guarded-tlp fleet must produce byte-identical
     // curve files with them on or off — including when the accelerated
     // fleet is killed mid-run and recovered from checkpoints (a
