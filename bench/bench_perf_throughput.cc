@@ -66,9 +66,8 @@
 #include "ir/partition.h"
 #include "models/gbdt.h"
 #include "nn/kernels.h"
-#include "schedule/lower.h"
-#include "sketch/policy.h"
 #include "nn/tensor.h"
+#include "schedule/lower.h"
 #include "sketch/policy.h"
 #include "support/clock.h"
 #include "support/thread_pool.h"

@@ -5,16 +5,16 @@
  *
  * Part 1 enumerates every save fault point — open failure, torn write
  * truncated at each section boundary +/- 1 byte, flush failure, rename
- * failure, all leaving crash debris — for each of the five artifact
- * formats (dataset, model snapshot, tuning checkpoint, training
- * checkpoint, bench memo) and counts violations: a fault that was not
- * reported, a previous-generation artifact that changed on disk, or a
- * loader observing torn bytes. The paper's long-running search setting
- * assumes checkpoints survive power loss; this is that assumption,
- * measured. Part 2 runs a tuning fleet twice — golden, then under a
- * nonzero keyed-hash fault rate with a mid-run kill — and checks the
- * recovered fleet's curve files stay byte-identical while checkpoint
- * persistence degrades gracefully (retry, then checkpointless mode).
+ * failure, all leaving crash debris — for each of the four artifact
+ * formats (dataset, model snapshot, tuning checkpoint, bench memo) and
+ * counts violations: a fault that was not reported, a previous-generation
+ * artifact that changed on disk, or a loader observing torn bytes. The
+ * paper's long-running search setting assumes checkpoints survive power
+ * loss; this is that assumption, measured. Part 2 runs a tuning fleet
+ * twice — golden, then under a nonzero keyed-hash fault rate with a
+ * mid-run kill — and checks the recovered fleet's curve files stay
+ * byte-identical while checkpoint persistence degrades gracefully
+ * (retry, then checkpointless mode).
  *
  * Emits BENCH_io_chaos.json; exits nonzero on any violation.
  */
@@ -32,7 +32,6 @@
 #include "ir/partition.h"
 #include "models/cost_model.h"
 #include "models/snapshot.h"
-#include "models/supervisor.h"
 #include "support/clock.h"
 #include "support/io_env.h"
 #include "support/rng.h"
@@ -104,29 +103,6 @@ checkpointBytes(uint64_t seed)
     std::string bytes = readFile(path);
     std::remove(path.c_str());
     return bytes;
-}
-
-std::string
-trainCheckpointBytes(uint64_t seed, int steps)
-{
-    Rng rng(seed);
-    nn::Tensor w = nn::Tensor::randn({8}, rng, 1.0);
-    nn::Adam adam({w}, {.lr = 0.01});
-    model::SupervisorOptions options;
-    options.enabled = true;
-    model::TrainSupervisor supervisor({w}, adam, options);
-    for (int i = 0; i < steps; ++i) {
-        supervisor.step([&] {
-            adam.zeroGrad();
-            auto &grad = w.grad();
-            for (size_t j = 0; j < grad.size(); ++j)
-                grad[j] = 0.1f * static_cast<float>(j + 1);
-            return 1.0 + 0.1 * i;
-        });
-    }
-    std::ostringstream os(std::ios::binary);
-    model::writeTrainCheckpoint(os, supervisor.makeCheckpoint(steps));
-    return os.str();
 }
 
 std::string
@@ -248,7 +224,7 @@ main()
     const double scale = benchScale();
     const double t0 = wallSeconds();
 
-    // --- Part 1: fault-point enumeration, five formats -------------------
+    // --- Part 1: fault-point enumeration, four formats -------------------
     std::printf("save-fault enumeration (every fault point, crash "
                 "debris on):\n");
     const data::Dataset tiny = smallDataset(12, 4);
@@ -269,11 +245,6 @@ main()
         "checkpoint", checkpointBytes(5), checkpointBytes(6), 8,
         [](const std::string &path) {
             return tune::verifyCheckpoint(path);
-        }));
-    rows.push_back(runSaveDrill(
-        "train_ckpt", trainCheckpointBytes(13, 2),
-        trainCheckpointBytes(14, 3), 8, [](const std::string &path) {
-            return model::loadTrainCheckpoint(path).status();
         }));
     rows.push_back(runSaveDrill(
         "bench_memo", memoBytes(tiny), memoBytes(small), 24,

@@ -64,7 +64,7 @@ main(int argc, char **argv)
                    "(implies --checkpoint; a missing file starts a "
                    "fresh session that checkpoints there)");
     args.addString("verify-checkpoint", "",
-                   "integrity-check this artifact (any of the five "
+                   "integrity-check this artifact (any of the four "
                    "formats, auto-detected by magic) and exit "
                    "(0 = intact, 3 = damaged)");
     args.addInt("subgraphs", 0,
@@ -92,7 +92,7 @@ main(int argc, char **argv)
 
     // Artifact triage mode: no tuning, just the §8 integrity check with
     // the standard exit-code contract (0 intact, 3 damaged). The audit
-    // module auto-detects the format by magic, so any of the five
+    // module auto-detects the format by magic, so any of the four
     // artifacts (or a curve file) can be handed to the same flag.
     const std::string verify = args.getString("verify-checkpoint");
     if (!verify.empty()) {

@@ -8,7 +8,6 @@
 
 #include "dataset/dataset.h"
 #include "models/snapshot.h"
-#include "models/supervisor.h"
 #include "support/logging.h"
 #include "support/serialize.h"
 #include "tuner/session.h"
@@ -98,7 +97,6 @@ artifactKindName(ArtifactKind kind)
       case ArtifactKind::Dataset:          return "dataset";
       case ArtifactKind::Snapshot:         return "snapshot";
       case ArtifactKind::TuningCheckpoint: return "tuning-checkpoint";
-      case ArtifactKind::TrainCheckpoint:  return "training-checkpoint";
       case ArtifactKind::BenchMemo:        return "bench-memo";
       case ArtifactKind::Curve:            return "curve";
     }
@@ -129,8 +127,6 @@ kindFromMagic(uint32_t magic)
         return ArtifactKind::Snapshot;
     if (magic == tune::kSessionCheckpointMagic)
         return ArtifactKind::TuningCheckpoint;
-    if (magic == model::kTrainCheckpointMagic)
-        return ArtifactKind::TrainCheckpoint;
     if (magic == kBenchMemoMagic)
         return ArtifactKind::BenchMemo;
     return ArtifactKind::Unknown;
@@ -165,8 +161,6 @@ verifyArtifact(ArtifactKind kind, std::istream &is)
         return model::loadTlpSnapshot(is).status();
       case ArtifactKind::TuningCheckpoint:
         return tune::verifyCheckpoint(is);
-      case ArtifactKind::TrainCheckpoint:
-        return model::loadTrainCheckpoint(is).status();
       case ArtifactKind::BenchMemo:
         return verifyBenchMemo(is);
       case ArtifactKind::Curve:

@@ -3,13 +3,13 @@
  * Artifact audit & repair: the scan→classify→repair layer behind the
  * `tlp_fsck` doctor and the service's crash recovery (DESIGN.md §15).
  *
- * Five checksummed artifact formats live on disk (DESIGN.md §8):
+ * Four checksummed artifact formats live on disk (DESIGN.md §8):
  * dataset ("TLPD"), model snapshot ("TLPW"), tuning checkpoint
- * ("TLPS"), training checkpoint ("TLPT"), and bench memo ("TLPM") —
- * plus the text curve files the service emits. This module is the one
- * place that knows how to recognize each format by magic, dispatch it
- * to its loader-grade verifier, and classify every file in a directory
- * into one of six states:
+ * ("TLPS"), and bench memo ("TLPM") — plus the text curve files the
+ * service emits. This module is the one place that knows how to
+ * recognize each format by magic, dispatch it to its loader-grade
+ * verifier, and classify every file in a directory into one of six
+ * states:
  *
  *   Intact             verifier accepted the file end to end
  *   VersionSkew        recognized format, version outside the range
@@ -60,7 +60,6 @@ enum class ArtifactKind : uint8_t
     Dataset,           ///< "TLPD" (data::Dataset)
     Snapshot,          ///< "TLPW" (model snapshot, TLP or MLP arch)
     TuningCheckpoint,  ///< "TLPS" (tune::TuningSession checkpoint)
-    TrainCheckpoint,   ///< "TLPT" (model::TrainCheckpoint)
     BenchMemo,         ///< "TLPM" (fingerprint-stamped dataset cache)
     Curve,             ///< text curve file ("# tlp_serve curve v1")
 };
@@ -124,10 +123,10 @@ ArtifactKind kindFromName(const std::string &name);
 /**
  * Verify one artifact payload of a known @p kind from @p is, using the
  * same loader-grade verifier a consumer would (Dataset::tryLoad,
- * snapshot load + either arch, verifyCheckpoint, loadTrainCheckpoint,
- * memo header + embedded dataset; a memo's fingerprint staleness is a
- * cache miss, not damage, and is NOT checked here). Ok means the
- * consumer would accept the file structurally.
+ * snapshot load, verifyCheckpoint, memo header + embedded dataset; a
+ * memo's fingerprint staleness is a cache miss, not damage, and is NOT
+ * checked here). Ok means the consumer would accept the file
+ * structurally.
  */
 Status verifyArtifact(ArtifactKind kind, std::istream &is);
 

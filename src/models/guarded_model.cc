@@ -52,9 +52,7 @@ GuardedCostModel::judgeScores(const std::vector<double> &scores) const
     // and only once measured feedback exists — online models legitimately
     // return uniform scores before their first fit.
     const bool judge_spread =
-        updates_seen_ > 0 &&
-        scores.size() >=
-            static_cast<size_t>(options_.min_probe_candidates);
+        updates_seen_ > 0 && scores.size() >= kGuardMinProbeCandidates;
     return scoreHealth(scores,
                        judge_spread
                            ? kGuardConstantEps
@@ -126,10 +124,8 @@ GuardedCostModel::update(int task_id,
     // measured states the way the hardware did?
     const bool last_rung =
         active_ + 1 >= static_cast<int>(ladder_.size());
-    if (last_rung || options_.probe_every <= 0 ||
-        updates_seen_ % options_.probe_every != 0 ||
-        probe_states_.size() <
-            static_cast<size_t>(options_.min_probe_candidates)) {
+    if (last_rung || updates_seen_ % kGuardProbeEvery != 0 ||
+        probe_states_.size() < kGuardMinProbeCandidates) {
         publishHealth();
         return;
     }

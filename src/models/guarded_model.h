@@ -27,7 +27,12 @@
 
 namespace tlp::model {
 
-/** Scores spanning no more than this over >= min_probe_candidates
+/** Collapse is only judged on populations at least this large, and the
+ *  rank-correlation probe only runs on at least this many records. */
+inline constexpr size_t kGuardMinProbeCandidates = 8;
+/** Rank-correlation probe cadence: every Nth update(). */
+inline constexpr int64_t kGuardProbeEvery = 4;
+/** Scores spanning no more than this over >= kGuardMinProbeCandidates
  *  candidates count as output collapse (see scoreHealth). */
 inline constexpr double kGuardConstantEps = 1e-9;
 /** Spearman(model scores, -latency) below this floor is sick. */
@@ -38,10 +43,6 @@ inline constexpr size_t kGuardProbeWindow = 64;
 /** GuardedCostModel knobs. */
 struct GuardOptions
 {
-    /** Collapse is only judged on populations at least this large. */
-    int min_probe_candidates = 8;
-    /** Rank-correlation probe cadence: every Nth update() (0 = off). */
-    int probe_every = 4;
     /** Where health counters accumulate (optional, caller-owned). */
     HealthCounters *health_out = nullptr;
 };

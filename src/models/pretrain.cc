@@ -105,7 +105,6 @@ pretrain(TlpNet &net, const data::LabeledSet &set,
                                  : 0.0;
         if (options.verbose)
             inform("pretrain epoch ", epoch, " loss ", epoch_loss);
-        supervisor.endEpoch(epoch);
     }
     return epoch_loss;
 }

@@ -2,17 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <sstream>
-
-#include "support/clock.h"
 
 namespace tlp::model {
 
 namespace {
-
-constexpr uint32_t kStateTag = sectionTag("STAT");
 
 // Stream discriminators of the per-(step, attempt) fault draws, so the
 // nan-grad and loss-spike Bernoullis are independent.
@@ -148,84 +143,12 @@ TrainFaultProfile::draw(int64_t step, int attempt, uint64_t stream,
     return u < prob;
 }
 
-// --- training checkpoints ("TLPT") --------------------------------------
-
-void
-writeTrainCheckpoint(std::ostream &os, const TrainCheckpoint &ckpt)
-{
-    BinaryWriter writer(os);
-    writeHeader(writer, kTrainCheckpointMagic, kTrainCheckpointVersion);
-    writeSection(writer, kStateTag, [&](BinaryWriter &w) {
-        w.writePod<int32_t>(ckpt.epoch);
-        w.writePod<int64_t>(ckpt.steps_done);
-        w.writePod<double>(ckpt.loss_ewma);
-        w.writePod<uint8_t>(ckpt.ewma_ready ? 1 : 0);
-        ckpt.health.serialize(w);
-        w.writePod<uint32_t>(static_cast<uint32_t>(ckpt.params.size()));
-        for (const auto &param : ckpt.params)
-            w.writeVector(param);
-        w.writeString(ckpt.optimizer_state);
-    });
-    writeSectionRaw(writer, kEndSectionTag, "");
-}
-
-Result<TrainCheckpoint>
-loadTrainCheckpoint(std::istream &is)
-{
-    TrainCheckpoint ckpt;
-    const Status status = guardedParse([&] {
-        BinaryReader reader(is);
-        readHeader(reader, kTrainCheckpointMagic, kTrainCheckpointVersion,
-                   kTrainCheckpointVersion);
-        bool seen_state = false;
-        readSectionsToEnd(
-            reader, "training-checkpoint",
-            [&](uint32_t tag, BinaryReader &body) {
-                if (tag != kStateTag)
-                    return;
-                ckpt.epoch = body.readPod<int32_t>();
-                ckpt.steps_done = body.readPod<int64_t>();
-                ckpt.loss_ewma = body.readPod<double>();
-                ckpt.ewma_ready = body.readPod<uint8_t>() != 0;
-                ckpt.health = HealthCounters::deserialize(body);
-                const auto param_count = body.readPod<uint32_t>();
-                if (param_count > body.remaining()) {
-                    throw SerializeError(
-                        ErrorCode::Corrupt,
-                        "training checkpoint advertises " +
-                            std::to_string(param_count) + " parameters");
-                }
-                ckpt.params.reserve(param_count);
-                for (uint32_t p = 0; p < param_count; ++p)
-                    ckpt.params.push_back(body.readVector<float>());
-                ckpt.optimizer_state = body.readString();
-                seen_state = true;
-            });
-        if (!seen_state) {
-            throw SerializeError(
-                ErrorCode::Truncated,
-                "training checkpoint is missing required sections");
-        }
-    });
-    if (!status.ok())
-        return status;
-    return ckpt;
-}
-
-Result<TrainCheckpoint>
-loadTrainCheckpoint(const std::string &path)
-{
-    return readArtifactFile(
-        path, [](std::istream &is) { return loadTrainCheckpoint(is); });
-}
-
 // --- TrainSupervisor ----------------------------------------------------
 
 TrainSupervisor::TrainSupervisor(std::vector<nn::Tensor> params,
                                  nn::Adam &adam, SupervisorOptions options)
     : params_(std::move(params)), adam_(adam),
-      options_(std::move(options)), backoff_rng_(options_.seed),
-      start_seconds_(wallSeconds())
+      options_(std::move(options)), backoff_rng_(kSupervisorSeed)
 {
     if (options_.enabled)
         takeSnapshot();
@@ -286,25 +209,9 @@ TrainSupervisor::step(const std::function<double()> &attempt)
     if (stopped_)
         return StepOutcome::Stop;
 
-    // Budget watchdogs fire before work is spent on the next step; the
-    // parameters are whatever the last healthy step produced.
-    if (options_.max_steps > 0 && steps_done_ >= options_.max_steps) {
-        health_[HealthEvent::StepBudget]++;
-        stopped_ = true;
-        publishHealth();
-        return StepOutcome::Stop;
-    }
-    if (options_.max_wall_seconds > 0.0 &&
-        wallSeconds() - start_seconds_ > options_.max_wall_seconds) {
-        health_[HealthEvent::WallClockBudget]++;
-        stopped_ = true;
-        publishHealth();
-        return StepOutcome::Stop;
-    }
-
     const int64_t step_id = step_serial_++;
     const double schedule_lr = adam_.lr();
-    for (int att = 0; att <= options_.max_retries; ++att) {
+    for (int att = 0;; ++att) {
         double loss = attempt();
 
         // Deterministic fault injection (off unless a profile is set).
@@ -359,7 +266,7 @@ TrainSupervisor::step(const std::function<double()> &attempt)
             publishHealth();
             return StepOutcome::Stop;
         }
-        if (att == options_.max_retries) {
+        if (att == kSupervisorMaxRetries) {
             health_[HealthEvent::RetryExhausted]++;
             adam_.setLr(schedule_lr);
             publishHealth();
@@ -371,8 +278,6 @@ TrainSupervisor::step(const std::function<double()> &attempt)
         adam_.setLr(schedule_lr *
                     std::pow(kSupervisorLrBackoff, att + 1) * jitter);
     }
-    // tlp-lint: allow(loader-fatal) -- internal invariant in training logic, unreachable from artifact bytes; checkpoint parsing is guardedParse
-    TLP_PANIC("unreachable: supervisor retry loop fell through");
 }
 
 void
@@ -380,49 +285,6 @@ TrainSupervisor::publishHealth()
 {
     if (options_.health_out != nullptr)
         *options_.health_out = health_;
-}
-
-TrainCheckpoint
-TrainSupervisor::makeCheckpoint(int epoch) const
-{
-    TrainCheckpoint ckpt;
-    ckpt.epoch = epoch;
-    ckpt.steps_done = steps_done_;
-    ckpt.loss_ewma = loss_ewma_;
-    ckpt.ewma_ready = ewma_ready_;
-    ckpt.health = health_;
-    ckpt.params.resize(params_.size());
-    for (size_t p = 0; p < params_.size(); ++p)
-        ckpt.params[p] = params_[p].value();
-    std::ostringstream buffer(std::ios::binary);
-    BinaryWriter writer(buffer);
-    adam_.serializeState(writer);
-    ckpt.optimizer_state = buffer.str();
-    return ckpt;
-}
-
-void
-TrainSupervisor::endEpoch(int epoch)
-{
-    if (!options_.enabled || options_.checkpoint_path.empty())
-        return;
-    const int every = options_.checkpoint_every > 0
-                          ? options_.checkpoint_every
-                          : 1;
-    if (epoch % every != 0)
-        return;
-    const TrainCheckpoint ckpt = makeCheckpoint(epoch);
-    const Status status =
-        atomicWriteFile(options_.checkpoint_path, [&](std::ostream &os) {
-            writeTrainCheckpoint(os, ckpt);
-        });
-    if (!status.ok()) {
-        warn("training checkpoint write failed (run continues): ",
-             status.toString());
-        return;
-    }
-    health_[HealthEvent::CheckpointWritten]++;
-    publishHealth();
 }
 
 } // namespace tlp::model

@@ -1,7 +1,7 @@
 /**
  * @file
- * Training-run supervisor: numeric-anomaly detection, rollback-retry,
- * and budget watchdogs for every gradient-descent loop.
+ * Training-run supervisor: numeric-anomaly detection and rollback-retry
+ * for every gradient-descent loop.
  *
  * TLP's value rests on one expensive offline pretraining run (paper
  * Sec. 6.1) and a long model-guided search; a single NaN gradient or
@@ -11,10 +11,8 @@
  * against an EWMA — and recovers by rolling the parameters and
  * optimizer state back to the last-good in-memory snapshot, backing the
  * learning rate off (seeded, deterministic), and retrying a bounded
- * number of times. Wall-clock and step budgets stop runaway runs with
- * the last-good weights intact, and epoch-level training checkpoints in
- * the DESIGN.md Sec. 8 checksummed format ("TLPT") survive crashes.
- * Every health event lands in a typed counter (HealthCounters).
+ * number of times. Every health event lands in a typed counter
+ * (HealthCounters).
  *
  * A deterministic TrainFaultProfile (mirroring hw::FaultProfile)
  * injects NaN gradients and loss spikes keyed by (step, attempt, seed)
@@ -33,13 +31,16 @@
 #include <vector>
 
 #include "nn/optim.h"
-#include "support/result.h"
 #include "support/rng.h"
 #include "support/serialize.h"
 
 namespace tlp::model {
 
-/** Typed health events recorded by the training & search supervisors. */
+/**
+ * Typed health events recorded by the training & search supervisors.
+ * HealthCounters serialize by position (inside the "TLPS" guarded-model
+ * state), so events are only ever appended and retired slots stay.
+ */
 enum class HealthEvent : uint8_t
 {
     NanLoss = 0,        ///< loss came back NaN/Inf
@@ -49,13 +50,13 @@ enum class HealthEvent : uint8_t
     Rollback,           ///< parameters restored from the last-good snapshot
     RetryExhausted,     ///< a batch was skipped after bounded retries
     AbortPolicy,        ///< AbortOnFault policy stopped the run
-    WallClockBudget,    ///< wall-clock watchdog stopped the run
-    StepBudget,         ///< step-count watchdog stopped the run
+    WallClockBudget,    ///< never raised; slot kept for counter positions
+    StepBudget,         ///< never raised; slot kept for counter positions
     NanScore,           ///< cost model produced NaN/Inf scores
     ConstantScore,      ///< cost model output collapsed to a constant
     LowRankCorrelation, ///< model-vs-measured rank correlation below floor
     Failover,           ///< search switched to the next fallback model
-    CheckpointWritten,  ///< a training checkpoint reached disk
+    CheckpointWritten,  ///< never raised; slot kept for counter positions
     NumEvents
 };
 
@@ -157,6 +158,11 @@ inline constexpr double kSupervisorLossDivergenceFactor = 10.0;
  *  losses don't trip it. */
 inline constexpr double kSupervisorLossDivergenceFloor = 1.0;
 
+/** Retry attempts per step before the batch is skipped. */
+inline constexpr int kSupervisorMaxRetries = 3;
+/** Seed of the deterministic learning-rate backoff jitter. */
+inline constexpr uint64_t kSupervisorSeed = 0x5afe;
+
 /** Supervisor parameters. */
 struct SupervisorOptions
 {
@@ -165,23 +171,6 @@ struct SupervisorOptions
     bool enabled = false;
 
     RecoveryPolicy policy = RecoveryPolicy::RollbackRetry;
-
-    /** Retry attempts per step before the batch is skipped. */
-    int max_retries = 3;
-    /** Seed of the deterministic backoff jitter. */
-    uint64_t seed = 0x5afe;
-
-    /** Wall-clock budget in seconds (0 = unlimited). Real time, so only
-     *  the stop decision is nondeterministic — the weights returned are
-     *  always a prefix of the unsupervised trajectory. */
-    double max_wall_seconds = 0.0;
-    /** Step budget across the whole run (0 = unlimited). */
-    int64_t max_steps = 0;
-
-    /** Epoch-level training checkpoint path ("" disables). */
-    std::string checkpoint_path;
-    /** Epochs between checkpoint writes. */
-    int checkpoint_every = 1;
 
     /** Fault injection (off by default). */
     TrainFaultProfile faults;
@@ -195,40 +184,8 @@ enum class StepOutcome : uint8_t
 {
     Ok = 0,     ///< step applied (possibly after retries)
     Skipped,    ///< retries exhausted; batch skipped, weights last-good
-    Stop,       ///< budget or abort policy: stop training now
+    Stop,       ///< abort policy: stop training now
 };
-
-// --- training checkpoints ("TLPT") --------------------------------------
-
-/** Training-checkpoint file magic ("TLPT": TLP training state). */
-inline constexpr uint32_t kTrainCheckpointMagic = 0x544c5054;
-
-/** Current training-checkpoint format version. */
-inline constexpr uint32_t kTrainCheckpointVersion = 1;
-
-/** Everything an epoch-level training checkpoint persists. */
-struct TrainCheckpoint
-{
-    int32_t epoch = 0;
-    int64_t steps_done = 0;
-    double loss_ewma = 0.0;
-    bool ewma_ready = false;
-    HealthCounters health;
-    /** Parameter tensors, flattened, in parameters() order. */
-    std::vector<std::vector<float>> params;
-    /** Serialized Adam state (moments + step count + lr). */
-    std::string optimizer_state;
-};
-
-/** Stream variant of the checkpoint writer (for tests/fuzzing). */
-void writeTrainCheckpoint(std::ostream &os, const TrainCheckpoint &ckpt);
-
-/**
- * Load a training checkpoint. Corruption, truncation, and version skew
- * come back as a clean Status (the DESIGN.md Sec. 8 contract).
- */
-Result<TrainCheckpoint> loadTrainCheckpoint(std::istream &is);
-Result<TrainCheckpoint> loadTrainCheckpoint(const std::string &path);
 
 /**
  * The per-step supervisor. One instance wraps one training run: it owns
@@ -240,7 +197,6 @@ Result<TrainCheckpoint> loadTrainCheckpoint(const std::string &path);
  *   for each batch:
  *       switch (supervisor.step([&] { zeroGrad; forward; backward;
  *                                     return loss; })) ...
- *   supervisor.endEpoch(epoch);   // EWMA checkpointing
  */
 class TrainSupervisor
 {
@@ -256,17 +212,11 @@ class TrainSupervisor
     /**
      * Run one supervised optimizer step. @p attempt must zero the
      * gradients, run forward + backward, and return the loss value; it
-     * may be called up to 1 + max_retries times. On Ok the optimizer
-     * stepped; on Skipped/Stop the parameters are the last-good ones.
+     * may be called up to 1 + kSupervisorMaxRetries times. On Ok the
+     * optimizer stepped; on Skipped/Stop the parameters are the last-good
+     * ones.
      */
     StepOutcome step(const std::function<double()> &attempt);
-
-    /**
-     * Mark an epoch boundary: writes the epoch-level checkpoint when
-     * configured (atomic, Sec. 8 framing; a failed write warns and
-     * continues — the in-memory run is unaffected).
-     */
-    void endEpoch(int epoch);
 
     /** Health counters accumulated so far. */
     const HealthCounters &health() const { return health_; }
@@ -274,11 +224,8 @@ class TrainSupervisor
     /** Steps applied (== optimizer steps) so far. */
     int64_t stepsDone() const { return steps_done_; }
 
-    /** True once a budget watchdog or the abort policy fired. */
+    /** True once the abort policy fired. */
     bool stopped() const { return stopped_; }
-
-    /** Build the checkpoint payload of the current state (for tests). */
-    TrainCheckpoint makeCheckpoint(int epoch) const;
 
   private:
     /** Copy parameter values + optimizer state into the snapshot. */
@@ -307,7 +254,6 @@ class TrainSupervisor
     int64_t steps_done_ = 0;        ///< applied optimizer steps
     int64_t step_serial_ = 0;       ///< attempted steps (fault-draw key)
     bool stopped_ = false;
-    double start_seconds_ = 0.0;    ///< wall clock at construction
 };
 
 } // namespace tlp::model

@@ -122,7 +122,6 @@ trainMlp(TensetMlpNet &net, const data::LabeledSet &set,
         if (options.verbose)
             inform("mlp epoch ", epoch, " loss ", epoch_loss);
         adam.setLr(adam.lr() * kLrDecayPerEpoch);
-        supervisor.endEpoch(epoch);
     }
     return epoch_loss;
 }

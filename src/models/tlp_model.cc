@@ -253,7 +253,6 @@ trainTlpNet(TlpNet &net, const data::LabeledSet &set,
                    adam.lr());
         }
         adam.setLr(adam.lr() * kLrDecayPerEpoch);
-        supervisor.endEpoch(epoch);
     }
     return epoch_loss;
 }

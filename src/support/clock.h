@@ -2,10 +2,10 @@
  * @file
  * The tree's one wall-clock read (DESIGN.md §11 `wallclock` rule).
  *
- * Wall time may feed timers, budgets and reports only: search-time
- * stats, the session and TrainSupervisor wall-clock budgets, and bench
- * timings. It must never reach a score, a curve, a checkpoint or a
- * search decision; those stay pure functions of seeded Rngs.
+ * Wall time may feed timers and reports only: search-time stats and
+ * bench timings. It must never reach a score, trained weights, a curve,
+ * a checkpoint or a search decision; those stay pure functions of
+ * seeded Rngs.
  */
 #pragma once
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the artifact audit & repair module (DESIGN.md §15): format
- * detection by magic across all five artifacts, the six-way state
+ * detection by magic across all four artifacts, the six-way state
  * classification, deterministic reports, repair (quarantine + sweep +
  * dataset salvage), and quarantine-generation collision handling.
  */
@@ -19,7 +19,6 @@
 #include "ir/partition.h"
 #include "models/cost_model.h"
 #include "models/snapshot.h"
-#include "models/supervisor.h"
 #include "support/rng.h"
 #include "support/serialize.h"
 #include "tuner/service/service.h"
@@ -147,27 +146,6 @@ checkpointBytes()
 }
 
 std::string
-trainCheckpointBytes()
-{
-    Rng rng(17);
-    nn::Tensor w = nn::Tensor::randn({4}, rng, 1.0);
-    nn::Adam adam({w}, {.lr = 0.01});
-    model::SupervisorOptions options;
-    options.enabled = true;
-    model::TrainSupervisor supervisor({w}, adam, options);
-    supervisor.step([&] {
-        adam.zeroGrad();
-        auto &grad = w.grad();
-        for (size_t j = 0; j < grad.size(); ++j)
-            grad[j] = 0.25f;
-        return 1.0;
-    });
-    std::ostringstream os(std::ios::binary);
-    model::writeTrainCheckpoint(os, supervisor.makeCheckpoint(1));
-    return os.str();
-}
-
-std::string
 memoBytes(uint64_t fingerprint)
 {
     std::ostringstream os;
@@ -183,20 +161,19 @@ curveBytes()
                                   result);
 }
 
-TEST_F(ArtifactAudit, DetectsAllFiveFormatsByMagicPlusCurves)
+TEST_F(ArtifactAudit, DetectsAllFourFormatsByMagicPlusCurves)
 {
     plant("d.bin", datasetBytes(smallDataset()));
     plant("w.bin", snapshotBytes());
     plant("s.bin", checkpointBytes());
-    plant("t.bin", trainCheckpointBytes());
     plant("memo.bin", memoBytes(0xfeedbeef));
     plant("c.curve", curveBytes());
 
     using K = artifact::ArtifactKind;
     const std::pair<const char *, K> expect[] = {
         {"d.bin", K::Dataset},          {"w.bin", K::Snapshot},
-        {"s.bin", K::TuningCheckpoint}, {"t.bin", K::TrainCheckpoint},
-        {"memo.bin", K::BenchMemo},     {"c.curve", K::Curve},
+        {"s.bin", K::TuningCheckpoint}, {"memo.bin", K::BenchMemo},
+        {"c.curve", K::Curve},
     };
     for (const auto &[name, kind] : expect) {
         const artifact::ArtifactRecord record =
@@ -205,6 +182,33 @@ TEST_F(ArtifactAudit, DetectsAllFiveFormatsByMagicPlusCurves)
         EXPECT_EQ(record.state, artifact::ArtifactState::Intact)
             << name << ": " << record.detail;
     }
+}
+
+TEST_F(ArtifactAudit, RetiredTrainingCheckpointMagicIsUnrecognized)
+{
+    // "TLPT" is not one of our magics: a well-framed file carrying it is
+    // someone else's, not damage, and repair leaves it where it is.
+    constexpr uint32_t kRetiredTrainCheckpointMagic = 0x544c5054;
+    std::ostringstream os(std::ios::binary);
+    BinaryWriter writer(os);
+    writeHeader(writer, kRetiredTrainCheckpointMagic, 1);
+    writeSectionRaw(writer, sectionTag("STAT"), "epoch state");
+    writeSectionRaw(writer, kEndSectionTag, "");
+    const std::string bytes = os.str();
+    plant("train.bin", bytes);
+
+    const artifact::ArtifactRecord record =
+        artifact::auditFile(path("train.bin"));
+    EXPECT_EQ(record.kind, artifact::ArtifactKind::Unknown);
+    EXPECT_EQ(record.state, artifact::ArtifactState::Unrecognized);
+    EXPECT_FALSE(artifact::auditDirectory(dir_).damaged());
+
+    const artifact::RepairReport repaired =
+        artifact::repairDirectory(dir_);
+    EXPECT_EQ(repaired.quarantined, 0);
+    EXPECT_EQ(repaired.failures, 0);
+    EXPECT_EQ(slurp("train.bin"), bytes);
+    EXPECT_FALSE(fs::exists(path("train.bin.quarantined.1")));
 }
 
 TEST_F(ArtifactAudit, MemoFingerprintStalenessIsNotDamage)

@@ -29,7 +29,6 @@
 #include "ir/partition.h"
 #include "models/cost_model.h"
 #include "models/snapshot.h"
-#include "models/supervisor.h"
 #include "support/io_env.h"
 #include "support/rng.h"
 #include "support/serialize.h"
@@ -132,32 +131,6 @@ goldenMemoBytes()
     std::ostringstream os;
     bench::writeBenchMemo(os, kMemoFingerprint, goldenDataset());
     return os.str();
-}
-
-std::string
-goldenTrainCheckpointBytes()
-{
-    static const std::string bytes = [] {
-        Rng rng(13);
-        nn::Tensor w = nn::Tensor::randn({8}, rng, 1.0);
-        nn::Adam adam({w}, {.lr = 0.01});
-        model::SupervisorOptions options;
-        options.enabled = true;
-        model::TrainSupervisor supervisor({w}, adam, options);
-        for (int i = 0; i < 3; ++i) {
-            supervisor.step([&] {
-                adam.zeroGrad();
-                auto &grad = w.grad();
-                for (size_t j = 0; j < grad.size(); ++j)
-                    grad[j] = 0.1f * static_cast<float>(j + 1);
-                return 1.0 + 0.1 * i;
-            });
-        }
-        std::ostringstream os(std::ios::binary);
-        model::writeTrainCheckpoint(os, supervisor.makeCheckpoint(2));
-        return os.str();
-    }();
-    return bytes;
 }
 
 // --- section walking (for boundary-targeted mutations) ------------------
@@ -334,18 +307,6 @@ TEST(CorruptionFuzz, CheckpointNeverCrashes)
     EXPECT_LT(survivors, kMutationsPerFormat / 10);
 }
 
-TEST(CorruptionFuzz, TrainCheckpointNeverCrashes)
-{
-    const std::string golden = goldenTrainCheckpointBytes();
-    ASSERT_FALSE(golden.empty());
-    const int survivors =
-        fuzzFormat(golden, 8, 0x717c, [](const std::string &bytes) {
-            std::istringstream is(bytes);
-            return model::loadTrainCheckpoint(is).ok();
-        });
-    EXPECT_LT(survivors, kMutationsPerFormat / 10);
-}
-
 TEST(CorruptionFuzz, BenchMemoNeverCrashes)
 {
     const std::string golden = goldenMemoBytes();
@@ -385,13 +346,6 @@ TEST(Corruption, GoldenArtifactsLoadCleanly)
         std::istringstream is(goldenMemoBytes());
         auto result = bench::loadBenchMemo(is, kMemoFingerprint);
         ASSERT_TRUE(result.ok()) << result.status().toString();
-    }
-    {
-        std::istringstream is(goldenTrainCheckpointBytes());
-        auto result = model::loadTrainCheckpoint(is);
-        ASSERT_TRUE(result.ok()) << result.status().toString();
-        EXPECT_EQ(result.value().epoch, 2);
-        EXPECT_EQ(result.value().steps_done, 3);
     }
 }
 
@@ -625,19 +579,6 @@ TEST(Corruption, CheckpointV4StillLoads)
     EXPECT_TRUE(status.ok()) << status.toString();
 }
 
-TEST(Corruption, TrainCheckpointVersionSkewIsClean)
-{
-    for (const uint32_t version :
-         {model::kTrainCheckpointVersion + 1, 0u}) {
-        std::istringstream is(
-            withVersion(goldenTrainCheckpointBytes(), version));
-        const Status status = model::loadTrainCheckpoint(is).status();
-        ASSERT_FALSE(status.ok());
-        EXPECT_EQ(status.code(), ErrorCode::VersionSkew)
-            << status.toString();
-    }
-}
-
 TEST(Corruption, BenchMemoVersionSkewIsClean)
 {
     for (const uint32_t version : {bench::kMemoVersion + 1, 1u}) {
@@ -821,29 +762,6 @@ TEST(CrashConsistency, CheckpointSaveFaultsKeepPreviousArtifact)
                  });
 }
 
-TEST(CrashConsistency, TrainCheckpointSaveFaultsKeepPreviousArtifact)
-{
-    Rng rng(14);
-    nn::Tensor w = nn::Tensor::randn({8}, rng, 1.0);
-    nn::Adam adam({w}, {.lr = 0.01});
-    model::SupervisorOptions options;
-    options.enabled = true;
-    model::TrainSupervisor supervisor({w}, adam, options);
-    supervisor.step([&] {
-        adam.zeroGrad();
-        auto &grad = w.grad();
-        for (size_t j = 0; j < grad.size(); ++j)
-            grad[j] = 0.2f * static_cast<float>(j + 1);
-        return 2.0;
-    });
-    std::ostringstream os(std::ios::binary);
-    model::writeTrainCheckpoint(os, supervisor.makeCheckpoint(1));
-    runSaveDrill("train_ckpt", os.str(), goldenTrainCheckpointBytes(), 8,
-                 [](const std::string &path) {
-                     return model::loadTrainCheckpoint(path).status();
-                 });
-}
-
 TEST(CrashConsistency, BenchMemoSaveFaultsKeepPreviousArtifact)
 {
     std::ostringstream os;
@@ -965,16 +883,9 @@ TEST(ArtifactIo, StrictLoadersSkipUnknownSections)
         return golden.substr(0, golden.size() - 16) + unknown +
                golden.substr(golden.size() - 16);
     };
-    {
-        std::istringstream is(splice(goldenSnapshotBytes()));
-        const auto result = model::loadTlpSnapshot(is);
-        EXPECT_TRUE(result.ok()) << result.status().toString();
-    }
-    {
-        std::istringstream is(splice(goldenTrainCheckpointBytes()));
-        const auto result = model::loadTrainCheckpoint(is);
-        EXPECT_TRUE(result.ok()) << result.status().toString();
-    }
+    std::istringstream is(splice(goldenSnapshotBytes()));
+    const auto result = model::loadTlpSnapshot(is);
+    EXPECT_TRUE(result.ok()) << result.status().toString();
 }
 
 TEST(ArtifactIo, EveryPathLoadMakesExactlyOneReadCheck)
@@ -984,7 +895,6 @@ TEST(ArtifactIo, EveryPathLoadMakesExactlyOneReadCheck)
         {"dataset", goldenDatasetBytes()},
         {"snapshot", goldenSnapshotBytes()},
         {"checkpoint", goldenCheckpointBytes()},
-        {"train_ckpt", goldenTrainCheckpointBytes()},
         {"memo", goldenMemoBytes()},
     };
     const std::map<std::string,
@@ -1001,10 +911,6 @@ TEST(ArtifactIo, EveryPathLoadMakesExactlyOneReadCheck)
             {"checkpoint",
              [](const std::string &path) {
                  return tune::verifyCheckpoint(path);
-             }},
-            {"train_ckpt",
-             [](const std::string &path) {
-                 return model::loadTrainCheckpoint(path).status();
              }},
             {"memo",
              [](const std::string &path) {
