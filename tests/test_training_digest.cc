@@ -7,8 +7,10 @@
  * moves a digest. The cases cover every tape training loop: trainTlpNet
  * (attention and LSTM backbones, rank and MSE loss, a masked 2-task MTL
  * run, a supervised run with a forced retry), GPT and BERT pretraining
- * and the TenSet-MLP fit. Batch sizes are ragged within each epoch, so per-step
- * tape shapes both grow and shrink.
+ * (BERT also with a forced retry, which must reuse the batch's masks)
+ * and the TenSet-MLP fit (also stopped mid-epoch by the abort policy).
+ * Batch sizes are ragged within each epoch, so per-step tape shapes both
+ * grow and shrink.
  *
  * The digests hold for the uninstrumented x86-64-v3 builds
  * (RelWithDebInfo and Release; see golden.h). Any other build trains
@@ -199,6 +201,29 @@ TEST_F(TrainingDigest, BertPretrain)
     EXPECT_EQ(digest, 0x166c02b6e06ab757ull) << std::hex << digest;
 }
 
+TEST_F(TrainingDigest, BertSupervisedRetry)
+{
+    const TlpNetConfig config = smallTlpConfig();
+    const auto set =
+        raggedSet(37, config.seq_len * config.emb_size, 1, 0xa8);
+    Rng rng(0xd5);
+    TlpNet net(config, rng);
+    PretrainOptions options;
+    options.epochs = 2;
+    options.batch_size = 16;
+    options.supervisor.enabled = true;
+    options.supervisor.faults = TrainFaultProfile::uniform(0.3, 0xa8);
+    HealthCounters health;
+    options.supervisor.health_out = &health;
+    const double loss = bertPretrain(net, set, options);
+    EXPECT_TRUE(std::isfinite(loss));
+    // A retried attempt reuses the batch's masks: the mask draws come
+    // from the pretraining stream once per batch, never per attempt.
+    EXPECT_GT(health[HealthEvent::Rollback], 0);
+    const uint64_t digest = trainingDigest(net, loss);
+    EXPECT_EQ(digest, 0x1e9febd459dfbaf7ull) << std::hex << digest;
+}
+
 TEST_F(TrainingDigest, TensetMlpFit)
 {
     const auto set = raggedSet(45, 164, 1, 0xa6);
@@ -211,6 +236,30 @@ TEST_F(TrainingDigest, TensetMlpFit)
     EXPECT_TRUE(std::isfinite(loss));
     const uint64_t digest = trainingDigest(net, loss);
     EXPECT_EQ(digest, 0x949e366afafe8d0bull) << std::hex << digest;
+}
+
+TEST_F(TrainingDigest, MlpAbortOnFault)
+{
+    const auto set = raggedSet(45, 164, 1, 0xa9);
+    Rng rng(0xd6);
+    MlpConfig config;
+    config.hidden = 32;
+    TensetMlpNet net(config, rng);
+    TrainOptions options = smallTrainOptions();
+    options.supervisor.enabled = true;
+    options.supervisor.policy = RecoveryPolicy::AbortOnFault;
+    options.supervisor.faults = TrainFaultProfile::uniform(0.3, 0xa9);
+    HealthCounters health;
+    options.supervisor.health_out = &health;
+    const double loss = trainMlp(net, set, options);
+    EXPECT_TRUE(std::isfinite(loss));
+    // The first faulty attempt stops the run mid-epoch: the weights are
+    // the last-good ones, and the loss is the mean of that epoch's
+    // steps before the stop.
+    EXPECT_EQ(health[HealthEvent::AbortPolicy], 1);
+    EXPECT_GT(loss, 0.0);
+    const uint64_t digest = trainingDigest(net, loss);
+    EXPECT_EQ(digest, 0x63bcb8fccc31304dull) << std::hex << digest;
 }
 
 } // namespace
