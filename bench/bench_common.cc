@@ -51,7 +51,7 @@ collectionFingerprint(const data::CollectOptions &options)
                        static_cast<uint64_t>(options.programs_per_subgraph));
     hash = hashCombine(hash, options.seed);
     const hw::MeasureOptions collect_measure;   // what collection uses
-    hash = mixDouble(hash, collect_measure.noise_std);
+    hash = mixDouble(hash, hw::kMeasureNoiseStd);
     hash = hashCombine(hash, options.faults.digest());
     hash = hashCombine(hash,
                        static_cast<uint64_t>(collect_measure.max_retries));
@@ -505,7 +505,6 @@ drillFleet(int sessions, int rounds, uint64_t seed,
         spec.tune.evolution.population = 24;
         spec.tune.evolution.iterations = 2;
         spec.tune.evolution.children_per_iter = 12;
-        spec.tune.measure.seconds_per_measure = 0.25;
         spec.tune.seed = seed + static_cast<uint64_t>(i);
         fleet.push_back(std::move(spec));
     }

@@ -67,7 +67,6 @@ main()
     options.faults.poison_session = poisoned;
     options.faults.poison_after_round = 1;
     options.breaker_trip_limit = breaker_limit;
-    options.backoff_base_ticks = 1;
     options.backoff_cap_ticks = 4;
     t0 = wallSeconds();
     serve::TuningService drill(options);

@@ -12,7 +12,11 @@
  * run as soon as a fault fires, rollback-retry finishes with a finite
  * loss close to the clean run at a small step cost, and the guarded
  * search fails over instead of aborting and still finishes its budget.
- * Results go to stdout and BENCH_robustness_training.json.
+ * Results go to stdout and BENCH_robustness_training.json; the exit
+ * status is non-zero when the run breaks that shape: a rollback-retry
+ * run ends non-finite or aborted, an abort run that saw a fault did
+ * not abort, or the guarded search never failed over or measured less
+ * than the clean run.
  */
 #include <cmath>
 #include <cstdio>
@@ -77,6 +81,7 @@ main()
     };
 
     std::vector<TrainRun> runs;
+    bool shape_holds = true;
     TextTable table("training fault rate x recovery policy");
     table.setHeader({"faults", "policy", "final loss", "aborted",
                      "rollbacks", "skipped"});
@@ -110,6 +115,17 @@ main()
                              health[model::HealthEvent::NanGrad] +
                              health[model::HealthEvent::LossDivergence];
             runs.push_back(run);
+            // Every unhealthy attempt rolls back, so rollbacks > 0 means
+            // the run saw a fault.
+            const bool run_ok =
+                policy.policy == model::RecoveryPolicy::RollbackRetry
+                    ? std::isfinite(run.final_loss) && !run.aborted
+                    : run.rollbacks == 0 || run.aborted;
+            if (!run_ok) {
+                std::printf("SHAPE VIOLATED: %s run at fault rate %.2f\n",
+                            run.policy, rate);
+                shape_holds = false;
+            }
 
             table.addRow({formatDouble(rate, 2), policy.label,
                           std::isfinite(run.final_loss)
@@ -142,12 +158,9 @@ main()
     const auto clean = tune::tuneWorkload(slim, hw_platform, baseline,
                                           tune_options);
 
-    model::HealthCounters search_health;
-    model::GuardOptions guard_options;
-    guard_options.health_out = &search_health;
     auto sick = std::make_shared<model::FaultInjectedCostModel>(
         std::make_shared<model::AnsorOnlineCostModel>(), 2);
-    auto guarded = model::makeGuardedLadder(sick, guard_options);
+    auto guarded = model::makeGuardedLadder(sick);
     const auto degraded = tune::tuneWorkload(slim, hw_platform, *guarded,
                                              tune_options);
 
@@ -163,13 +176,18 @@ main()
          std::to_string(degraded.total_measurements),
          std::to_string(guarded->activeIndex()),
          std::to_string(
-             search_health[model::HealthEvent::Failover])});
+             guarded->health()[model::HealthEvent::Failover])});
     search_table.print();
 
     std::printf("\nexpected shape: rollback-retry finishes every run with "
                 "a finite loss;\nabort loses the run at the first fault; "
                 "the guarded search fails over\nand completes its full "
                 "measurement budget.\n");
+    if (guarded->health()[model::HealthEvent::Failover] < 1 ||
+        degraded.total_measurements != clean.total_measurements) {
+        std::printf("SHAPE VIOLATED: guarded search\n");
+        shape_holds = false;
+    }
 
     FILE *json = bench::openReport("BENCH_robustness_training.json");
     if (!json)
@@ -207,10 +225,10 @@ main()
                  guarded->activeIndex());
     std::fprintf(json, "    \"failovers\": %lld\n",
                  static_cast<long long>(
-                     search_health[model::HealthEvent::Failover]));
+                     guarded->health()[model::HealthEvent::Failover]));
     std::fprintf(json, "  }\n}\n");
     if (!bench::closeReport(json, "BENCH_robustness_training.json"))
         return 1;
     std::printf("wrote BENCH_robustness_training.json\n");
-    return 0;
+    return shape_holds ? 0 : 1;
 }

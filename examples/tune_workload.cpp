@@ -214,7 +214,6 @@ main(int argc, char **argv)
     // fallback ladder that survives NaN scores / output collapse / lost
     // rank correlation by quarantining the sick rung.
     std::shared_ptr<model::GuardedCostModel> guarded;
-    model::HealthCounters search_health;
     const int collapse_after =
         static_cast<int>(args.getInt("collapse-after"));
     if (collapse_after > 0 && !args.getBool("guarded"))
@@ -225,9 +224,7 @@ main(int argc, char **argv)
             top = std::make_shared<model::FaultInjectedCostModel>(
                 std::move(top), collapse_after);
         }
-        model::GuardOptions guard_options;
-        guard_options.health_out = &search_health;
-        guarded = model::makeGuardedLadder(std::move(top), guard_options);
+        guarded = model::makeGuardedLadder(std::move(top));
     }
 
     tune::TuneOptions options;
@@ -286,7 +283,7 @@ main(int argc, char **argv)
         std::printf("cost model: %s (active: %s); search health: %s\n",
                     result.cost_model_name.c_str(),
                     guarded->activeName().c_str(),
-                    search_health.toString().c_str());
+                    guarded->health().toString().c_str());
     }
     return 0;
 }

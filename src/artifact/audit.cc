@@ -343,8 +343,7 @@ repairDirectory(const std::string &dir, const RepairOptions &options)
             Result<data::Dataset> rebuilt =
                 data::Dataset::tryLoad(path, salvage);
             if (rebuilt.ok()) {
-                const QuarantineAction evidence =
-                    quarantineDamaged(path, options.max_generations);
+                const QuarantineAction evidence = quarantineDamaged(path);
                 if (!evidence.ok()) {
                     out.failures += 1;
                     out.actions.push_back("quarantine-failed " +
@@ -380,8 +379,7 @@ repairDirectory(const std::string &dir, const RepairOptions &options)
             // through to plain quarantine.
         }
 
-        const QuarantineAction action =
-            quarantineDamaged(path, options.max_generations);
+        const QuarantineAction action = quarantineDamaged(path);
         if (!action.ok()) {
             out.failures += 1;
             out.actions.push_back("quarantine-failed " + record.name);

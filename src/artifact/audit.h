@@ -158,8 +158,6 @@ struct RepairOptions
     /** Re-save the intact records of a corrupt dataset (the damaged
      *  original is still quarantined as evidence). */
     bool salvage_datasets = true;
-    /** Evidence generations to probe before refusing to quarantine. */
-    int max_generations = kQuarantineMaxGenerations;
 };
 
 /** What repairDirectory() did, in deterministic (name-sorted) order. */

@@ -8,7 +8,7 @@ namespace tlp::hw {
 
 namespace {
 
-/** Fraction of seconds_per_measure burned by a failed compile. */
+/** Fraction of kSecondsPerMeasure burned by a failed compile. */
 constexpr double kCompileFraction = 0.4;
 
 } // namespace
@@ -105,8 +105,7 @@ Measurer::measure(const sched::LoweredNest &nest)
         hashUniform(hashCombine(key, 0xc0)) < faults.compile_error_prob) {
         result.status = MeasureStatus::CompileError;
         result.attempts = 1;
-        result.seconds_spent =
-            options_.seconds_per_measure * kCompileFraction;
+        result.seconds_spent = kSecondsPerMeasure * kCompileFraction;
         elapsed_seconds_ += result.seconds_spent;
         failure_seconds_ += result.seconds_spent;
         status_counts_[static_cast<size_t>(result.status)] += 1;
@@ -131,13 +130,13 @@ Measurer::measure(const sched::LoweredNest &nest)
         }
         if (draw < faults.timeout_prob + faults.runtime_error_prob) {
             result.status = MeasureStatus::RuntimeError;
-            result.seconds_spent += options_.seconds_per_measure;
+            result.seconds_spent += kSecondsPerMeasure;
             continue;
         }
         if (draw < faults.timeout_prob + faults.runtime_error_prob +
                        faults.outlier_prob) {
             result.status = MeasureStatus::Outlier;
-            result.seconds_spent += options_.seconds_per_measure;
+            result.seconds_spent += kSecondsPerMeasure;
             continue;
         }
 
@@ -147,14 +146,14 @@ Measurer::measure(const sched::LoweredNest &nest)
         // historical label stream exactly.
         const double base = sim_.latencyMs(nest);
         double best = std::numeric_limits<double>::infinity();
-        for (int r = 0; r < options_.repeats; ++r) {
+        for (int r = 0; r < kMeasureRepeats; ++r) {
             const double noisy =
-                base * std::exp(rng_.normal(0.0, options_.noise_std));
+                base * std::exp(rng_.normal(0.0, kMeasureNoiseStd));
             best = std::min(best, noisy);
         }
         result.status = MeasureStatus::Ok;
         result.latency_ms = best;
-        result.seconds_spent += options_.seconds_per_measure;
+        result.seconds_spent += kSecondsPerMeasure;
         break;
     }
 
@@ -162,8 +161,7 @@ Measurer::measure(const sched::LoweredNest &nest)
     status_counts_[static_cast<size_t>(result.status)] += 1;
 
     if (result.ok()) {
-        failure_seconds_ +=
-            result.seconds_spent - options_.seconds_per_measure;
+        failure_seconds_ += result.seconds_spent - kSecondsPerMeasure;
         failure_streak_.erase(key);
     } else {
         failure_seconds_ += result.seconds_spent;

@@ -5,9 +5,9 @@
  * Mirrors the paper's description of on-hardware measurement: each
  * measurement compiles + loads + runs the program several times (hundreds
  * of milliseconds of wall clock per program), with run-to-run noise. The
- * Measurer adds that noise, takes the best of @p repeats, and accounts
- * the simulated wall-clock cost so the search-based benchmarks (Figs.
- * 11-13) can report search time.
+ * Measurer adds that noise, takes the best of kMeasureRepeats runs, and
+ * accounts the simulated wall-clock cost so the search-based benchmarks
+ * (Figs. 11-13) can report search time.
  *
  * On real hardware, measurements fail constantly — Ansor carries an
  * explicit MeasureErrorNo taxonomy and TenSet records invalid runs. The
@@ -85,12 +85,16 @@ struct FaultProfile
     uint64_t digest() const;
 };
 
+/** Runs per successful measurement; the best one is kept. */
+inline constexpr int kMeasureRepeats = 3;
+/** Relative run-to-run noise of one run. */
+inline constexpr double kMeasureNoiseStd = 0.02;
+/** Simulated compile+load+run wall clock of one measurement attempt. */
+inline constexpr double kSecondsPerMeasure = 0.25;
+
 /** Options of the measurement pipeline. */
 struct MeasureOptions
 {
-    int repeats = 3;
-    double noise_std = 0.02;          ///< relative run-to-run noise
-    double seconds_per_measure = 0.25;///< compile+load+run wall clock
     FaultProfile faults;              ///< default: no faults injected
     int max_retries = 2;              ///< extra attempts for transient faults
     int quarantine_after = 3;         ///< failed calls before quarantine

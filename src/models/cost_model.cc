@@ -18,21 +18,6 @@ namespace {
  */
 constexpr int kMaxForwardBatch = 2048;
 
-/** Ad-hoc LabeledSet holding only features (for batch prediction). */
-data::LabeledSet
-featureOnlySet(std::vector<float> features, int rows, int dim)
-{
-    data::LabeledSet set;
-    set.rows = rows;
-    set.feature_dim = dim;
-    set.num_tasks = 1;
-    set.features = std::move(features);
-    set.labels.assign(static_cast<size_t>(rows),
-                      std::numeric_limits<float>::quiet_NaN());
-    set.groups.assign(static_cast<size_t>(rows), 0);
-    return set;
-}
-
 /**
  * Lower + extract Ansor features, parallel over candidates. Lowering
  * and extraction are pure functions of the State, and every candidate
@@ -108,19 +93,6 @@ FeatureCache::Stats
 TlpCostModel::cacheStats() const
 {
     return cache_ ? cache_->stats() : FeatureCache::Stats{};
-}
-
-std::vector<double>
-TlpCostModel::interpretedForward(const std::vector<float> &features,
-                                 int rows)
-{
-    const int dim =
-        feature_options_.seq_len * feature_options_.emb_size;
-    auto set = featureOnlySet(features, rows, dim);
-    // One forward over the whole pending set (split only beyond the
-    // activation-memory cap), instead of per-candidate forwards.
-    return predictTlpNet(*net_, set, head_task_,
-                         std::min(set.rows, kMaxForwardBatch));
 }
 
 std::vector<double>
@@ -201,8 +173,14 @@ TlpCostModel::scoreStates(int task_id,
         fused_->predict(batch_.data(), pending, head_task_,
                         forward_scores_.data());
     } else {
-        forward_scores_ =
-            interpretedForward(batch_, static_cast<int>(pending));
+        // One forward over the whole pending set (split only beyond the
+        // activation-memory cap), instead of per-candidate forwards.
+        forward_scores_ = predictRows(
+            batch_.data(), static_cast<int>(pending), static_cast<int>(dim),
+            head_task_, kMaxForwardBatch,
+            [&](const nn::Tensor &x, int task) {
+                return net_->forwardTask(x, task);
+            });
     }
 
     // Scatter, and memoize each pending key (find-then-insert: a
@@ -234,10 +212,11 @@ TensetMlpCostModel::scoreStates(int task_id,
 {
     if (states.empty())
         return {};
-    auto set = featureOnlySet(ansorFeaturesOf(states),
-                              static_cast<int>(states.size()),
-                              feat::kAnsorFeatureSize);
-    return predictMlp(*net_, set, std::min(set.rows, kMaxForwardBatch));
+    const std::vector<float> features = ansorFeaturesOf(states);
+    return predictRows(
+        features.data(), static_cast<int>(states.size()),
+        feat::kAnsorFeatureSize, 0, kMaxForwardBatch,
+        [&](const nn::Tensor &x, int) { return net_->forward(x); });
 }
 
 AnsorOnlineCostModel::AnsorOnlineCostModel(GbdtOptions options)

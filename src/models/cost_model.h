@@ -129,9 +129,6 @@ class TlpCostModel : public CostModel
     /** Content fingerprint of every net parameter: stale-score guard. */
     uint64_t paramsFingerprint() const;
 
-    std::vector<double>
-    interpretedForward(const std::vector<float> &features, int rows);
-
     std::shared_ptr<TlpNet> net_;
     feat::TlpFeatureOptions feature_options_;
     int head_task_;

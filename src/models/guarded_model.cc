@@ -11,14 +11,12 @@ namespace tlp::model {
 // --- GuardedCostModel ---------------------------------------------------
 
 GuardedCostModel::GuardedCostModel(
-    std::vector<std::shared_ptr<CostModel>> ladder, GuardOptions options)
-    : ladder_(std::move(ladder)), options_(options)
+    std::vector<std::shared_ptr<CostModel>> ladder)
+    : ladder_(std::move(ladder))
 {
     TLP_CHECK(!ladder_.empty(), "guarded ladder must be non-empty");
     for (const auto &model : ladder_)
         TLP_CHECK(model != nullptr, "null rung in guarded ladder");
-    if (options_.health_out != nullptr)
-        health_ = *options_.health_out;
 }
 
 std::string
@@ -70,7 +68,6 @@ GuardedCostModel::failover(HealthEvent cause)
     warn("cost model '", ladder_[static_cast<size_t>(active_ - 1)]->name(),
          "' quarantined (", healthEventName(cause), "); search continues "
          "with '", activeName(), "'");
-    publishHealth();
 }
 
 std::vector<double>
@@ -84,10 +81,8 @@ GuardedCostModel::scoreStates(int task_id,
             active_ + 1 >= static_cast<int>(ladder_.size());
         const HealthEvent event =
             last_rung ? HealthEvent::NumEvents : judgeScores(scores);
-        if (event == HealthEvent::NumEvents) {
-            publishHealth();
+        if (event == HealthEvent::NumEvents)
             return scores;
-        }
         failover(event); // advances active_; re-score with the next rung
     }
 }
@@ -125,16 +120,13 @@ GuardedCostModel::update(int task_id,
     const bool last_rung =
         active_ + 1 >= static_cast<int>(ladder_.size());
     if (last_rung || updates_seen_ % kGuardProbeEvery != 0 ||
-        probe_states_.size() < kGuardMinProbeCandidates) {
-        publishHealth();
+        probe_states_.size() < kGuardMinProbeCandidates)
         return;
-    }
     CostModel &model = *ladder_[static_cast<size_t>(active_)];
     const auto scores = model.scoreStates(task_id, probe_states_);
     const HealthEvent event = judgeScores(scores);
     if (event != HealthEvent::NumEvents) {
         failover(event);
-        publishHealth();
         return;
     }
     // Higher score must mean lower latency: correlate against -latency.
@@ -144,14 +136,6 @@ GuardedCostModel::update(int task_id,
     const double corr = spearman(scores, neg_latency);
     if (std::isfinite(corr) && corr < kGuardRankCorrFloor)
         failover(HealthEvent::LowRankCorrelation);
-    publishHealth();
-}
-
-void
-GuardedCostModel::publishHealth()
-{
-    if (options_.health_out != nullptr)
-        *options_.health_out = health_;
 }
 
 void
@@ -207,7 +191,6 @@ GuardedCostModel::deserializeState(BinaryReader &reader)
         BinaryReader blob(buffer);
         ladder_[i]->deserializeState(blob);
     }
-    publishHealth();
 }
 
 // --- FaultInjectedCostModel ---------------------------------------------
@@ -281,14 +264,13 @@ FaultInjectedCostModel::deserializeState(BinaryReader &reader)
 }
 
 std::shared_ptr<GuardedCostModel>
-makeGuardedLadder(std::shared_ptr<CostModel> preferred,
-                  GuardOptions options)
+makeGuardedLadder(std::shared_ptr<CostModel> preferred)
 {
     std::vector<std::shared_ptr<CostModel>> ladder;
     ladder.push_back(std::move(preferred));
     ladder.push_back(std::make_shared<AnsorOnlineCostModel>());
     ladder.push_back(std::make_shared<RandomCostModel>());
-    return std::make_shared<GuardedCostModel>(std::move(ladder), options);
+    return std::make_shared<GuardedCostModel>(std::move(ladder));
 }
 
 } // namespace tlp::model

@@ -40,13 +40,6 @@ inline constexpr double kGuardRankCorrFloor = -0.2;
 /** Measured records the correlation probe keeps (most recent). */
 inline constexpr size_t kGuardProbeWindow = 64;
 
-/** GuardedCostModel knobs. */
-struct GuardOptions
-{
-    /** Where health counters accumulate (optional, caller-owned). */
-    HealthCounters *health_out = nullptr;
-};
-
 /**
  * A cost model that survives its own members: scores through the active
  * rung of a fallback ladder, failing over on NaN output, constant
@@ -57,8 +50,8 @@ class GuardedCostModel : public CostModel
   public:
     /** @p ladder is tried in order; must be non-empty. The last rung is
      *  trusted unconditionally (nothing to fail over to). */
-    GuardedCostModel(std::vector<std::shared_ptr<CostModel>> ladder,
-                     GuardOptions options = {});
+    explicit GuardedCostModel(
+        std::vector<std::shared_ptr<CostModel>> ladder);
 
     /** Stable identity for checkpoint compatibility ("guarded:a>b>c"). */
     std::string name() const override;
@@ -100,11 +93,7 @@ class GuardedCostModel : public CostModel
     /** Advance to the next rung, recording the transition. */
     void failover(HealthEvent cause);
 
-    /** Mirror the counters into options_.health_out (when set). */
-    void publishHealth();
-
     std::vector<std::shared_ptr<CostModel>> ladder_;
-    GuardOptions options_;
     int active_ = 0;
     int64_t updates_seen_ = 0;
     HealthCounters health_;
@@ -152,7 +141,6 @@ class FaultInjectedCostModel : public CostModel
 
 /** The standard ladder: @p preferred, then ansor-online, then random. */
 std::shared_ptr<GuardedCostModel>
-makeGuardedLadder(std::shared_ptr<CostModel> preferred,
-                  GuardOptions options = {});
+makeGuardedLadder(std::shared_ptr<CostModel> preferred);
 
 } // namespace tlp::model

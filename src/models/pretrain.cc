@@ -26,87 +26,69 @@ pretrain(TlpNet &net, const data::LabeledSet &set,
         params.push_back(param);
     nn::AdamOptions adam_options;
     adam_options.lr = options.lr;
-    nn::Adam adam(params, adam_options);
-    TrainSupervisor supervisor(params, adam, options.supervisor);
-    nn::TapePool tape_pool;
 
     std::vector<int> order(static_cast<size_t>(set.rows));
     for (int r = 0; r < set.rows; ++r)
         order[static_cast<size_t>(r)] = r;
-
-    const int l = config.seq_len;
-    const int e = config.emb_size;
-    const float nan = std::numeric_limits<float>::quiet_NaN();
-
-    double epoch_loss = 0.0;
-    for (int epoch = 0; epoch < options.epochs && !supervisor.stopped();
-         ++epoch) {
+    auto epoch_batches = [&] {
         rng.shuffle(order);
-        double total = 0.0;
-        int64_t batches = 0;
+        std::vector<std::vector<int>> batches;
         for (size_t start = 0; start < order.size();
              start += static_cast<size_t>(options.batch_size)) {
             const size_t end =
                 std::min(order.size(),
                          start + static_cast<size_t>(options.batch_size));
-            const int b = static_cast<int>(end - start);
+            batches.emplace_back(order.begin() + static_cast<long>(start),
+                                 order.begin() + static_cast<long>(end));
+        }
+        return batches;
+    };
 
-            std::vector<float> input;
-            std::vector<float> targets;
-            input.reserve(static_cast<size_t>(b) * set.feature_dim);
-            targets.reserve(static_cast<size_t>(b) * set.feature_dim);
-            for (size_t i = start; i < end; ++i) {
-                const float *row = set.row(order[i]);
-                if (pretext == Pretext::Gpt) {
-                    input.insert(input.end(), row, row + set.feature_dim);
-                    // Predict row t+1 from rows <= t.
-                    for (int t = 0; t < l; ++t) {
-                        for (int c = 0; c < e; ++c) {
-                            targets.push_back(
-                                t + 1 < l ? row[(t + 1) * e + c] : nan);
-                        }
+    const int l = config.seq_len;
+    const int e = config.emb_size;
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    auto batch_loss = [&](const std::vector<int> &rows) -> LossFn {
+        const int b = static_cast<int>(rows.size());
+        std::vector<float> input;
+        std::vector<float> targets;
+        input.reserve(static_cast<size_t>(b) * set.feature_dim);
+        targets.reserve(static_cast<size_t>(b) * set.feature_dim);
+        for (int r : rows) {
+            const float *row = set.row(r);
+            if (pretext == Pretext::Gpt) {
+                input.insert(input.end(), row, row + set.feature_dim);
+                // Predict row t+1 from rows <= t.
+                for (int t = 0; t < l; ++t) {
+                    for (int c = 0; c < e; ++c) {
+                        targets.push_back(
+                            t + 1 < l ? row[(t + 1) * e + c] : nan);
                     }
-                } else {
-                    // BERT: zero masked rows, reconstruct only them.
-                    for (int t = 0; t < l; ++t) {
-                        const bool masked = rng.bernoulli(kBertMaskProb);
-                        for (int c = 0; c < e; ++c) {
-                            input.push_back(masked ? 0.0f
-                                                   : row[t * e + c]);
-                            targets.push_back(masked ? row[t * e + c]
-                                                     : nan);
-                        }
+                }
+            } else {
+                // BERT: zero masked rows, reconstruct only them.
+                for (int t = 0; t < l; ++t) {
+                    const bool masked = rng.bernoulli(kBertMaskProb);
+                    for (int c = 0; c < e; ++c) {
+                        input.push_back(masked ? 0.0f : row[t * e + c]);
+                        targets.push_back(masked ? row[t * e + c] : nan);
                     }
                 }
             }
-
-            Tensor x = Tensor::fromData({b, set.feature_dim},
-                                        std::move(input));
-            double batch_loss = 0.0;
-            const StepOutcome outcome = supervisor.step([&] {
-                nn::TapePool::Scope tape_scope(tape_pool);
-                adam.zeroGrad();
-                Tensor h = net.backbone(x, pretext == Pretext::Gpt);
-                Tensor pred = recon.forward(h);   // [B, L, E]
-                pred = nn::reshape(pred, {b * l * e});
-                Tensor loss = nn::mseLoss(pred, targets);
-                loss.backward();
-                batch_loss = loss.value()[0];
-                return batch_loss;
-            });
-            if (outcome == StepOutcome::Stop)
-                break;
-            if (outcome == StepOutcome::Ok) {
-                total += batch_loss;
-                ++batches;
-            }
         }
-        epoch_loss = batches > 0 ? total / static_cast<double>(batches)
-                                 : 0.0;
-        if (options.verbose)
-            inform("pretrain epoch ", epoch, " loss ", epoch_loss);
-    }
-    return epoch_loss;
+        Tensor x = Tensor::fromData({b, set.feature_dim}, std::move(input));
+        return [&net, &recon, pretext, b, l, e, x,
+                targets = std::move(targets)] {
+            Tensor h = net.backbone(x, pretext == Pretext::Gpt);
+            Tensor pred = recon.forward(h);   // [B, L, E]
+            pred = nn::reshape(pred, {b * l * e});
+            return nn::mseLoss(pred, targets);
+        };
+    };
+    // Pretraining keeps its learning rate: no per-epoch decay.
+    return trainSupervised(std::move(params), adam_options,
+                           options.supervisor, options.epochs, 1.0,
+                           options.verbose ? "pretrain" : nullptr,
+                           epoch_batches, batch_loss);
 }
 
 } // namespace

@@ -5,6 +5,8 @@
 #include <limits>
 #include <sstream>
 
+#include "support/logging.h"
+
 namespace tlp::model {
 
 namespace {
@@ -285,6 +287,54 @@ TrainSupervisor::publishHealth()
 {
     if (options_.health_out != nullptr)
         *options_.health_out = health_;
+}
+
+// --- trainSupervised ----------------------------------------------------
+
+double
+trainSupervised(
+    std::vector<nn::Tensor> params, const nn::AdamOptions &adam_options,
+    const SupervisorOptions &supervisor_options, int epochs,
+    double lr_decay_per_epoch, const char *log_label,
+    const std::function<std::vector<std::vector<int>>()> &epoch_batches,
+    const std::function<LossFn(const std::vector<int> &rows)> &batch_loss)
+{
+    nn::Adam adam(params, adam_options);
+    TrainSupervisor supervisor(std::move(params), adam, supervisor_options);
+    nn::TapePool tape_pool;
+
+    double epoch_loss = 0.0;
+    for (int epoch = 0; epoch < epochs && !supervisor.stopped(); ++epoch) {
+        double total = 0.0;
+        int64_t count = 0;
+        for (const std::vector<int> &rows : epoch_batches()) {
+            const LossFn loss_of = batch_loss(rows);
+            if (!loss_of)
+                continue;
+            double loss_value = 0.0;
+            const StepOutcome outcome = supervisor.step([&] {
+                nn::TapePool::Scope tape_scope(tape_pool);
+                adam.zeroGrad();
+                nn::Tensor loss = loss_of();
+                loss.backward();
+                loss_value = loss.value()[0];
+                return loss_value;
+            });
+            if (outcome == StepOutcome::Stop)
+                break;
+            if (outcome == StepOutcome::Ok) {
+                total += loss_value;
+                ++count;
+            }
+        }
+        epoch_loss = count > 0 ? total / static_cast<double>(count) : 0.0;
+        if (log_label != nullptr) {
+            inform(log_label, " epoch ", epoch, " loss ", epoch_loss, " lr ",
+                   adam.lr());
+        }
+        adam.setLr(adam.lr() * lr_decay_per_epoch);
+    }
+    return epoch_loss;
 }
 
 } // namespace tlp::model

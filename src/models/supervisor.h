@@ -22,6 +22,9 @@
  * With supervision disabled (the default) or enabled but healthy, the
  * checks are read-only: the trained weights are bit-identical to an
  * unsupervised run (tests/test_supervisor.cc pins this down).
+ *
+ * trainSupervised is the one epoch loop every learned model trains
+ * through (trainTlpNet, trainMlp, GPT/BERT pretraining).
  */
 #pragma once
 
@@ -192,7 +195,7 @@ enum class StepOutcome : uint8_t
  * the last-good snapshot of (parameters, optimizer state) and decides,
  * for every step attempt, whether to apply, retry, skip, or stop.
  *
- * Usage (see trainTlpNet):
+ * Usage (see trainSupervised):
  *   TrainSupervisor supervisor(params, adam, options);
  *   for each batch:
  *       switch (supervisor.step([&] { zeroGrad; forward; backward;
@@ -255,5 +258,32 @@ class TrainSupervisor
     int64_t step_serial_ = 0;       ///< attempted steps (fault-draw key)
     bool stopped_ = false;
 };
+
+/** One batch's forward pass, returning its scalar training loss. */
+using LossFn = std::function<nn::Tensor()>;
+
+/**
+ * The supervised epoch loop shared by every learned model. It builds
+ * Adam over @p params, the TrainSupervisor and one tape pool, then runs
+ * up to @p epochs epochs:
+ *   - @p epoch_batches returns the epoch's row batches (it may draw
+ *     from the caller's rng: it is called once per epoch, in order);
+ *   - @p batch_loss builds each batch's LossFn before any step attempt,
+ *     so draws made while building (BERT masks) happen once per batch,
+ *     not per retry; an empty LossFn skips the batch unstepped;
+ *   - each attempt zeroes the gradients, runs the LossFn inside one
+ *     TapePool::Scope and backpropagates the loss;
+ *   - after each epoch the learning rate is scaled by
+ *     @p lr_decay_per_epoch, and with a @p log_label (null = quiet)
+ *     "<label> epoch E loss L lr X" is logged.
+ * A Stop ends training inside its epoch.
+ * @return mean loss of the last epoch's applied steps (0 when none).
+ */
+double trainSupervised(
+    std::vector<nn::Tensor> params, const nn::AdamOptions &adam_options,
+    const SupervisorOptions &supervisor_options, int epochs,
+    double lr_decay_per_epoch, const char *log_label,
+    const std::function<std::vector<std::vector<int>>()> &epoch_batches,
+    const std::function<LossFn(const std::vector<int> &rows)> &batch_loss);
 
 } // namespace tlp::model

@@ -152,22 +152,68 @@ makeBatches(const data::LabeledSet &set, int batch_size, Rng &rng)
     return batches;
 }
 
-/** Gather a feature batch into a Tensor [B, dim]. */
-Tensor
-gatherFeatures(const data::LabeledSet &set, const std::vector<int> &rows)
-{
-    std::vector<float> data;
-    data.reserve(rows.size() * static_cast<size_t>(set.feature_dim));
-    for (int r : rows) {
-        const float *src = set.row(r);
-        data.insert(data.end(), src, src + set.feature_dim);
-    }
-    return Tensor::fromData({static_cast<int>(rows.size()),
-                             set.feature_dim},
-                            std::move(data));
-}
-
 } // namespace
+
+double
+trainLabeled(
+    std::vector<Tensor> params, const data::LabeledSet &set,
+    const TrainOptions &options, const char *log_label,
+    const std::function<std::vector<std::vector<int>>()> &epoch_batches,
+    const ForwardFn &forward)
+{
+    nn::AdamOptions adam_options;
+    adam_options.lr = options.lr;
+    adam_options.weight_decay = options.weight_decay;
+    return trainSupervised(
+        std::move(params), adam_options, options.supervisor, options.epochs,
+        kLrDecayPerEpoch, options.verbose ? log_label : nullptr,
+        epoch_batches, [&](const std::vector<int> &rows) -> LossFn {
+            // Gather the batch; a head trains only on a batch holding
+            // any of its labels, and a batch with none is skipped.
+            std::vector<float> features;
+            features.reserve(rows.size() *
+                             static_cast<size_t>(set.feature_dim));
+            std::vector<int> groups;
+            for (int r : rows) {
+                features.insert(features.end(), set.row(r),
+                                set.row(r) + set.feature_dim);
+                groups.push_back(set.groups[static_cast<size_t>(r)]);
+            }
+            std::vector<std::pair<int, std::vector<float>>> task_targets;
+            for (int task = 0; task < set.num_tasks; ++task) {
+                std::vector<float> targets;
+                bool any_label = false;
+                for (int r : rows) {
+                    targets.push_back(
+                        set.labels[static_cast<size_t>(r) *
+                                       static_cast<size_t>(set.num_tasks) +
+                                   static_cast<size_t>(task)]);
+                    any_label |= !std::isnan(targets.back());
+                }
+                if (any_label)
+                    task_targets.emplace_back(task, std::move(targets));
+            }
+            if (task_targets.empty())
+                return {};
+            const Tensor x = Tensor::fromData(
+                {static_cast<int>(rows.size()), set.feature_dim},
+                std::move(features));
+            return [&forward, &options, x, groups = std::move(groups),
+                    task_targets = std::move(task_targets)] {
+                Tensor loss;
+                for (const auto &[task, targets] : task_targets) {
+                    const Tensor pred = forward(x, task);
+                    Tensor task_loss =
+                        options.use_rank_loss
+                            ? nn::rankLoss(pred, targets, groups)
+                            : nn::mseLoss(pred, targets);
+                    loss = loss.defined() ? nn::add(loss, task_loss)
+                                          : task_loss;
+                }
+                return loss;
+            };
+        });
+}
 
 double
 trainTlpNet(TlpNet &net, const data::LabeledSet &set,
@@ -177,103 +223,38 @@ trainTlpNet(TlpNet &net, const data::LabeledSet &set,
               "label columns (", set.num_tasks, ") != net tasks (",
               net.config().num_tasks, ")");
     Rng rng(options.seed);
-    nn::AdamOptions adam_options;
-    adam_options.lr = options.lr;
-    adam_options.weight_decay = options.weight_decay;
-    nn::Adam adam(net.parameters(), adam_options);
-    TrainSupervisor supervisor(net.parameters(), adam, options.supervisor);
-    nn::TapePool tape_pool;
+    return trainLabeled(
+        net.parameters(), set, options, "tlp",
+        [&] { return makeBatches(set, options.batch_size, rng); },
+        [&](const Tensor &x, int task) { return net.forwardTask(x, task); });
+}
 
-    double epoch_loss = 0.0;
-    for (int epoch = 0; epoch < options.epochs && !supervisor.stopped();
-         ++epoch) {
-        const auto batches = makeBatches(set, options.batch_size, rng);
-        double total = 0.0;
-        int64_t count = 0;
-        for (const auto &rows : batches) {
-            // Per-task targets/groups up front, so empty batches are
-            // skipped before the supervisor sees a step attempt.
-            std::vector<int> active_tasks;
-            std::vector<std::vector<float>> task_targets(
-                static_cast<size_t>(set.num_tasks));
-            std::vector<int> groups;
-            groups.reserve(rows.size());
-            for (int r : rows)
-                groups.push_back(set.groups[static_cast<size_t>(r)]);
-            for (int task = 0; task < set.num_tasks; ++task) {
-                auto &targets = task_targets[static_cast<size_t>(task)];
-                targets.reserve(rows.size());
-                for (int r : rows) {
-                    targets.push_back(
-                        set.labels[static_cast<size_t>(r) *
-                                       static_cast<size_t>(set.num_tasks) +
-                                   static_cast<size_t>(task)]);
-                }
-                bool any_label = false;
-                for (float t : targets)
-                    any_label |= !std::isnan(t);
-                if (any_label)
-                    active_tasks.push_back(task);
-                // else: this head sees nothing in this batch
-            }
-            if (active_tasks.empty())
-                continue;
-
-            Tensor x = gatherFeatures(set, rows);
-            double batch_loss = 0.0;
-            const StepOutcome outcome = supervisor.step([&] {
-                nn::TapePool::Scope tape_scope(tape_pool);
-                adam.zeroGrad();
-                Tensor loss;
-                for (int task : active_tasks) {
-                    Tensor pred = net.forwardTask(x, task);
-                    const auto &targets =
-                        task_targets[static_cast<size_t>(task)];
-                    Tensor task_loss =
-                        options.use_rank_loss
-                            ? nn::rankLoss(pred, targets, groups)
-                            : nn::mseLoss(pred, targets);
-                    loss = loss.defined() ? nn::add(loss, task_loss)
-                                          : task_loss;
-                }
-                loss.backward();
-                batch_loss = loss.value()[0];
-                return batch_loss;
-            });
-            if (outcome == StepOutcome::Stop)
-                break;
-            if (outcome == StepOutcome::Ok) {
-                total += batch_loss;
-                ++count;
-            }
-        }
-        epoch_loss = count > 0 ? total / static_cast<double>(count) : 0.0;
-        if (options.verbose) {
-            inform("epoch ", epoch, " loss ", epoch_loss, " lr ",
-                   adam.lr());
-        }
-        adam.setLr(adam.lr() * kLrDecayPerEpoch);
+std::vector<double>
+predictRows(const float *features, int rows, int dim, int task,
+            int batch_size, const ForwardFn &forward)
+{
+    std::vector<double> scores;
+    scores.reserve(static_cast<size_t>(rows));
+    for (int start = 0; start < rows; start += batch_size) {
+        const int end = std::min(rows, start + batch_size);
+        std::vector<float> data(
+            features + static_cast<size_t>(start) * static_cast<size_t>(dim),
+            features + static_cast<size_t>(end) * static_cast<size_t>(dim));
+        Tensor pred = forward(
+            Tensor::fromData({end - start, dim}, std::move(data)), task);
+        for (float v : pred.value())
+            scores.push_back(v);
     }
-    return epoch_loss;
+    return scores;
 }
 
 std::vector<double>
 predictTlpNet(TlpNet &net, const data::LabeledSet &set, int task,
               int batch_size)
 {
-    std::vector<double> scores;
-    scores.reserve(static_cast<size_t>(set.rows));
-    for (int start = 0; start < set.rows; start += batch_size) {
-        const int end = std::min(set.rows, start + batch_size);
-        std::vector<int> rows;
-        for (int r = start; r < end; ++r)
-            rows.push_back(r);
-        Tensor x = gatherFeatures(set, rows);
-        Tensor pred = net.forwardTask(x, task);
-        for (float v : pred.value())
-            scores.push_back(v);
-    }
-    return scores;
+    return predictRows(
+        set.features.data(), set.rows, set.feature_dim, task, batch_size,
+        [&](const Tensor &x, int head) { return net.forwardTask(x, head); });
 }
 
 } // namespace tlp::model

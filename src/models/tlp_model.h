@@ -12,6 +12,7 @@
  */
 #pragma once
 
+#include <functional>
 #include <memory>
 
 #include "dataset/splits.h"
@@ -101,5 +102,30 @@ double trainTlpNet(TlpNet &net, const data::LabeledSet &set,
 /** Predict scores of @p set rows with head @p task. */
 std::vector<double> predictTlpNet(TlpNet &net, const data::LabeledSet &set,
                                   int task = 0, int batch_size = 512);
+
+/** A model's forward pass over a feature batch x [B, dim] for one task
+ *  head: -> scores [B]. */
+using ForwardFn = std::function<nn::Tensor(const nn::Tensor &x, int task)>;
+
+/**
+ * The labeled-set trainer behind trainTlpNet and trainMlp: trains
+ * @p params through trainSupervised on @p epoch_batches of @p set rows,
+ * each step summing the rank (or MSE) loss of @p forward over the
+ * batch's tasks with any label; a batch with no label is skipped.
+ */
+double trainLabeled(
+    std::vector<nn::Tensor> params, const data::LabeledSet &set,
+    const TrainOptions &options, const char *log_label,
+    const std::function<std::vector<std::vector<int>>()> &epoch_batches,
+    const ForwardFn &forward);
+
+/**
+ * The one raw-row predict: scores @p rows row-major feature rows of
+ * width @p dim with head @p task of @p forward, at most @p batch_size
+ * rows per forward pass.
+ */
+std::vector<double> predictRows(const float *features, int rows, int dim,
+                                int task, int batch_size,
+                                const ForwardFn &forward);
 
 } // namespace tlp::model

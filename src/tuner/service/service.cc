@@ -420,8 +420,7 @@ void
 TuningService::backOff(Slot &slot, int64_t tick_now, int attempt,
                        uint64_t jitter_key)
 {
-    int64_t delay = static_cast<int64_t>(options_.backoff_base_ticks)
-                    << std::min(attempt, 20);
+    int64_t delay = kServiceBackoffBaseTicks << std::min(attempt, 20);
     delay = std::min<int64_t>(delay, options_.backoff_cap_ticks);
     delay += static_cast<int64_t>(mix64(jitter_key) % 2);
     slot.backoff_until_tick = tick_now + std::max<int64_t>(1, delay);

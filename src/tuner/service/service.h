@@ -154,6 +154,9 @@ struct RecoveryReport
     std::map<std::string, RecoveryOutcome> outcomes;
 };
 
+/** Base of a backed-off session's exponential delay, in ticks. */
+inline constexpr int64_t kServiceBackoffBaseTicks = 1;
+
 /** Service-wide configuration. */
 struct ServiceOptions
 {
@@ -168,9 +171,8 @@ struct ServiceOptions
      *  the crash-safe default for a service). */
     int checkpoint_every = 1;
     /** Backoff after the Nth consecutive fault of a session is
-     *  min(backoff_cap_ticks, backoff_base_ticks << N) plus a seeded
-     *  jitter tick. */
-    int backoff_base_ticks = 1;
+     *  min(backoff_cap_ticks, kServiceBackoffBaseTicks << N) plus a
+     *  seeded jitter tick. */
     int backoff_cap_ticks = 8;
     /** Checkpoint-write failures tolerated per session before it
      *  degrades to Checkpointless mode (DESIGN.md §14). Each failure
@@ -327,7 +329,7 @@ class TuningService
 
     /** Seeded exponential backoff of @p slot after its @p attempt-th
      *  consecutive failure (0-based): min(backoff_cap_ticks,
-     *  backoff_base_ticks << attempt) plus a jitter tick drawn from
+     *  kServiceBackoffBaseTicks << attempt) plus a jitter tick drawn from
      *  @p jitter_key, at least one tick. */
     void backOff(Slot &slot, int64_t tick_now, int attempt,
                  uint64_t jitter_key);

@@ -119,9 +119,9 @@ configDigest(const ir::Workload &workload,
     hash = hashCombine(
         hash, static_cast<uint64_t>(options.evolution.children_per_iter));
     hash = mixDouble(hash, kEpsGreedy);
-    hash = hashCombine(hash, static_cast<uint64_t>(options.measure.repeats));
-    hash = mixDouble(hash, options.measure.noise_std);
-    hash = mixDouble(hash, options.measure.seconds_per_measure);
+    hash = hashCombine(hash, static_cast<uint64_t>(hw::kMeasureRepeats));
+    hash = mixDouble(hash, hw::kMeasureNoiseStd);
+    hash = mixDouble(hash, hw::kSecondsPerMeasure);
     hash = hashCombine(hash,
                        static_cast<uint64_t>(options.measure.max_retries));
     hash = hashCombine(

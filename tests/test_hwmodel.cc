@@ -293,7 +293,7 @@ TEST(Measurer, CompileErrorsFailImmediatelyAndQuarantine)
     EXPECT_EQ(first.attempts, 1);   // never retried despite max_retries
     EXPECT_TRUE(std::isnan(first.latency_ms));
     EXPECT_GT(first.seconds_spent, 0.0);
-    EXPECT_LT(first.seconds_spent, options.seconds_per_measure);
+    EXPECT_LT(first.seconds_spent, kSecondsPerMeasure);
     EXPECT_TRUE(measurer.isQuarantined(nest));
 
     // The second request short-circuits: same status, no hardware time.

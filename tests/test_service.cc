@@ -245,7 +245,6 @@ TEST(Service, TransientFaultsBackOffWithoutPerturbingCurves)
     ServiceOptions options = quickService(dir, 4);
     options.faults.transient_rate = 0.4;
     options.faults.seed = 0xfa171;
-    options.backoff_base_ticks = 1;
     options.backoff_cap_ticks = 4;
     TuningService service(options);
     service.recover(fleet);
@@ -617,7 +616,6 @@ TEST(Service, PoisonedSessionIsContainedWithoutCurveDrift)
         options.faults.poison_session = "s002";
         options.faults.poison_after_round = 1;
         options.breaker_trip_limit = 3;
-        options.backoff_base_ticks = 1;
         options.backoff_cap_ticks = 2;
         TuningService service(options);
         service.recover(drill_fleet);
@@ -658,7 +656,6 @@ TEST(Service, BreakerTripFreesSlotForQueuedSession)
     options.faults.poison_session = "s000";
     options.faults.poison_after_round = 0;
     options.breaker_trip_limit = 2;
-    options.backoff_base_ticks = 1;
     options.backoff_cap_ticks = 2;
     TuningService service(options);
     EXPECT_EQ(service.submit(fleet[0]), AdmitOutcome::Active);
@@ -685,7 +682,6 @@ TEST(Service, DisabledBreakerNeverTripsUnderPoison)
     options.faults.poison_session = "s000";
     options.faults.poison_after_round = 0;
     options.breaker_trip_limit = 0;
-    options.backoff_base_ticks = 1;
     options.backoff_cap_ticks = 2;
     TuningService service(options);
     service.recover(fleet);

@@ -492,7 +492,6 @@ quickOptions()
     options.evolution.population = 24;
     options.evolution.iterations = 2;
     options.evolution.children_per_iter = 12;
-    options.measure.seconds_per_measure = 0.25;
     return options;
 }
 
@@ -524,10 +523,7 @@ TEST(GuardedModel, FailsOverOnCollapsedScores)
     auto sick = std::make_shared<FaultInjectedCostModel>(
         std::make_shared<RandomCostModel>(21), 1);
     auto fallback = std::make_shared<RandomCostModel>(22);
-    GuardOptions options;
-    HealthCounters health;
-    options.health_out = &health;
-    GuardedCostModel guarded({sick, fallback}, options);
+    GuardedCostModel guarded({sick, fallback});
     EXPECT_EQ(guarded.name(), "guarded:random>random");
     EXPECT_EQ(guarded.activeIndex(), 0);
 
@@ -538,8 +534,8 @@ TEST(GuardedModel, FailsOverOnCollapsedScores)
     const auto scores = guarded.scoreStates(0, states);
     EXPECT_EQ(guarded.activeIndex(), 1);
     EXPECT_EQ(guarded.activeName(), "random");
-    EXPECT_EQ(health[HealthEvent::ConstantScore], 1);
-    EXPECT_EQ(health[HealthEvent::Failover], 1);
+    EXPECT_EQ(guarded.health()[HealthEvent::ConstantScore], 1);
+    EXPECT_EQ(guarded.health()[HealthEvent::Failover], 1);
     ASSERT_EQ(scores.size(), states.size());
     for (double s : scores)
         EXPECT_TRUE(std::isfinite(s));
@@ -550,10 +546,7 @@ TEST(GuardedModel, FailsOverOnNanScores)
     auto sick = std::make_shared<FaultInjectedCostModel>(
         std::make_shared<RandomCostModel>(23), 2);
     auto fallback = std::make_shared<RandomCostModel>(24);
-    HealthCounters health;
-    GuardOptions options;
-    options.health_out = &health;
-    GuardedCostModel guarded({sick, fallback}, options);
+    GuardedCostModel guarded({sick, fallback});
 
     auto states = someStates(4);
     std::vector<const sched::State *> ptrs{&states[0], &states[1]};
@@ -562,7 +555,7 @@ TEST(GuardedModel, FailsOverOnNanScores)
 
     const auto scores = guarded.scoreStates(0, states);
     EXPECT_EQ(guarded.activeIndex(), 1);
-    EXPECT_EQ(health[HealthEvent::NanScore], 1);
+    EXPECT_EQ(guarded.health()[HealthEvent::NanScore], 1);
     for (double s : scores)
         EXPECT_TRUE(std::isfinite(s));
 }
@@ -571,10 +564,7 @@ TEST(GuardedModel, LastRungIsTrustedUnconditionally)
 {
     auto sick = std::make_shared<FaultInjectedCostModel>(
         std::make_shared<RandomCostModel>(25), 1);
-    HealthCounters health;
-    GuardOptions options;
-    options.health_out = &health;
-    GuardedCostModel guarded({sick}, options);
+    GuardedCostModel guarded({sick});
 
     auto states = someStates(3);
     std::vector<const sched::State *> ptrs{&states[0]};
@@ -584,7 +574,7 @@ TEST(GuardedModel, LastRungIsTrustedUnconditionally)
     // through unjudged and the position never moves.
     guarded.scoreStates(0, states);
     EXPECT_EQ(guarded.activeIndex(), 0);
-    EXPECT_EQ(health[HealthEvent::Failover], 0);
+    EXPECT_EQ(guarded.health()[HealthEvent::Failover], 0);
 }
 
 /**
@@ -616,24 +606,24 @@ class ScriptedCostModel : public CostModel
 };
 
 /** Rung index a {scripted, random} ladder settles on after scoring
- *  @p candidates states, with @p updates updates fed first. */
+ *  @p candidates states, with @p updates updates fed first; the
+ *  ladder's health counters are added to @p health. */
 int
 ladderPositionAfter(const std::vector<double> &pattern, int candidates,
                     int updates, HealthCounters *health)
 {
     // One update at most: the every-kGuardProbeEvery rank probe never
     // runs, so only the scoring-side check moves the ladder.
-    GuardOptions options;
-    options.health_out = health;
     GuardedCostModel guarded(
         {std::make_shared<ScriptedCostModel>(pattern),
-         std::make_shared<RandomCostModel>(31)},
-        options);
+         std::make_shared<RandomCostModel>(31)});
     auto states = someStates(candidates);
     std::vector<const sched::State *> ptrs{&states[0]};
     for (int u = 0; u < updates; ++u)
         guarded.update(0, ptrs, {1.0});
     guarded.scoreStates(0, states);
+    for (size_t e = 0; e < health->counts.size(); ++e)
+        health->counts[e] += guarded.health().counts[e];
     return guarded.activeIndex();
 }
 
@@ -718,7 +708,7 @@ TEST(GuardedModel, StateRoundTripRestoresPositionHealthAndRngs)
 
 TEST(GuardedModel, RejectsForeignLadderState)
 {
-    GuardedCostModel guarded({std::make_shared<RandomCostModel>(29)}, {});
+    GuardedCostModel guarded({std::make_shared<RandomCostModel>(29)});
 
     std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
     BinaryWriter writer(ss);
@@ -741,12 +731,9 @@ TEST(GuardedModel, SearchSurvivesMidCampaignCollapse)
     // The preferred model dies after 2 online updates; the campaign must
     // finish its full budget in degraded mode instead of aborting.
     const auto workload = tinyWorkload();
-    HealthCounters health;
-    GuardOptions guard_options;
-    guard_options.health_out = &health;
     auto sick = std::make_shared<FaultInjectedCostModel>(
         std::make_shared<RandomCostModel>(31), 2);
-    auto guarded = makeGuardedLadder(sick, guard_options);
+    auto guarded = makeGuardedLadder(sick);
 
     tune::TuneOptions options = quickOptions();
     options.rounds = 8;
@@ -757,7 +744,7 @@ TEST(GuardedModel, SearchSurvivesMidCampaignCollapse)
     EXPECT_TRUE(std::isfinite(result.best_workload_latency_ms));
     EXPECT_GT(result.total_measurements, 0);
     EXPECT_GE(guarded->activeIndex(), 1);
-    EXPECT_GE(health[HealthEvent::Failover], 1);
+    EXPECT_GE(guarded->health()[HealthEvent::Failover], 1);
     EXPECT_EQ(result.cost_model_name, guarded->name());
     double last = std::numeric_limits<double>::infinity();
     for (const auto &point : result.curve) {
@@ -773,12 +760,10 @@ TEST(GuardedModel, CheckpointResumePreservesDegradedState)
     const auto workload = tinyWorkload();
     const std::string ckpt = test::scratchDir() + "/guarded_resume.ckpt";
 
-    auto makeGuarded = [](HealthCounters *health_out) {
-        GuardOptions guard_options;
-        guard_options.health_out = health_out;
+    auto makeGuarded = [] {
         auto sick = std::make_shared<FaultInjectedCostModel>(
             std::make_shared<RandomCostModel>(33), 2);
-        return makeGuardedLadder(sick, guard_options);
+        return makeGuardedLadder(sick);
     };
 
     tune::TuneOptions options = quickOptions();
@@ -787,8 +772,7 @@ TEST(GuardedModel, CheckpointResumePreservesDegradedState)
     options.checkpoint_every = 2;
 
     // Reference: one uninterrupted degraded campaign.
-    HealthCounters reference_health;
-    auto reference_model = makeGuarded(&reference_health);
+    auto reference_model = makeGuarded();
     const auto reference =
         tune::tuneWorkload(workload, hw::HardwarePlatform::preset("e5-2673"),
                            *reference_model, options);
@@ -798,8 +782,7 @@ TEST(GuardedModel, CheckpointResumePreservesDegradedState)
     std::remove(ckpt.c_str());
     tune::TuneOptions half = options;
     half.rounds = 4;
-    HealthCounters killed_health;
-    auto killed_model = makeGuarded(&killed_health);
+    auto killed_model = makeGuarded();
     tune::tuneWorkload(workload, hw::HardwarePlatform::preset("e5-2673"),
                        *killed_model, half);
 
@@ -807,8 +790,7 @@ TEST(GuardedModel, CheckpointResumePreservesDegradedState)
     // fallback position, the health counters, and the rng cursors.
     tune::TuneOptions resumed_options = options;
     resumed_options.resume = true;
-    HealthCounters resumed_health;
-    auto resumed_model = makeGuarded(&resumed_health);
+    auto resumed_model = makeGuarded();
     const auto resumed =
         tune::tuneWorkload(workload, hw::HardwarePlatform::preset("e5-2673"),
                            *resumed_model, resumed_options);

@@ -42,7 +42,6 @@ quickOptions()
     options.evolution.population = 24;
     options.evolution.iterations = 2;
     options.evolution.children_per_iter = 12;
-    options.measure.seconds_per_measure = 0.25;
     return options;
 }
 
