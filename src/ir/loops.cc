@@ -67,8 +67,9 @@ addSpatialIters(LoopSpec &spec, const Shape &shape,
 {
     for (size_t i = 0; i < shape.size(); ++i) {
         IterSpec iter;
-        iter.name = i < names.size() ? names[i]
-                                     : "s" + std::to_string(i);
+        iter.name = i < names.size()
+                        ? names[i]
+                        : std::string("s").append(std::to_string(i));
         iter.extent = shape[i];
         spec.iters.push_back(iter);
     }
@@ -215,7 +216,7 @@ lastAxisReduceLoops(const Subgraph &sg, int idx, double flops_per_point)
     std::vector<AccessDim> in_dims;
     for (size_t i = 0; i + 1 < in.size(); ++i) {
         spec.iters.push_back(
-            {"s" + std::to_string(i), in[i], false});
+            {std::string("s").append(std::to_string(i)), in[i], false});
         in_dims.push_back(dimOf(static_cast<int>(i)));
     }
     spec.iters.push_back({"r", in.back(), true});

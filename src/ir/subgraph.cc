@@ -65,8 +65,10 @@ Subgraph::finalize()
     // from (and shares) these, so they are built exactly once.
     buffer_names_.clear();
     for (size_t i = 0; i < ops_.size(); ++i)
-        buffer_names_.push_back("T" + std::to_string(i) + "_" +
-                                opKindName(ops_[i].kind));
+        buffer_names_.push_back(std::string("T")
+                                    .append(std::to_string(i))
+                                    .append("_")
+                                    .append(opKindName(ops_[i].kind)));
     loop_specs_.clear();
     for (size_t i = 0; i < ops_.size(); ++i) {
         loop_specs_.push_back(std::make_shared<const LoopSpec>(

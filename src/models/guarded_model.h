@@ -114,7 +114,11 @@ class FaultInjectedCostModel : public CostModel
     FaultInjectedCostModel(std::shared_ptr<CostModel> inner,
                            int collapse_after_updates);
 
-    std::string name() const override { return inner_->name(); }
+    /** "faulty:<inner>": a failover never names one model twice. */
+    std::string name() const override
+    {
+        return std::string("faulty:") + inner_->name();
+    }
     std::vector<double>
     scoreStates(int task_id, const std::vector<sched::State> &states)
         override;

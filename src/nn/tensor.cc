@@ -16,9 +16,6 @@ namespace {
 thread_local TapePool *t_current_pool = nullptr;
 
 std::atomic<uint64_t> g_next_pool_id{1};
-std::atomic<int64_t> g_hits{0};
-std::atomic<int64_t> g_misses{0};
-std::atomic<int64_t> g_held_bytes{0};
 
 int64_t
 capacityBytes(const std::vector<float> &buf)
@@ -96,16 +93,6 @@ TapePool::current()
     return t_current_pool;
 }
 
-TapePool::Totals
-TapePool::totals()
-{
-    Totals totals;
-    totals.hits = g_hits.load();
-    totals.misses = g_misses.load();
-    totals.held_bytes = g_held_bytes.load();
-    return totals;
-}
-
 void
 TapePool::acquire(std::vector<float> &buf, size_t n, int &slot)
 {
@@ -123,8 +110,7 @@ TapePool::acquire(std::vector<float> &buf, size_t n, int &slot)
     std::vector<float> &parked = slots_[next_slot_];
     const bool hit = parked.capacity() >= n;
     ++(hit ? hits_ : misses_);
-    (hit ? g_hits : g_misses).fetch_add(1);
-    addHeld(-capacityBytes(parked));
+    held_bytes_ -= capacityBytes(parked);
     buf = std::exchange(parked, {});
     buf.assign(n, 0.0f);
     step_bytes_ += capacityBytes(buf);
@@ -140,23 +126,16 @@ TapePool::park(std::vector<float> &buf, int slot)
     if (parked.capacity() != 0 || buf.capacity() == 0)
         return;
     parked = std::exchange(buf, {});
-    addHeld(capacityBytes(parked));
+    held_bytes_ += capacityBytes(parked);
 }
 
 void
 TapePool::release(size_t keep)
 {
     for (size_t k = keep; k < slots_.size(); ++k)
-        addHeld(-capacityBytes(slots_[k]));
+        held_bytes_ -= capacityBytes(slots_[k]);
     if (keep < slots_.size())
         slots_.resize(keep);
-}
-
-void
-TapePool::addHeld(int64_t bytes)
-{
-    held_bytes_ += bytes;
-    g_held_bytes.fetch_add(bytes);
 }
 
 TapePool::Scope::Scope(TapePool &pool)

@@ -76,14 +76,6 @@ struct Node
 class TapePool
 {
   public:
-    /** Process-wide counters summed over every pool. */
-    struct Totals
-    {
-        int64_t hits = 0;         ///< hand-outs served by a parked buffer
-        int64_t misses = 0;       ///< hand-outs that had to allocate
-        int64_t held_bytes = 0;   ///< bytes parked in live pools
-    };
-
     /** Makes a pool the calling thread's current pool while alive. */
     class Scope
     {
@@ -113,9 +105,6 @@ class TapePool
     /** The calling thread's current pool, or null outside any scope. */
     static TapePool *current();
 
-    /** Counters summed over every pool in the process. */
-    static Totals totals();
-
   private:
     friend struct Node;
 
@@ -125,8 +114,6 @@ class TapePool
     void park(std::vector<float> &buf, int slot);
     /** Drop slot storage from index @p keep on. */
     void release(size_t keep);
-    /** Adjust this pool's and the process-wide parked-byte counts. */
-    void addHeld(int64_t bytes);
 
     uint64_t id_;
     std::vector<std::vector<float>> slots_;

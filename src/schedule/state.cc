@@ -482,7 +482,8 @@ State::cacheRead(int producer, int consumer)
     auto spec = std::make_shared<ir::LoopSpec>();
     std::vector<ir::AccessDim> dims;
     for (size_t j = 0; j < shape.size(); ++j) {
-        spec->iters.push_back({"v" + std::to_string(j), shape[j], false});
+        spec->iters.push_back(
+            {std::string("v").append(std::to_string(j)), shape[j], false});
         dims.push_back(singleDim(static_cast<int>(j)));
     }
     ir::AccessSpec read_src;

@@ -65,9 +65,11 @@ ArgParser::parse(int argc, char **argv)
         auto it = flags_.find(name);
         if (it == flags_.end())
             TLP_FATAL("unknown flag --", name, " (try --help)");
+        // Values are assigned as std::string: GCC 12 reports a false
+        // -Wrestrict overlap for a literal assigned here.
         if (!has_value) {
             if (it->second.kind == Kind::Bool) {
-                value = "1";
+                value = std::string("1");
             } else {
                 if (i + 1 >= argc)
                     TLP_FATAL("flag --", name, " expects a value");
@@ -76,11 +78,11 @@ ArgParser::parse(int argc, char **argv)
         }
         if (it->second.kind == Kind::Bool &&
             (value == "true" || value == "yes")) {
-            value = "1";
+            value = std::string("1");
         }
         if (it->second.kind == Kind::Bool &&
             (value == "false" || value == "no")) {
-            value = "0";
+            value = std::string("0");
         }
         it->second.value = value;
     }

@@ -78,4 +78,36 @@ gbdtStressSet(int rows, int dim, uint64_t seed)
     return set;
 }
 
+/**
+ * A 1024-row stress set whose root split is an exact gain tie between
+ * columns @p first < @p second: @p first is 1 on rows r % 4 == 0,
+ * @p second on rows r % 4 == 1, and the target is their sum plus
+ * noise that each such pair of rows shares. Every residual at the
+ * first root is a multiple of 2^-16, so both gains are the same
+ * double, and exact split search must pick @p first. The two
+ * subtrees then fit the noise differently, so a pick of @p second
+ * moves predictions.
+ */
+inline GbdtStressSet
+gbdtRootTieSet(int dim, int first, int second, uint64_t seed)
+{
+    GbdtStressSet set = gbdtStressSet(1024, dim, seed);
+    Rng rng(seed + 1);
+    double pair_noise = 0.0;
+    for (int r = 0; r < set.rows; ++r) {
+        float *row = set.features.data() +
+                     static_cast<size_t>(r) * static_cast<size_t>(dim);
+        row[first] = r % 4 == 0 ? 1.0f : 0.0f;
+        row[second] = r % 4 == 1 ? 1.0f : 0.0f;
+        double noise = static_cast<double>(rng.randint(9) - 4) / 64.0;
+        if (r % 4 == 0)
+            pair_noise = noise;
+        else if (r % 4 == 1)
+            noise = pair_noise;
+        set.targets[static_cast<size_t>(r)] =
+            static_cast<float>(row[first] + row[second] + noise);
+    }
+    return set;
+}
+
 } // namespace tlp::test

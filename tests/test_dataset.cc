@@ -139,9 +139,10 @@ TEST(Collect, FailedMeasurementsBecomeNanLabels)
     // label() reports missing entries as NaN, never a bogus number.
     for (size_t r = 0; r < ds.records.size(); ++r)
         for (size_t p = 0; p < ds.platforms.size(); ++p)
-            if (!ds.records[r].hasLabel(p))
+            if (!ds.records[r].hasLabel(p)) {
                 EXPECT_TRUE(std::isnan(
                     ds.label(static_cast<int>(r), static_cast<int>(p))));
+            }
 }
 
 TEST(Dataset, NanLabelsRoundTripExactly)

@@ -154,6 +154,20 @@ makeNet(const model::TlpNetConfig &config, uint64_t seed = 7)
     return std::make_shared<model::TlpNet>(config, rng);
 }
 
+/**
+ * Move every parameter of @p net off its initial value by seeded noise,
+ * as training would: a fresh net's layer norms are the identity affine
+ * (gamma 1, beta 0), under which a reordered epilogue rounds the same.
+ */
+void
+perturbParameters(model::TlpNet &net, uint64_t seed)
+{
+    Rng rng(seed);
+    for (nn::Tensor &param : net.parameters())
+        for (float &value : param.value())
+            value += static_cast<float>(rng.uniform(-0.1, 0.1));
+}
+
 /** scoreStates through a model built with @p options. */
 std::vector<double>
 scoresWith(std::shared_ptr<model::TlpNet> net,
@@ -170,16 +184,22 @@ TEST(FusedInfer, MatchesInterpretedBitForBit)
     config.hidden = 32;
     config.heads = 4;
     config.head_hidden = 16;
-    auto net = makeNet(config);
-    // Row counts straddling the block size: partial, exact, multi-block.
-    for (int n : {1, 5, 16, 33}) {
-        const auto states = samplePopulation(n, 43);
-        ASSERT_FALSE(states.empty());
-        const auto legacy =
-            scoresWith(net, model::TlpInferOptions::legacy(), states);
-        const auto fused =
-            scoresWith(net, model::TlpInferOptions{true, 0}, states);
-        EXPECT_EQ(legacy, fused) << "rows=" << n;
+    auto fresh = makeNet(config);
+    auto trained = makeNet(config);
+    perturbParameters(*trained, 46);
+    for (const auto &net : {fresh, trained}) {
+        // Row counts straddling the block size: partial, exact,
+        // multi-block.
+        for (int n : {1, 5, 16, 33}) {
+            const auto states = samplePopulation(n, 43);
+            ASSERT_FALSE(states.empty());
+            const auto legacy =
+                scoresWith(net, model::TlpInferOptions::legacy(), states);
+            const auto fused =
+                scoresWith(net, model::TlpInferOptions{true, 0}, states);
+            EXPECT_EQ(legacy, fused)
+                << "rows=" << n << (net == trained ? " perturbed" : "");
+        }
     }
 }
 

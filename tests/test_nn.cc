@@ -160,8 +160,9 @@ TEST(Ops, CausalSoftmaxMasksStrictUpperTriangle)
             for (int c = 0; c < 4; ++c) {
                 const float v =
                     y.value()[static_cast<size_t>((b * 4 + r) * 4 + c)];
-                if (c > r)
+                if (c > r) {
                     EXPECT_FLOAT_EQ(v, 0.0f);
+                }
                 sum += v;
             }
             EXPECT_NEAR(sum, 1.0f, 1e-5);

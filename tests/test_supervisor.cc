@@ -524,7 +524,7 @@ TEST(GuardedModel, FailsOverOnCollapsedScores)
         std::make_shared<RandomCostModel>(21), 1);
     auto fallback = std::make_shared<RandomCostModel>(22);
     GuardedCostModel guarded({sick, fallback});
-    EXPECT_EQ(guarded.name(), "guarded:random>random");
+    EXPECT_EQ(guarded.name(), "guarded:faulty:random>random");
     EXPECT_EQ(guarded.activeIndex(), 0);
 
     auto states = someStates(kGuardMinProbeCandidates);

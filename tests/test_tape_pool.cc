@@ -115,24 +115,19 @@ TEST(TapePool, OutgrownSlotReleasesEveryLaterSlot)
 
 TEST(TapePool, HoldsAtMostOneStepOfTape)
 {
-    const int64_t before = TapePool::totals().held_bytes;
     Rng rng(3);
     TinyNet net(rng);
-    {
-        TapePool pool;
-        // Ragged steps: slots regrow for the larger batch and keep their
-        // capacity for the smaller one.
-        for (int rows : {40, 8, 64, 8}) {
-            {
-                TapePool::Scope scope(pool);
-                tapeStep(net, batchOf(rows, 4));
-            }
-            EXPECT_GT(pool.heldBytes(), 0) << rows;
-            EXPECT_LE(pool.heldBytes(), pool.stepBytes()) << rows;
+    TapePool pool;
+    // Ragged steps: slots regrow for the larger batch and keep their
+    // capacity for the smaller one.
+    for (int rows : {40, 8, 64, 8}) {
+        {
+            TapePool::Scope scope(pool);
+            tapeStep(net, batchOf(rows, 4));
         }
-        EXPECT_EQ(TapePool::totals().held_bytes - before, pool.heldBytes());
+        EXPECT_GT(pool.heldBytes(), 0) << rows;
+        EXPECT_LE(pool.heldBytes(), pool.stepBytes()) << rows;
     }
-    EXPECT_EQ(TapePool::totals().held_bytes, before);
 }
 
 TEST(TapePool, PooledStepsAreBitIdenticalToUnpooled)
@@ -205,21 +200,16 @@ TEST(TapePool, EscapedTensorOutlivesStepAndPool)
 TEST(TapePool, NoScopeNoParking)
 {
     ASSERT_EQ(TapePool::current(), nullptr);
-    const TapePool::Totals before = TapePool::totals();
     Rng rng(10);
     TinyNet net(rng);
-    {
-        TapePool pool;   // alive, but no scope is open
-        for (int step = 0; step < 3; ++step)
-            tapeStep(net, batchOf(24, 11));
-        Tensor y = net.forward(batchOf(24, 12));
-        EXPECT_EQ(y.node()->pool_id, 0u);
-        EXPECT_EQ(pool.heldBytes(), 0);
-    }
-    const TapePool::Totals after = TapePool::totals();
-    EXPECT_EQ(after.hits, before.hits);
-    EXPECT_EQ(after.misses, before.misses);
-    EXPECT_EQ(after.held_bytes, before.held_bytes);
+    TapePool pool;   // alive, but no scope is open
+    for (int step = 0; step < 3; ++step)
+        tapeStep(net, batchOf(24, 11));
+    Tensor y = net.forward(batchOf(24, 12));
+    EXPECT_EQ(y.node()->pool_id, 0u);
+    EXPECT_EQ(pool.hits(), 0);
+    EXPECT_EQ(pool.misses(), 0);
+    EXPECT_EQ(pool.heldBytes(), 0);
 }
 
 TEST(TapePool, ParameterGradsStayHeapOwned)
@@ -258,20 +248,43 @@ TEST(TapePool, TrainingLoopReusesItsPool)
         set.groups.push_back(0);
     }
 
-    const TapePool::Totals before = TapePool::totals();
     Rng rng(16);
     model::TlpNet net(config, rng);
     model::TrainOptions options;
     options.epochs = 3;
-    options.batch_size = 16;   // one group, equal batches: same shapes
-    model::trainTlpNet(net, set, options);
-    const TapePool::Totals after = TapePool::totals();
-    const int64_t hits = after.hits - before.hits;
-    const int64_t misses = after.misses - before.misses;
-    // Only the first of 9 same-shape steps allocates.
-    EXPECT_GT(misses, 0);
-    EXPECT_EQ(hits, 8 * misses);
-    EXPECT_EQ(after.held_bytes, before.held_bytes);
+    // trainTlpNet's trainer on three 16-row batches: 9 same-shape steps.
+    std::vector<std::vector<int>> batches(3);
+    for (int r = 0; r < set.rows; ++r)
+        batches[static_cast<size_t>(r / 16)].push_back(r);
+    // The training pool and its counters as each step's forward starts.
+    struct Seen
+    {
+        const TapePool *pool;
+        int64_t hits, misses;
+    };
+    std::vector<Seen> seen;
+    model::trainLabeled(
+        net.parameters(), set, options, "tlp", [&] { return batches; },
+        [&](const Tensor &x, int task) {
+            const TapePool *pool = TapePool::current();
+            seen.push_back({pool, pool ? pool->hits() : -1,
+                            pool ? pool->misses() : -1});
+            return net.forwardTask(x, task);
+        });
+    ASSERT_EQ(seen.size(), 9u);
+    ASSERT_NE(seen[0].pool, nullptr);
+    EXPECT_EQ(seen[0].hits, 0);
+    EXPECT_EQ(seen[0].misses, 0);
+    // Only the first step allocates; every later step reuses each
+    // buffer it allocated.
+    const int64_t step_buffers = seen[1].misses;
+    EXPECT_GT(step_buffers, 0);
+    for (size_t k = 1; k < seen.size(); ++k) {
+        EXPECT_EQ(seen[k].pool, seen[0].pool) << k;
+        EXPECT_EQ(seen[k].misses, step_buffers) << k;
+        EXPECT_EQ(seen[k].hits, static_cast<int64_t>(k - 1) * step_buffers)
+            << k;
+    }
 }
 
 TEST(TapePool, TwoTrainingLoopsOnTwoThreads)

@@ -213,23 +213,28 @@ TEST(BitIdentical, TlpTrainingAndPrediction)
     model::TlpNetConfig config;
     config.hidden = 32;
     config.heads = 4;
-    const auto set = syntheticTlpSet(config, 24);
-
-    const auto runs = runAtThreadCounts([&] {
-        Rng rng(105);
-        model::TlpNet net(config, rng);
-        model::TrainOptions options;
-        options.epochs = 2;
-        options.batch_size = 8;
-        const double loss = trainTlpNet(net, set, options);
-        const auto scores = predictTlpNet(net, set);
-        std::vector<float> out{static_cast<float>(loss)};
-        for (double s : scores)
-            out.push_back(static_cast<float>(s));
-        return std::vector<std::vector<float>>{out};
-    });
-    EXPECT_EQ(runs[0], runs[1]);
-    EXPECT_EQ(runs[0], runs[2]);
+    // Batches of 8 keep every training kernel on one chunk; a batch of
+    // 64 is 1600 sequence rows, so its row-parallel kernels and their
+    // backward passes split across the pool's workers.
+    for (const auto [rows, batch_size] : {std::array{24, 8},
+                                          std::array{64, 64}}) {
+        const auto set = syntheticTlpSet(config, rows);
+        const auto runs = runAtThreadCounts([&] {
+            Rng rng(105);
+            model::TlpNet net(config, rng);
+            model::TrainOptions options;
+            options.epochs = 2;
+            options.batch_size = batch_size;
+            const double loss = trainTlpNet(net, set, options);
+            const auto scores = predictTlpNet(net, set);
+            std::vector<float> out{static_cast<float>(loss)};
+            for (double s : scores)
+                out.push_back(static_cast<float>(s));
+            return std::vector<std::vector<float>>{out};
+        });
+        EXPECT_EQ(runs[0], runs[1]) << "batch " << batch_size;
+        EXPECT_EQ(runs[0], runs[2]) << "batch " << batch_size;
+    }
 }
 
 TEST(BitIdentical, MlpTrainingAndPrediction)
@@ -348,20 +353,24 @@ TEST(BitIdentical, GbdtFitAtAnyThreadCount)
     // Split search fans features out over the pool once a node is big
     // enough; the per-feature bests reduce in feature order, so the
     // trees, and every prediction bit, must not depend on the workers.
-    const auto set = test::gbdtStressSet(1200, 164, 112);
+    // The second set ties its root split between features 10 and 150,
+    // which 2 and 4 workers scan in different chunks.
     GlobalThreadsGuard guard;
-    std::vector<std::vector<double>> runs;
-    for (int threads : {1, 2, 4}) {
-        ThreadPool::setGlobalThreads(threads);
-        model::GbdtOptions options;
-        options.min_samples_leaf = 2;
-        options.max_depth = 6;
-        model::Gbdt gbdt(options);
-        gbdt.fit(set.features, set.rows, set.dim, set.targets);
-        runs.push_back(gbdt.predict(set.features, set.rows, set.dim));
+    for (const auto &set : {test::gbdtStressSet(1200, 164, 112),
+                            test::gbdtRootTieSet(164, 10, 150, 113)}) {
+        std::vector<std::vector<double>> runs;
+        for (int threads : {1, 2, 4}) {
+            ThreadPool::setGlobalThreads(threads);
+            model::GbdtOptions options;
+            options.min_samples_leaf = 2;
+            options.max_depth = 6;
+            model::Gbdt gbdt(options);
+            gbdt.fit(set.features, set.rows, set.dim, set.targets);
+            runs.push_back(gbdt.predict(set.features, set.rows, set.dim));
+        }
+        EXPECT_EQ(runs[0], runs[1]) << set.rows << " rows";
+        EXPECT_EQ(runs[0], runs[2]) << set.rows << " rows";
     }
-    EXPECT_EQ(runs[0], runs[1]);
-    EXPECT_EQ(runs[0], runs[2]);
 }
 
 TEST(SharedSpec, ParallelLowerMatchesSerial)
