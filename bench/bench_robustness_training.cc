@@ -96,7 +96,6 @@ main()
             model::TrainOptions options;
             options.epochs = static_cast<int>(scaledCount(2, 1));
             options.batch_size = 64;
-            options.supervisor.enabled = true;
             options.supervisor.policy = policy.policy;
             options.supervisor.faults =
                 model::TrainFaultProfile::uniform(rate, 0x6e);
@@ -115,8 +114,8 @@ main()
                              health[model::HealthEvent::NanGrad] +
                              health[model::HealthEvent::LossDivergence];
             runs.push_back(run);
-            // Every unhealthy attempt rolls back, so rollbacks > 0 means
-            // the run saw a fault.
+            // Every rejected attempt counts a rollback, so rollbacks > 0
+            // means the run saw a fault.
             const bool run_ok =
                 policy.policy == model::RecoveryPolicy::RollbackRetry
                     ? std::isfinite(run.final_loss) && !run.aborted

@@ -10,8 +10,8 @@
  *                      [--resume tune.ckpt]
  *                      [--verify-checkpoint any-artifact.bin]
  *                      [--save-model tlp.snap] [--load-model tlp.snap]
- *                      [--threads 4] [--supervise]
- *                      [--train-fault-rate 0.05] [--guarded]
+ *                      [--threads 4] [--train-fault-rate 0.05]
+ *                      [--guarded]
  *                      [--collapse-after 3]
  *
  * The "tlp" model is pretrained on a freshly collected mini dataset
@@ -76,12 +76,9 @@ main(int argc, char **argv)
     args.addInt("threads", 0,
                 "worker threads for kernels/features "
                 "(0 = TLP_NUM_THREADS env, default 1)");
-    args.addBool("supervise", false,
-                 "wrap pretraining in the TrainSupervisor "
-                 "(rollback-retry on numeric anomalies)");
     args.addDouble("train-fault-rate", 0.0,
-                   "injected training fault rate in [0, 1) "
-                   "(implies --supervise)");
+                   "injected training fault rate in [0, 1) for the "
+                   "supervised TLP pretraining");
     args.addBool("guarded", false,
                  "run the search behind the cost-model fallback ladder "
                  "(model > ansor-online > random)");
@@ -184,18 +181,13 @@ main(int argc, char **argv)
                 TLP_FATAL("--train-fault-rate must be in [0, 1), got ",
                           train_fault_rate);
             }
-            if (args.getBool("supervise") || train_fault_rate > 0.0) {
-                options.supervisor.enabled = true;
-                options.supervisor.faults =
-                    model::TrainFaultProfile::uniform(train_fault_rate);
-            }
+            options.supervisor.faults =
+                model::TrainFaultProfile::uniform(train_fault_rate);
             model::HealthCounters train_health;
             options.supervisor.health_out = &train_health;
             trainTlpNet(*net, set, options);
-            if (options.supervisor.enabled) {
-                std::printf("training health: %s\n",
-                            train_health.toString().c_str());
-            }
+            std::printf("training health: %s\n",
+                        train_health.toString().c_str());
         }
         if (!save_model.empty()) {
             const Status status = model::saveTlpSnapshot(save_model, *net);

@@ -28,7 +28,8 @@ struct PretrainOptions
     double lr = 1e-3;
     uint64_t seed = 0x9e7;
     bool verbose = false;
-    /** Training-run supervision (disabled by default). */
+    /** Recovery policy, fault injection and health sink of the
+     *  supervisor that checks every step. */
     SupervisorOptions supervisor;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 
 #include "support/logging.h"
 
@@ -152,62 +151,13 @@ TrainSupervisor::TrainSupervisor(std::vector<nn::Tensor> params,
     : params_(std::move(params)), adam_(adam),
       options_(std::move(options)), backoff_rng_(kSupervisorSeed)
 {
-    if (options_.enabled)
-        takeSnapshot();
     if (options_.health_out != nullptr)
         health_ = *options_.health_out;
-}
-
-void
-TrainSupervisor::takeSnapshot()
-{
-    snapshot_params_.resize(params_.size());
-    for (size_t p = 0; p < params_.size(); ++p)
-        snapshot_params_[p] = params_[p].value();
-    std::ostringstream buffer(std::ios::binary);
-    BinaryWriter writer(buffer);
-    adam_.serializeState(writer);
-    snapshot_optimizer_ = buffer.str();
-}
-
-void
-TrainSupervisor::rollback()
-{
-    for (size_t p = 0; p < params_.size(); ++p)
-        params_[p].value() = snapshot_params_[p];
-    std::istringstream buffer(snapshot_optimizer_, std::ios::binary);
-    BinaryReader reader(buffer);
-    adam_.deserializeState(reader);
-    health_[HealthEvent::Rollback]++;
-}
-
-bool
-TrainSupervisor::gradsUnhealthy(double *norm_out) const
-{
-    double norm_sq = 0.0;
-    bool non_finite = false;
-    for (const nn::Tensor &param : params_) {
-        // grad() is non-const on Tensor; the node is shared, values are
-        // only read here.
-        for (float g : const_cast<nn::Tensor &>(param).grad()) {
-            if (!std::isfinite(g))
-                non_finite = true;
-            norm_sq += static_cast<double>(g) * g;
-        }
-    }
-    *norm_out = std::sqrt(norm_sq);
-    return non_finite;
 }
 
 StepOutcome
 TrainSupervisor::step(const std::function<double()> &attempt)
 {
-    if (!options_.enabled) {
-        attempt();
-        adam_.step();
-        ++steps_done_;
-        return StepOutcome::Ok;
-    }
     if (stopped_)
         return StepOutcome::Stop;
 
@@ -228,7 +178,9 @@ TrainSupervisor::step(const std::function<double()> &attempt)
                 std::numeric_limits<float>::quiet_NaN();
         }
 
-        // Health checks, cheapest first.
+        // Health checks, cheapest first. The one gradient-norm pass feeds
+        // both the check and Adam's clip; a NaN or Inf gradient makes the
+        // norm non-finite.
         HealthEvent problem = HealthEvent::NumEvents;
         double grad_norm = 0.0;
         if (!std::isfinite(loss)) {
@@ -237,15 +189,16 @@ TrainSupervisor::step(const std::function<double()> &attempt)
                    loss > kSupervisorLossDivergenceFactor * loss_ewma_ +
                               kSupervisorLossDivergenceFloor) {
             problem = HealthEvent::LossDivergence;
-        } else if (gradsUnhealthy(&grad_norm)) {
-            problem = HealthEvent::NanGrad;
-        } else if (!std::isfinite(grad_norm) ||
-                   grad_norm > kSupervisorGradNormLimit) {
-            problem = HealthEvent::GradExplosion;
+        } else {
+            grad_norm = adam_.gradNorm();
+            if (!std::isfinite(grad_norm))
+                problem = HealthEvent::NanGrad;
+            else if (grad_norm > kSupervisorGradNormLimit)
+                problem = HealthEvent::GradExplosion;
         }
 
         if (problem == HealthEvent::NumEvents) {
-            adam_.step();
+            adam_.step(grad_norm);
             adam_.setLr(schedule_lr); // backoff is per-step, not sticky
             loss_ewma_ = ewma_ready_
                              ? (1.0 - kSupervisorLossEwmaAlpha) * loss_ewma_ +
@@ -253,13 +206,15 @@ TrainSupervisor::step(const std::function<double()> &attempt)
                              : loss;
             ewma_ready_ = true;
             ++steps_done_;
-            takeSnapshot();
             publishHealth();
             return StepOutcome::Ok;
         }
 
+        // The attempt never reached adam_.step(), so rejecting it leaves
+        // the parameters and optimizer state as the last applied step
+        // left them; every path below sets the lr itself.
         health_[problem]++;
-        rollback(); // restores params, moments, step count, and lr
+        health_[HealthEvent::Rollback]++;
 
         if (options_.policy == RecoveryPolicy::AbortOnFault) {
             health_[HealthEvent::AbortPolicy]++;

@@ -1,27 +1,29 @@
 /**
  * @file
- * Training-run supervisor: numeric-anomaly detection and rollback-retry
- * for every gradient-descent loop.
+ * Training-run supervisor: numeric-anomaly detection and retry for every
+ * gradient-descent loop.
  *
  * TLP's value rests on one expensive offline pretraining run (paper
  * Sec. 6.1) and a long model-guided search; a single NaN gradient or
  * diverging loss aborts or silently poisons hours of work. The
  * supervisor wraps each optimizer step with health checks — NaN/Inf
  * loss, NaN/Inf or exploding gradient global norm, loss divergence
- * against an EWMA — and recovers by rolling the parameters and
- * optimizer state back to the last-good in-memory snapshot, backing the
- * learning rate off (seeded, deterministic), and retrying a bounded
- * number of times. Every health event lands in a typed counter
- * (HealthCounters).
+ * against an EWMA — before the optimizer applies it. An attempt only
+ * zeroes the gradients and runs forward and backward, so a rejected
+ * attempt leaves the parameters and optimizer state exactly as the last
+ * applied step left them; recovery backs the learning rate off (seeded,
+ * deterministic) and retries a bounded number of times. Every health
+ * event lands in a typed counter (HealthCounters).
  *
  * A deterministic TrainFaultProfile (mirroring hw::FaultProfile)
  * injects NaN gradients and loss spikes keyed by (step, attempt, seed)
  * — never by wall clock — so every recovery path is testable and
  * benchable bit-for-bit.
  *
- * With supervision disabled (the default) or enabled but healthy, the
- * checks are read-only: the trained weights are bit-identical to an
- * unsupervised run (tests/test_supervisor.cc pins this down).
+ * On a healthy step the checks are read-only: the step applies exactly
+ * Adam::step(Adam::gradNorm()), so a clean run's weights are those of a
+ * plain Adam loop (tests/test_supervisor.cc and TrainingDigest.* pin
+ * this down).
  *
  * trainSupervised is the one epoch loop every learned model trains
  * through (trainTlpNet, trainMlp, GPT/BERT pretraining).
@@ -50,7 +52,7 @@ enum class HealthEvent : uint8_t
     NanGrad,            ///< a gradient is NaN/Inf
     GradExplosion,      ///< gradient global norm above the hard limit
     LossDivergence,     ///< loss far above its EWMA trend
-    Rollback,           ///< parameters restored from the last-good snapshot
+    Rollback,           ///< an unhealthy attempt was rejected unapplied
     RetryExhausted,     ///< a batch was skipped after bounded retries
     AbortPolicy,        ///< AbortOnFault policy stopped the run
     WallClockBudget,    ///< never raised; slot kept for counter positions
@@ -143,11 +145,11 @@ struct TrainFaultProfile
 /** What the supervisor does when a step attempt is unhealthy. */
 enum class RecoveryPolicy : uint8_t
 {
-    RollbackRetry = 0, ///< roll back, back off lr, retry (bounded)
-    AbortOnFault,      ///< roll back and stop the run at the first fault
+    RollbackRetry = 0, ///< reject the attempt, back off lr, retry (bounded)
+    AbortOnFault,      ///< reject the attempt and stop the run
 };
 
-/** Learning-rate backoff factor applied on each rollback-retry. */
+/** Learning-rate backoff factor applied on each retry. */
 inline constexpr double kSupervisorLrBackoff = 0.5;
 /** Hard gradient global-norm limit (NaN/Inf always unhealthy). Generous
  *  on purpose: Adam's nn::kAdamGradClip handles the routine clipping;
@@ -169,10 +171,6 @@ inline constexpr uint64_t kSupervisorSeed = 0x5afe;
 /** Supervisor parameters. */
 struct SupervisorOptions
 {
-    /** Master switch; false = the supervisor is never consulted and the
-     *  training loop behaves exactly as before. */
-    bool enabled = false;
-
     RecoveryPolicy policy = RecoveryPolicy::RollbackRetry;
 
     /** Fault injection (off by default). */
@@ -186,14 +184,14 @@ struct SupervisorOptions
 enum class StepOutcome : uint8_t
 {
     Ok = 0,     ///< step applied (possibly after retries)
-    Skipped,    ///< retries exhausted; batch skipped, weights last-good
+    Skipped,    ///< retries exhausted; batch skipped, weights untouched
     Stop,       ///< abort policy: stop training now
 };
 
 /**
- * The per-step supervisor. One instance wraps one training run: it owns
- * the last-good snapshot of (parameters, optimizer state) and decides,
- * for every step attempt, whether to apply, retry, skip, or stop.
+ * The per-step supervisor. One instance wraps one training run and
+ * decides, for every step attempt, whether to apply, retry, skip, or
+ * stop.
  *
  * Usage (see trainSupervised):
  *   TrainSupervisor supervisor(params, adam, options);
@@ -204,20 +202,16 @@ enum class StepOutcome : uint8_t
 class TrainSupervisor
 {
   public:
-    /**
-     * @p params must be the exact tensor list @p adam was built from.
-     * With options.enabled == false every step() call simply runs the
-     * attempt and adam.step() — zero behavioral change.
-     */
+    /** @p params must be the exact tensor list @p adam was built from. */
     TrainSupervisor(std::vector<nn::Tensor> params, nn::Adam &adam,
                     SupervisorOptions options = {});
 
     /**
      * Run one supervised optimizer step. @p attempt must zero the
      * gradients, run forward + backward, and return the loss value; it
-     * may be called up to 1 + kSupervisorMaxRetries times. On Ok the
-     * optimizer stepped; on Skipped/Stop the parameters are the last-good
-     * ones.
+     * may be called up to 1 + kSupervisorMaxRetries times and must not
+     * change the parameter values or the optimizer state. On Ok the
+     * optimizer stepped; on Skipped/Stop it did not.
      */
     StepOutcome step(const std::function<double()> &attempt);
 
@@ -231,15 +225,6 @@ class TrainSupervisor
     bool stopped() const { return stopped_; }
 
   private:
-    /** Copy parameter values + optimizer state into the snapshot. */
-    void takeSnapshot();
-
-    /** Restore parameters + optimizer state from the snapshot. */
-    void rollback();
-
-    /** True when any gradient is non-finite; also yields the norm. */
-    bool gradsUnhealthy(double *norm_out) const;
-
     /** Mirror the counters into options_.health_out (when set). */
     void publishHealth();
 
@@ -248,9 +233,6 @@ class TrainSupervisor
     SupervisorOptions options_;
     Rng backoff_rng_;
     HealthCounters health_;
-
-    std::vector<std::vector<float>> snapshot_params_;
-    std::string snapshot_optimizer_;
 
     double loss_ewma_ = 0.0;
     bool ewma_ready_ = false;

@@ -84,9 +84,9 @@ struct TrainOptions
     double weight_decay = 1e-6;
     uint64_t seed = 0x7ea1;
     bool verbose = false;
-    /** Training-run supervision (disabled by default: with
-     *  supervisor.enabled == false the loop is byte-for-byte the
-     *  unsupervised one). */
+    /** Recovery policy, fault injection and health sink of the
+     *  supervisor that checks every step (a healthy step is a plain
+     *  Adam step). */
     SupervisorOptions supervisor;
 };
 

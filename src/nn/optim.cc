@@ -15,21 +15,30 @@ Adam::Adam(std::vector<Tensor> params, AdamOptions options)
     }
 }
 
+double
+Adam::gradNorm() const
+{
+    // Reads Node::grad directly: a grad never allocated holds only zeros,
+    // so skipping it leaves the sum unchanged.
+    double norm_sq = 0.0;
+    for (const Tensor &param : params_) {
+        const std::vector<float> &grad = param.node()->grad;
+        for (float g : grad)
+            norm_sq += static_cast<double>(g) * g;
+    }
+    return std::sqrt(norm_sq);
+}
+
 void
-Adam::step()
+Adam::step(double grad_norm)
 {
     ++t_;
     const double bias1 = 1.0 - std::pow(kAdamBeta1, static_cast<double>(t_));
     const double bias2 = 1.0 - std::pow(kAdamBeta2, static_cast<double>(t_));
 
     // Global-norm gradient clipping.
-    double norm_sq = 0.0;
-    for (Tensor &param : params_)
-        for (float g : param.grad())
-            norm_sq += static_cast<double>(g) * g;
-    const double norm = std::sqrt(norm_sq);
     const double clip_scale =
-        norm > kAdamGradClip ? kAdamGradClip / norm : 1.0;
+        grad_norm > kAdamGradClip ? kAdamGradClip / grad_norm : 1.0;
 
     for (size_t p = 0; p < params_.size(); ++p) {
         auto &value = params_[p].value();
@@ -52,52 +61,6 @@ Adam::step()
                 options_.lr * m_hat / (std::sqrt(v_hat) + kAdamEps));
         }
     }
-}
-
-void
-Adam::serializeState(BinaryWriter &writer) const
-{
-    writer.writePod<int64_t>(t_);
-    writer.writePod<double>(options_.lr);
-    writer.writePod<uint32_t>(static_cast<uint32_t>(params_.size()));
-    for (size_t p = 0; p < params_.size(); ++p) {
-        writer.writeVector(m_[p]);
-        writer.writeVector(v_[p]);
-    }
-}
-
-void
-Adam::deserializeState(BinaryReader &reader)
-{
-    const auto t = reader.readPod<int64_t>();
-    const auto lr = reader.readPod<double>();
-    const auto count = reader.readPod<uint32_t>();
-    if (count != params_.size()) {
-        throw SerializeError(ErrorCode::Invalid,
-                             "optimizer state holds " +
-                                 std::to_string(count) +
-                                 " parameters, this Adam has " +
-                                 std::to_string(params_.size()));
-    }
-    std::vector<std::vector<float>> m, v;
-    m.reserve(count);
-    v.reserve(count);
-    for (uint32_t p = 0; p < count; ++p) {
-        m.push_back(reader.readVector<float>());
-        v.push_back(reader.readVector<float>());
-        if (m.back().size() != m_[p].size() ||
-            v.back().size() != v_[p].size()) {
-            throw SerializeError(ErrorCode::Invalid,
-                                 "optimizer moment size mismatch at "
-                                 "parameter " +
-                                     std::to_string(p));
-        }
-    }
-    // All validated: commit.
-    t_ = t;
-    options_.lr = lr;
-    m_ = std::move(m);
-    v_ = std::move(v);
 }
 
 void

@@ -5,7 +5,6 @@
 #pragma once
 
 #include "nn/tensor.h"
-#include "support/serialize.h"
 
 namespace tlp::nn {
 
@@ -29,8 +28,16 @@ class Adam
   public:
     Adam(std::vector<Tensor> params, AdamOptions options = {});
 
-    /** One update using the parameters' accumulated gradients. */
-    void step();
+    /** Global L2 norm of the parameters' accumulated gradients; NaN or
+     *  infinite when any gradient is. */
+    double gradNorm() const;
+
+    /**
+     * One update using the parameters' accumulated gradients, clipped to
+     * kAdamGradClip by @p grad_norm, which must be gradNorm() of those
+     * gradients (the caller has usually just checked it).
+     */
+    void step(double grad_norm);
 
     /** Zero all parameter gradients. */
     void zeroGrad();
@@ -41,16 +48,6 @@ class Adam
 
     /** Steps taken so far (bias-correction time). */
     int64_t stepCount() const { return t_; }
-
-    /**
-     * Persist / restore the optimizer state (moments, step count, lr) —
-     * the TrainSupervisor's rollback snapshots and the training
-     * checkpoints need the optimizer trajectory, not just the weights.
-     * The parameter list itself is not serialized; the restoring Adam
-     * must hold tensors of identical sizes, in the same order.
-     */
-    void serializeState(BinaryWriter &writer) const;
-    void deserializeState(BinaryReader &reader);
 
   private:
     std::vector<Tensor> params_;

@@ -388,7 +388,7 @@ TEST(Training, LinearRegressionConverges)
         Tensor loss = mseLoss(pred, labels);
         adam.zeroGrad();
         loss.backward();
-        adam.step();
+        adam.step(adam.gradNorm());
         last_loss = loss.value()[0];
     }
     EXPECT_LT(last_loss, 0.05);
@@ -423,7 +423,7 @@ TEST(Training, AttentionLearnsPositionSum)
         Tensor loss = mseLoss(pred, labels);
         adam.zeroGrad();
         loss.backward();
-        adam.step();
+        adam.step(adam.gradNorm());
         last_loss = loss.value()[0];
     }
     EXPECT_LT(last_loss, 0.4);
@@ -437,7 +437,7 @@ TEST(Optim, WeightDecayShrinksWeights)
     const float before = std::abs(w.value()[0]);
     // Zero gradient step: only decay acts.
     w.grad();
-    adam.step();
+    adam.step(adam.gradNorm());
     EXPECT_LT(std::abs(w.value()[0]), before);
 }
 

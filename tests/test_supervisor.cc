@@ -135,7 +135,7 @@ TEST(SupervisorFaults, DrawsAreDeterministicAndKeyed)
 /** One weight tensor + Adam + supervisor, with scripted attempts. */
 struct Rig
 {
-    explicit Rig(SupervisorOptions options, double lr = 0.05)
+    explicit Rig(SupervisorOptions options = {}, double lr = 0.05)
         : rng(11), w(nn::Tensor::randn({6}, rng, 1.0)),
           adam({w}, {.lr = lr}),
           supervisor({w}, adam, std::move(options))
@@ -160,17 +160,17 @@ struct Rig
     TrainSupervisor supervisor;
 };
 
-SupervisorOptions
-enabledOptions()
+/** Run @p rig's healthy attempt and one plain Adam step, unsupervised. */
+void
+plainStep(Rig &rig, float scale = 0.1f)
 {
-    SupervisorOptions options;
-    options.enabled = true;
-    return options;
+    rig.healthy(1.0, scale)();
+    rig.adam.step(rig.adam.gradNorm());
 }
 
-TEST(Supervisor, DisabledPassThroughStepsOptimizer)
+TEST(Supervisor, HealthyStepAppliesOneAdamStep)
 {
-    Rig rig(SupervisorOptions{});
+    Rig rig;
     const std::vector<float> before = rig.w.value();
     EXPECT_EQ(rig.supervisor.step(rig.healthy()), StepOutcome::Ok);
     EXPECT_NE(rig.w.value(), before);
@@ -179,11 +179,31 @@ TEST(Supervisor, DisabledPassThroughStepsOptimizer)
     EXPECT_EQ(rig.supervisor.health().total(), 0);
 }
 
+TEST(Supervisor, HealthyStepsEqualPlainAdam)
+{
+    // A healthy supervised step is Adam::step(Adam::gradNorm()) and
+    // nothing else, across an lr schedule that changes between steps.
+    Rig rig;
+    Rig twin;
+    for (int i = 0; i < 5; ++i) {
+        ASSERT_EQ(rig.supervisor.step(rig.healthy(1.0, 0.5f * (i + 1))),
+                  StepOutcome::Ok);
+        plainStep(twin, 0.5f * (i + 1));
+        rig.adam.setLr(rig.adam.lr() * 0.85);
+        twin.adam.setLr(twin.adam.lr() * 0.85);
+        EXPECT_EQ(rig.w.value(), twin.w.value());
+    }
+    EXPECT_EQ(rig.adam.stepCount(), twin.adam.stepCount());
+    EXPECT_EQ(rig.supervisor.health().total(), 0);
+}
+
 TEST(Supervisor, RollbackRestoresLastGoodBitIdentically)
 {
-    Rig rig(enabledOptions());
+    Rig rig;
+    Rig twin;   // same start, never sees the bad step
 
     ASSERT_EQ(rig.supervisor.step(rig.healthy()), StepOutcome::Ok);
+    ASSERT_EQ(twin.supervisor.step(twin.healthy()), StepOutcome::Ok);
     const std::vector<float> good = rig.w.value();
     const int64_t good_steps = rig.adam.stepCount();
 
@@ -205,14 +225,20 @@ TEST(Supervisor, RollbackRestoresLastGoodBitIdentically)
     EXPECT_EQ(health[HealthEvent::Rollback], 1 + kSupervisorMaxRetries);
     EXPECT_EQ(health[HealthEvent::RetryExhausted], 1);
 
-    // The run is not stopped: a later healthy step still applies.
+    // The run is not stopped: a later healthy step still applies, and
+    // it lands exactly where the twin's does, so the moments and the lr
+    // were untouched too.
     EXPECT_EQ(rig.supervisor.step(rig.healthy()), StepOutcome::Ok);
     EXPECT_EQ(rig.supervisor.stepsDone(), 2);
+    ASSERT_EQ(twin.supervisor.step(twin.healthy()), StepOutcome::Ok);
+    EXPECT_EQ(rig.w.value(), twin.w.value());
+    EXPECT_EQ(rig.adam.stepCount(), twin.adam.stepCount());
+    EXPECT_EQ(rig.adam.lr(), twin.adam.lr());
 }
 
 TEST(Supervisor, DetectsNanGradAndGradExplosion)
 {
-    Rig rig(enabledOptions());
+    Rig rig;
 
     auto nan_grad = [&] {
         rig.adam.zeroGrad();
@@ -234,7 +260,7 @@ TEST(Supervisor, DetectsNanGradAndGradExplosion)
 
 TEST(Supervisor, DetectsLossDivergenceAgainstEwma)
 {
-    Rig rig(enabledOptions());
+    Rig rig;
 
     for (int i = 0; i < 3; ++i)
         ASSERT_EQ(rig.supervisor.step(rig.healthy(1.0)), StepOutcome::Ok);
@@ -247,7 +273,7 @@ TEST(Supervisor, DetectsLossDivergenceAgainstEwma)
 
 TEST(Supervisor, LrBackoffAppliesDuringRetryOnly)
 {
-    Rig rig(enabledOptions());
+    Rig rig;
 
     int calls = 0;
     double retry_lr = 0.0;
@@ -274,11 +300,13 @@ TEST(Supervisor, LrBackoffAppliesDuringRetryOnly)
 
 TEST(Supervisor, AbortOnFaultPolicyStopsAtFirstFault)
 {
-    SupervisorOptions options = enabledOptions();
+    SupervisorOptions options;
     options.policy = RecoveryPolicy::AbortOnFault;
     Rig rig(options);
+    Rig twin(options);   // same start, never sees the bad step
 
     ASSERT_EQ(rig.supervisor.step(rig.healthy()), StepOutcome::Ok);
+    ASSERT_EQ(twin.supervisor.step(twin.healthy()), StepOutcome::Ok);
     const std::vector<float> good = rig.w.value();
 
     auto poisoned = [&] {
@@ -292,6 +320,14 @@ TEST(Supervisor, AbortOnFaultPolicyStopsAtFirstFault)
 
     // Once stopped, everything is Stop.
     EXPECT_EQ(rig.supervisor.step(rig.healthy()), StepOutcome::Stop);
+
+    // The stopped run's optimizer is the twin's: one more plain step on
+    // each lands on the same weights, step count and lr.
+    plainStep(rig);
+    plainStep(twin);
+    EXPECT_EQ(rig.w.value(), twin.w.value());
+    EXPECT_EQ(rig.adam.stepCount(), twin.adam.stepCount());
+    EXPECT_EQ(rig.adam.lr(), twin.adam.lr());
 }
 
 TEST(Supervisor, InjectedFaultsRecoverDeterministically)
@@ -300,7 +336,6 @@ TEST(Supervisor, InjectedFaultsRecoverDeterministically)
     // trajectory and the same final weights, twice.
     auto run = [] {
         SupervisorOptions options;
-        options.enabled = true;
         options.faults = TrainFaultProfile::uniform(0.5, 0x77);
         Rig rig(options);
         for (int i = 0; i < 20; ++i)
@@ -372,7 +407,6 @@ TEST(SupervisorChaos, FaultyMlpTrainingCompletesViaRollbackRetry)
         options.epochs = 4;
         options.batch_size = 16;
         options.use_rank_loss = false;
-        options.supervisor.enabled = true;
         options.supervisor.faults = TrainFaultProfile::uniform(0.4, 0x91);
         HealthCounters health;
         options.supervisor.health_out = &health;
@@ -407,7 +441,6 @@ TEST(SupervisorChaos, FaultyPretrainingCompletesViaRollbackRetry)
     PretrainOptions options;
     options.epochs = 2;
     options.batch_size = 16;
-    options.supervisor.enabled = true;
     options.supervisor.faults = TrainFaultProfile::uniform(0.5, 0x92);
     HealthCounters health;
     options.supervisor.health_out = &health;
@@ -420,52 +453,32 @@ TEST(SupervisorChaos, FaultyPretrainingCompletesViaRollbackRetry)
             EXPECT_TRUE(std::isfinite(v));
 }
 
-TEST(Supervisor, CleanRunIsBitIdenticalToUnsupervised)
+TEST(Supervisor, CleanTrainingRaisesNoHealthEvent)
 {
-    const auto set = syntheticSet(64, 8, 35);
-    MlpConfig config;
-    config.input = 8;
-    config.hidden = 16;
-    config.layers = 1;
+    // Supervision checks every step, so a clean trainMlp or trainTlpNet
+    // run must never trip a check (TrainingDigest.* pins their bits).
+    MlpConfig mlp_config;
+    mlp_config.input = 8;
+    mlp_config.hidden = 16;
+    mlp_config.layers = 1;
+    TlpNetConfig tlp_config;
+    tlp_config.hidden = 16;
+    tlp_config.heads = 4;
+    const auto mlp_set = syntheticSet(64, 8, 35);
+    const auto tlp_set =
+        syntheticSet(32, tlp_config.seq_len * tlp_config.emb_size, 37);
 
-    auto train = [&](bool supervised) {
-        Rng rng(9);
-        TensetMlpNet net(config, rng);
-        TrainOptions options;
-        options.epochs = 3;
-        options.batch_size = 16;
-        options.supervisor.enabled = supervised;
-        const double loss = trainMlp(net, set, options);
-        return std::make_pair(loss, parameterValues(net));
-    };
-
-    const auto plain = train(false);
-    const auto supervised = train(true);
-    // A healthy supervised run is pure observation: same losses, and the
-    // trained weights are bit-identical to the unsupervised loop's.
-    EXPECT_DOUBLE_EQ(plain.first, supervised.first);
-    EXPECT_EQ(plain.second, supervised.second);
-}
-
-TEST(Supervisor, CleanTlpTrainingIsBitIdenticalToUnsupervised)
-{
-    TlpNetConfig config;
-    config.hidden = 16;
-    config.heads = 4;
-    const auto set =
-        syntheticSet(32, config.seq_len * config.emb_size, 37);
-
-    auto train = [&](bool supervised) {
-        Rng rng(8);
-        TlpNet net(config, rng);
-        TrainOptions options;
-        options.epochs = 2;
-        options.batch_size = 16;
-        options.supervisor.enabled = supervised;
-        trainTlpNet(net, set, options);
-        return parameterValues(net);
-    };
-    EXPECT_EQ(train(false), train(true));
+    TrainOptions options;
+    options.epochs = 3;
+    options.batch_size = 16;
+    HealthCounters health;
+    options.supervisor.health_out = &health;
+    Rng rng(9);
+    TensetMlpNet mlp(mlp_config, rng);
+    EXPECT_TRUE(std::isfinite(trainMlp(mlp, mlp_set, options)));
+    TlpNet tlp(tlp_config, rng);
+    EXPECT_TRUE(std::isfinite(trainTlpNet(tlp, tlp_set, options)));
+    EXPECT_EQ(health.total(), 0) << health.toString();
 }
 
 // --- the guarded cost-model ladder ---------------------------------------

@@ -169,20 +169,27 @@ TEST(BitIdentical, BmmForwardAndBackward)
 TEST(BitIdentical, RowwiseOpsForwardAndBackward)
 {
     // softmax + layerNorm + addBias: the column-partitioned backward
-    // paths must match the serial accumulation bit for bit.
+    // paths must match the serial accumulation bit for bit. 19 x 23 falls
+    // under every grain, so each kernel runs as one chunk; at 1024 x 64
+    // the softmax forward (32-row grain), the layer-norm gamma/beta
+    // backward (5-column grain) and the addBias backward (16-column
+    // grain) each split at 2 and 8 threads.
     const auto runs = runAtThreadCounts([] {
         Rng rng(103);
-        nn::Tensor x = nn::Tensor::randn({19, 23}, rng, 1.0, true);
-        nn::Tensor gamma = nn::Tensor::randn({23}, rng, 0.1, true);
-        nn::Tensor beta = nn::Tensor::randn({23}, rng, 0.1, true);
-        nn::Tensor bias = nn::Tensor::randn({23}, rng, 0.1, true);
-        nn::Tensor w = nn::Tensor::randn({19, 23}, rng, 1.0, false);
-        nn::Tensor y = nn::softmaxLastDim(
-            nn::addBias(nn::layerNorm(x, gamma, beta), bias));
-        nn::sumAll(nn::mul(y, w)).backward();
-        return std::vector<std::vector<float>>{y.value(), x.grad(),
-                                               gamma.grad(), beta.grad(),
-                                               bias.grad()};
+        std::vector<std::vector<float>> out;
+        for (auto [rows, cols] : {std::array{19, 23}, std::array{1024, 64}}) {
+            nn::Tensor x = nn::Tensor::randn({rows, cols}, rng, 1.0, true);
+            nn::Tensor gamma = nn::Tensor::randn({cols}, rng, 0.1, true);
+            nn::Tensor beta = nn::Tensor::randn({cols}, rng, 0.1, true);
+            nn::Tensor bias = nn::Tensor::randn({cols}, rng, 0.1, true);
+            nn::Tensor w = nn::Tensor::randn({rows, cols}, rng, 1.0, false);
+            nn::Tensor y = nn::softmaxLastDim(
+                nn::addBias(nn::layerNorm(x, gamma, beta), bias));
+            nn::sumAll(nn::mul(y, w)).backward();
+            out.insert(out.end(), {y.value(), x.grad(), gamma.grad(),
+                                   beta.grad(), bias.grad()});
+        }
+        return out;
     });
     EXPECT_EQ(runs[0], runs[1]);
     EXPECT_EQ(runs[0], runs[2]);

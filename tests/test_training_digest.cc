@@ -160,11 +160,10 @@ TEST_F(TrainingDigest, TlpSupervisedRetry)
     const auto set =
         raggedSet(45, config.seq_len * config.emb_size, 1, 0xa4);
     TrainOptions options = smallTrainOptions();
-    options.supervisor.enabled = true;
     options.supervisor.faults = TrainFaultProfile::uniform(0.3, 0xa4);
     HealthCounters health;
     const uint64_t digest = tlpDigest(config, set, options, &health);
-    // At least one step attempt was rolled back and retried.
+    // At least one step attempt was rejected and retried.
     EXPECT_GT(health[HealthEvent::Rollback], 0);
     EXPECT_EQ(digest, 0xab92fa9ec178c19dull) << std::hex << digest;
 }
@@ -211,7 +210,6 @@ TEST_F(TrainingDigest, BertSupervisedRetry)
     PretrainOptions options;
     options.epochs = 2;
     options.batch_size = 16;
-    options.supervisor.enabled = true;
     options.supervisor.faults = TrainFaultProfile::uniform(0.3, 0xa8);
     HealthCounters health;
     options.supervisor.health_out = &health;
@@ -246,7 +244,6 @@ TEST_F(TrainingDigest, MlpAbortOnFault)
     config.hidden = 32;
     TensetMlpNet net(config, rng);
     TrainOptions options = smallTrainOptions();
-    options.supervisor.enabled = true;
     options.supervisor.policy = RecoveryPolicy::AbortOnFault;
     options.supervisor.faults = TrainFaultProfile::uniform(0.3, 0xa9);
     HealthCounters health;
@@ -254,7 +251,7 @@ TEST_F(TrainingDigest, MlpAbortOnFault)
     const double loss = trainMlp(net, set, options);
     EXPECT_TRUE(std::isfinite(loss));
     // The first faulty attempt stops the run mid-epoch: the weights are
-    // the last-good ones, and the loss is the mean of that epoch's
+    // those of the last applied step, and the loss is the mean of that epoch's
     // steps before the stop.
     EXPECT_EQ(health[HealthEvent::AbortPolicy], 1);
     EXPECT_GT(loss, 0.0);
