@@ -82,55 +82,57 @@ scanColumn(const Entry *order, int count, double sum,
 }
 
 /**
- * Stable-partition @p count entries of @p from into @p to: the samples
- * marked in @p goes_left first, then the rest, each in their old order.
- * @p from may equal @p to. Branch-free: every entry is written to both
- * sides and only the matching cursor advances, so @p spill holds one
- * slot more than the right side needs.
+ * Stable-partition @p count entries of @p from into @p to, which must
+ * not overlap it: the @p left_count samples marked in @p goes_left
+ * first, then the rest, each in their old order.
  */
 void
-partitionColumn(const Entry *from, Entry *to, int count,
-                const std::vector<unsigned char> &goes_left,
-                std::vector<Entry> &spill)
+partitionColumn(const Entry *from, Entry *to, int count, int left_count,
+                const std::vector<unsigned char> &goes_left)
 {
     Entry *left = to;
-    Entry *right = spill.data();
+    Entry *right = to + left_count;
     for (int i = 0; i < count; ++i) {
         const Entry entry = from[i];
         const bool is_left =
             goes_left[static_cast<size_t>(entry.second)] != 0;
-        *left = entry;
-        *right = entry;
+        *(is_left ? left : right) = entry;
         left += is_left;
         right += !is_left;
     }
-    std::copy(spill.data(), right, left);
 }
 
 } // namespace
 
 struct Gbdt::FitScratch
 {
-    FitScratch(const std::vector<float> &features, int rows, int dim)
-        : features(features), rows(rows), dim(dim),
+    FitScratch(const std::vector<float> &features, int rows, int dim,
+               std::vector<int> live)
+        : features(features), rows(rows), dim(dim), live(std::move(live)),
           samples(static_cast<size_t>(rows)),
-          presorted(static_cast<size_t>(rows) * static_cast<size_t>(dim)),
-          columns(presorted.size()), goes_left(samples.size()),
-          best(static_cast<size_t>(dim))
+          presorted(static_cast<size_t>(rows) * this->live.size()),
+          columns{presorted, presorted}, goes_left(samples.size()),
+          best(this->live.size())
     {
     }
 
     const std::vector<float> &features;
     int rows;
     int dim;
+    /** The features that are not constant over all rows, ascending:
+     *  a constant one can never split, so it is never sorted. */
+    std::vector<int> live;
     std::vector<float> residuals;
     std::vector<int> samples;      ///< node segments, in sum order
-    /** dim columns of rows entries, each sorted once per fit. */
+    /** One column of rows entries per live feature, sorted once. */
     std::vector<Entry> presorted;
-    /** The same columns, partitioned into the current tree's nodes. */
-    std::vector<Entry> columns;
+    /** The same columns, partitioned into the current tree's nodes: a
+     *  node at depth d reads presorted (root) or columns[(d - 1) % 2]
+     *  and writes its children's segments into columns[d % 2], so it
+     *  never writes the segment it reads. */
+    std::vector<Entry> columns[2];
     std::vector<unsigned char> goes_left;   ///< per sample, at a split
-    std::vector<SplitCandidate> best;       ///< per feature, at a node
+    std::vector<SplitCandidate> best;       ///< per live column, at a node
 };
 
 Gbdt::Gbdt(GbdtOptions options) : options_(options) {}
@@ -160,32 +162,34 @@ Gbdt::buildNode(Tree &tree, FitScratch &fit, int begin, int end, int depth)
     if (!canSplit(count, depth))
         return node_index;
 
-    // Exact greedy split, one column per feature. The root reads the
-    // presorted columns; every other node reads its segment of the
-    // partitioned copy.
+    // Exact greedy split, one column per live feature, read from this
+    // node's segment of its source buffer.
     const size_t rows = static_cast<size_t>(fit.rows);
-    const Entry *source =
-        (depth == 0 ? fit.presorted : fit.columns).data() + begin;
+    const int64_t live_count = static_cast<int64_t>(fit.live.size());
+    const std::vector<Entry> &from =
+        depth == 0 ? fit.presorted : fit.columns[(depth - 1) % 2];
+    const Entry *source = from.data() + begin;
     ThreadPool::global().parallelFor(
-        0, fit.dim, featureGrain(count),
-        [&](int64_t f_begin, int64_t f_end) {
-            for (int64_t f = f_begin; f < f_end; ++f) {
-                fit.best[static_cast<size_t>(f)] = scanColumn(
-                    source + static_cast<size_t>(f) * rows, count, sum,
+        0, live_count, featureGrain(count),
+        [&](int64_t c_begin, int64_t c_end) {
+            for (int64_t c = c_begin; c < c_end; ++c) {
+                fit.best[static_cast<size_t>(c)] = scanColumn(
+                    source + static_cast<size_t>(c) * rows, count, sum,
                     fit.residuals, options_);
             }
         });
     // Ascending feature order with a strict '>': the first feature to
-    // reach the best gain wins, exactly as in one serial scan.
+    // reach the best gain wins, exactly as in one serial scan. A
+    // constant feature's gain is exactly kGbdtMinGain, so skipping it
+    // changes no winner.
     double best_gain = kGbdtMinGain;
     int best_feature = -1;
     float best_threshold = 0.0f;
-    for (int f = 0; f < fit.dim; ++f) {
-        const SplitCandidate &best = fit.best[static_cast<size_t>(f)];
-        if (best.gain > best_gain) {
-            best_gain = best.gain;
-            best_feature = f;
-            best_threshold = best.threshold;
+    for (size_t c = 0; c < fit.live.size(); ++c) {
+        if (fit.best[c].gain > best_gain) {
+            best_gain = fit.best[c].gain;
+            best_feature = fit.live[c];
+            best_threshold = fit.best[c].threshold;
         }
     }
 
@@ -214,16 +218,14 @@ Gbdt::buildNode(Tree &tree, FitScratch &fit, int begin, int end, int depth)
         for (int i = begin; i < end; ++i)
             fit.goes_left[static_cast<size_t>(
                 fit.samples[static_cast<size_t>(i)])] = i < split;
-        Entry *target = fit.columns.data() + begin;
+        Entry *target = fit.columns[depth % 2].data() + begin;
         ThreadPool::global().parallelFor(
-            0, fit.dim, featureGrain(count),
-            [&](int64_t f_begin, int64_t f_end) {
-                std::vector<Entry> spill(
-                    static_cast<size_t>(end - split + 1));
-                for (int64_t f = f_begin; f < f_end; ++f) {
-                    const size_t offset = static_cast<size_t>(f) * rows;
+            0, live_count, featureGrain(count),
+            [&](int64_t c_begin, int64_t c_end) {
+                for (int64_t c = c_begin; c < c_end; ++c) {
+                    const size_t offset = static_cast<size_t>(c) * rows;
                     partitionColumn(source + offset, target + offset,
-                                    count, fit.goes_left, spill);
+                                    count, left_count, fit.goes_left);
                 }
             });
     }
@@ -255,23 +257,36 @@ Gbdt::fit(const std::vector<float> &features, int rows, int dim,
     dim_ = dim;
 
     base_ = std::accumulate(targets.begin(), targets.end(), 0.0) / rows;
-    FitScratch fit(features, rows, dim);
+    // A feature is live if some row differs from the first, by the
+    // same '==' scanColumn's constant test uses (0.0f == -0.0f).
+    const size_t width = static_cast<size_t>(dim);
+    std::vector<int> live;
+    for (size_t f = 0; f < width; ++f) {
+        for (size_t i = f + width; i < features.size(); i += width) {
+            if (features[i] != features[f]) {
+                live.push_back(static_cast<int>(f));
+                break;
+            }
+        }
+    }
+    FitScratch fit(features, rows, dim, std::move(live));
     fit.residuals = targets;
     for (auto &r : fit.residuals)
         r -= static_cast<float>(base_);
 
-    // Presort every column once; trees only ever partition copies.
+    // Presort every live column once; trees only ever partition copies.
     ThreadPool::global().parallelFor(
-        0, dim, featureGrain(rows), [&](int64_t f_begin, int64_t f_end) {
-            for (int64_t f = f_begin; f < f_end; ++f) {
+        0, static_cast<int64_t>(fit.live.size()), featureGrain(rows),
+        [&](int64_t c_begin, int64_t c_end) {
+            for (int64_t c = c_begin; c < c_end; ++c) {
                 Entry *column = fit.presorted.data() +
-                                static_cast<size_t>(f) *
+                                static_cast<size_t>(c) *
                                     static_cast<size_t>(rows);
+                const float *value =
+                    features.data() +
+                    static_cast<size_t>(fit.live[static_cast<size_t>(c)]);
                 for (int r = 0; r < rows; ++r)
-                    column[r] = {features[static_cast<size_t>(r) *
-                                              static_cast<size_t>(dim) +
-                                          static_cast<size_t>(f)],
-                                 r};
+                    column[r] = {value[static_cast<size_t>(r) * width], r};
                 std::sort(column, column + rows);
             }
         });

@@ -7,12 +7,14 @@
  * the current tuning session. This is a from-scratch equivalent: squared
  * error boosting with exact greedy splits.
  *
- * Split search is presorted: every feature column is sorted once per
- * fit by (value, sample), and each split stable-partitions the columns
- * into its children, so every node sees its samples in exactly the
- * order a per-node sort would give. Features are scanned in parallel on
- * ThreadPool::global() and reduced in ascending feature order, so the
- * trees are the same bits at any thread count.
+ * Split search is presorted: every feature column that is not constant
+ * over all rows is sorted once per fit by (value, sample), and each
+ * split stable-partitions the columns into its children, so every node
+ * sees its samples in exactly the order a per-node sort would give. A
+ * constant column can never split, so it is never sorted or scanned.
+ * Columns are scanned in parallel on ThreadPool::global() and reduced
+ * in ascending feature order, so the trees are the same bits at any
+ * thread count.
  */
 #pragma once
 

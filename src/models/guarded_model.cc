@@ -92,10 +92,11 @@ GuardedCostModel::update(int task_id,
                          const std::vector<const sched::State *> &states,
                          const std::vector<double> &latency_ms)
 {
-    // Every rung learns from every measurement, so a later failover
-    // lands on a model that is already warm.
-    for (auto &model : ladder_)
-        model->update(task_id, states, latency_ms);
+    // Every live rung learns from every measurement, so a later
+    // failover lands on a warm model. A rung below active_ is never
+    // scored again (failover only moves forward), so it stops learning.
+    for (size_t i = static_cast<size_t>(active_); i < ladder_.size(); ++i)
+        ladder_[i]->update(task_id, states, latency_ms);
     ++updates_seen_;
 
     // Maintain the probe window of recent healthy measurements.

@@ -70,9 +70,9 @@ class GuardedCostModel : public CostModel
     scoreStates(int task_id, const std::vector<sched::State> &states)
         override;
 
-    /** Feedback goes to EVERY rung (keeps the online fallbacks warm so
-     *  a later failover is seamless), then runs the correlation probe
-     *  against the active rung. */
+    /** Feedback goes to every live rung, active_ onward (keeps the
+     *  online fallbacks warm so a later failover is seamless), then
+     *  runs the correlation probe against the active rung. */
     void update(int task_id,
                 const std::vector<const sched::State *> &states,
                 const std::vector<double> &latency_ms) override;

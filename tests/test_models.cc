@@ -8,7 +8,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iterator>
 #include <limits>
+#include <numeric>
 #include <string>
 
 #include "dataset/collect.h"
@@ -290,6 +293,80 @@ TEST(GbdtModel, FitIsBitIdenticalAcrossBuilders)
         }
     }
     EXPECT_EQ(digest, 0xfd0073141426f93cull) << std::hex << digest;
+}
+
+TEST(GbdtModel, ConstantColumnsDoNotChangeTheFit)
+{
+    // Constant columns inserted at the front, in the middle, at the end,
+    // plus one of only 0.0f / -0.0f: none can split, so the fit on the
+    // widened matrix must predict the same bits as on the original.
+    const auto train = test::gbdtStressSet(600, 12, 91);
+    const auto query = test::gbdtStressSet(300, 12, 92);
+    struct Insert
+    {
+        int before;          ///< original column it precedes
+        float value;
+        bool flip_odd_rows;  ///< odd rows hold -value
+    };
+    const Insert inserts[] = {{0, 7.0f, false},
+                              {5, -1.5f, false},
+                              {8, 0.0f, true},
+                              {12, 0.25f, false}};
+    auto widen = [&](const test::GbdtStressSet &set) {
+        std::vector<float> wide;
+        for (int r = 0; r < set.rows; ++r) {
+            for (int f = 0; f <= set.dim; ++f) {
+                for (const Insert &insert : inserts) {
+                    if (insert.before == f)
+                        wide.push_back(insert.flip_odd_rows && r % 2
+                                           ? -insert.value
+                                           : insert.value);
+                }
+                if (f < set.dim)
+                    wide.push_back(set.features[static_cast<size_t>(
+                        r * set.dim + f)]);
+            }
+        }
+        return wide;
+    };
+    const int wide_dim = train.dim + static_cast<int>(std::size(inserts));
+    GbdtOptions options;
+    options.min_samples_leaf = 2;
+    options.max_depth = 6;
+    Gbdt narrow(options), wide(options);
+    narrow.fit(train.features, train.rows, train.dim, train.targets);
+    wide.fit(widen(train), train.rows, wide_dim, train.targets);
+    for (const auto *set : {&train, &query}) {
+        const auto expected =
+            narrow.predict(set->features, set->rows, set->dim);
+        const auto got = wide.predict(widen(*set), set->rows, wide_dim);
+        ASSERT_EQ(got.size(), expected.size());
+        EXPECT_EQ(std::memcmp(got.data(), expected.data(),
+                              got.size() * sizeof(double)),
+                  0);
+    }
+
+    // All columns constant: the first tree is one leaf and the fit
+    // stops there, predicting the target mean plus that shrunk leaf.
+    const int rows = 40;
+    std::vector<float> constant;
+    for (int r = 0; r < rows; ++r) {
+        for (const float value : {3.0f, r % 2 ? -0.0f : 0.0f, -2.5f})
+            constant.push_back(value);
+    }
+    Gbdt flat;
+    std::vector<float> targets(train.targets.begin(),
+                               train.targets.begin() + rows);
+    flat.fit(constant, rows, 3, targets);
+    const double base =
+        std::accumulate(targets.begin(), targets.end(), 0.0) / rows;
+    double residual_sum = 0.0;
+    for (const float target : targets)
+        residual_sum += target - static_cast<float>(base);
+    const float leaf = static_cast<float>(residual_sum / rows) *
+                       static_cast<float>(kGbdtLearningRate);
+    for (const double prediction : flat.predict(constant, rows, 3))
+        EXPECT_EQ(prediction, base + leaf);
 }
 
 TEST(GbdtModelDeathTest, NonFiniteInputIsFatal)

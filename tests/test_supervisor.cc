@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <thread>
 
@@ -824,6 +825,109 @@ TEST(GuardedModel, CheckpointResumePreservesDegradedState)
         EXPECT_DOUBLE_EQ(resumed.curve[i].workload_latency_ms,
                          reference.curve[i].workload_latency_ms);
     }
+    std::remove(ckpt.c_str());
+}
+
+/**
+ * Counts its update() calls, a count its state blob carries across a
+ * resume. A state it was fed scores as -latency, so the rank probe,
+ * whose window holds only fed states, never trips; any other state
+ * scores by its step hash, so candidate scores never collapse.
+ */
+class CountingCostModel : public CostModel
+{
+  public:
+    std::string name() const override { return "counting"; }
+    std::vector<double>
+    scoreStates(int, const std::vector<sched::State> &states) override
+    {
+        std::vector<double> scores;
+        for (const auto &state : states) {
+            const auto it = latency_.find(state.steps().hash());
+            scores.push_back(it != latency_.end()
+                                 ? -it->second
+                                 : static_cast<double>(
+                                       state.steps().hash() % 997));
+        }
+        return scores;
+    }
+    void update(int, const std::vector<const sched::State *> &states,
+                const std::vector<double> &latency_ms) override
+    {
+        for (size_t i = 0; i < states.size(); ++i)
+            latency_[states[i]->steps().hash()] = latency_ms[i];
+        ++updates_;
+    }
+    bool needsLowering() const override { return false; }
+    void serializeState(BinaryWriter &writer) const override
+    {
+        writer.writePod<int64_t>(updates_);
+    }
+    void deserializeState(BinaryReader &reader) override
+    {
+        updates_ = reader.readPod<int64_t>();
+    }
+
+    int64_t updates() const { return updates_; }
+
+  private:
+    int64_t updates_ = 0;
+    std::map<uint64_t, double> latency_;
+};
+
+TEST(GuardedModel, QuarantinedRungStopsLearning)
+{
+    // Ladder: a rung that collapses after 2 updates, the counting rung
+    // that takes over, a counting standby, and random.
+    struct Ladder
+    {
+        std::shared_ptr<CountingCostModel> dead, active, standby;
+        std::shared_ptr<GuardedCostModel> guarded;
+    };
+    auto makeLadder = [] {
+        Ladder ladder{std::make_shared<CountingCostModel>(),
+                      std::make_shared<CountingCostModel>(),
+                      std::make_shared<CountingCostModel>(), nullptr};
+        ladder.guarded = std::make_shared<GuardedCostModel>(
+            std::vector<std::shared_ptr<CostModel>>{
+                std::make_shared<FaultInjectedCostModel>(ladder.dead, 2),
+                ladder.active, ladder.standby,
+                std::make_shared<RandomCostModel>(37)});
+        return ladder;
+    };
+    const auto workload = tinyWorkload();
+    const auto platform = hw::HardwarePlatform::preset("e5-2673");
+    const std::string ckpt = test::scratchDir() + "/guarded_counts.ckpt";
+    tune::TuneOptions options = quickOptions();
+    options.rounds = 8;
+    options.checkpoint_path = ckpt;
+    options.checkpoint_every = 2;
+
+    // Uninterrupted: the failover freezes the dead rung at 2 updates;
+    // the active rung and the standby see every round's update.
+    const Ladder reference = makeLadder();
+    tune::tuneWorkload(workload, platform, *reference.guarded, options);
+    ASSERT_EQ(reference.guarded->activeIndex(), 1);
+    EXPECT_EQ(reference.dead->updates(), 2);
+    EXPECT_EQ(reference.active->updates(), options.rounds);
+    EXPECT_EQ(reference.standby->updates(), options.rounds);
+
+    // Stopped after the failover, then resumed on a fresh ladder: the
+    // replay and the restored blobs give the same counts.
+    std::remove(ckpt.c_str());
+    tune::TuneOptions half = options;
+    half.rounds = 4;
+    const Ladder killed = makeLadder();
+    tune::tuneWorkload(workload, platform, *killed.guarded, half);
+    ASSERT_EQ(killed.guarded->activeIndex(), 1);
+    tune::TuneOptions resume = options;
+    resume.resume = true;
+    const Ladder resumed = makeLadder();
+    tune::tuneWorkload(workload, platform, *resumed.guarded, resume);
+    EXPECT_EQ(resumed.guarded->activeIndex(), 1);
+    EXPECT_EQ(resumed.dead->updates(), reference.dead->updates());
+    EXPECT_EQ(resumed.active->updates(), reference.active->updates());
+    EXPECT_EQ(resumed.standby->updates(), reference.standby->updates());
     std::remove(ckpt.c_str());
 }
 
