@@ -17,7 +17,9 @@
  * All functions are serial over their row range — callers own the
  * parallel partitioning (ops.cc via parallelRows, fused_infer via its
  * per-block arena loop) — and rows are independent, which is what makes
- * any batching/blocking of the forward bit-identical.
+ * any batching/blocking of the forward bit-identical. softmaxRows and
+ * layerNormRows run groups of eight rows in row lanes (nn/lanes.h) on
+ * AVX2 + FMA builds; a row in a lane gets the bits it gets alone.
  */
 #pragma once
 
@@ -28,13 +30,28 @@
 namespace tlp::nn::iops {
 
 /**
+ * y[i] = std::exp(x[i]) over [0, n), bit for bit: eight at a time
+ * through the vector expf (a port of glibc 2.36's expf) where the
+ * build targets AVX2 + FMA, std::exp for the rest.
+ */
+TLP_NOINLINE void expInto(const float *x, float *y, int64_t n);
+
+/**
  * Rows [r0, r1) of a row-wise softmax over @p cols columns, matching
  * ops.cc softmaxLastDim: max over the row, exp(x - max) summed in
  * ascending column order, then one multiply by the reciprocal sum.
- * In-place operation (@p out == @p in) is allowed.
+ * When @p causal is non-zero, row r keeps only its first
+ * r % causal + 1 columns (the mask of a [.., causal, causal] score
+ * tensor) and writes 0 to the rest. In-place operation
+ * (@p out == @p in) is allowed.
+ *
+ * Without a mask, groups of eight rows of at most 256 columns run in
+ * row lanes (nn/lanes.h) with expInto's exp; the rows left over run one
+ * at a time. Either way a row gets the same bits.
  */
 TLP_NOINLINE void softmaxRows(const float *in, float *out, int64_t r0,
-                              int64_t r1, int64_t cols);
+                              int64_t r1, int64_t cols,
+                              int64_t causal = 0);
 
 /**
  * Rows [r0, r1) of layer normalization with affine, matching ops.cc
@@ -42,6 +59,12 @@ TLP_NOINLINE void softmaxRows(const float *in, float *out, int64_t r0,
  * order, inv_std = 1/sqrt(var + eps), out = (x - mean)*inv_std*g + b.
  * When @p stats is non-null, (mean, inv_std) are recorded at
  * stats[2*r] / stats[2*r+1] for the backward pass.
+ *
+ * On an FMA target the variance adds a rounded d*d below column
+ * cols & ~3 and fuses d*d into the add from there on, and the affine
+ * step is fma((x - mean)*inv_std, g, b): the operations the golden
+ * digests pin, spelled out so that every build and both paths keep
+ * them. Groups of eight rows of at most 256 columns run in row lanes.
  */
 TLP_NOINLINE void layerNormRows(const float *in, const float *gamma,
                                 const float *beta, float *out,

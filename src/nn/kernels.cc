@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "nn/lanes.h"
 #include "support/arena.h"
 #include "support/thread_pool.h"
 
@@ -63,24 +64,6 @@ inline void
 store8(float *p, const Vec8 &v)
 {
     std::memcpy(p, &v, sizeof(v));
-}
-
-/**
- * Keep the compiler from fusing @p prod into the add that consumes it.
- * The NT row kernel's dot product compiles to a rounded vector multiply
- * followed by in-order scalar adds, so every product is rounded before
- * it is added; the NT tile must round its products the same way. Only
- * an FMA target can fuse, and an FMA target has AVX, whose registers
- * hold a Vec8.
- */
-inline void
-keepRounded(Vec8 &prod)
-{
-#if defined(__FMA__)
-    asm("" : "+x"(prod));
-#else
-    (void)prod;
-#endif
 }
 
 /**
@@ -159,6 +142,58 @@ gemmTile(const float *TLP_RESTRICT a, const float *TLP_RESTRICT b,
             store8(c + (i + r) * n + j + v * kVecWidth, acc[r][v]);
 }
 
+/**
+ * Forward tile's scalar columns: C rows [i, i + 4), columns [j0, n) =
+ * A * B, each element's chain the row kernel's (acc = 0, then
+ * acc += a * b over ascending p) in a register. The multiply-add is
+ * spelled out: written as `acc += a * b`, this loop over p is a sum the
+ * compiler may vectorise as rounded products added in order.
+ */
+inline void
+gemmColumnTile(const float *TLP_RESTRICT a, const float *TLP_RESTRICT b,
+               float *TLP_RESTRICT c, int64_t i, int64_t j0, int64_t k,
+               int64_t n)
+{
+    for (int64_t j = j0; j < n; ++j) {
+        float acc[kTileRows] = {};
+        for (int64_t p = 0; p < k; ++p) {
+#pragma GCC unroll 4
+            for (int64_t r = 0; r < kTileRows; ++r)
+                acc[r] = lanes::fusedMulAdd(a[(i + r) * k + p],
+                                            b[p * n + j], acc[r]);
+        }
+#pragma GCC unroll 4
+        for (int64_t r = 0; r < kTileRows; ++r)
+            c[(i + r) * n + j] = acc[r];
+    }
+}
+
+#if defined(TLP_ROW_LANES)
+/**
+ * n = 1: C rows [i, i + 8) = A * B in row lanes, lane l holding row
+ * i + l's chain acc = 0, then acc += a * b over ascending p (an FMA, as
+ * the row kernel's is on an FMA target).
+ */
+inline void
+gemvLanes(const float *TLP_RESTRICT a, const float *TLP_RESTRICT b,
+          float *TLP_RESTRICT c, int64_t i, int64_t k)
+{
+    const float *rows = a + i * k;
+    __m256 acc = _mm256_setzero_ps();
+    int64_t p = 0;
+    for (; p + lanes::kLanes <= k; p += lanes::kLanes) {
+        __m256 col[lanes::kLanes];
+        lanes::loadColumns8(rows, k, p, col);
+        for (int64_t q = 0; q < lanes::kLanes; ++q)
+            acc = _mm256_fmadd_ps(col[q], _mm256_set1_ps(b[p + q]), acc);
+    }
+    for (; p < k; ++p)
+        acc = _mm256_fmadd_ps(lanes::loadColumn(rows, k, p),
+                              _mm256_set1_ps(b[p]), acc);
+    _mm256_storeu_ps(c + i, acc);
+}
+#endif
+
 /** Row kernel: GA rows [i0, i1) of GA += GC * B^T. */
 void
 gemmNTRowKernel(const float *TLP_RESTRICT gc, const float *TLP_RESTRICT b,
@@ -197,8 +232,8 @@ gemmNTTile(const float *TLP_RESTRICT gc, const float *TLP_RESTRICT bt,
             const float g = gc[(i + r) * n + j];
             Vec8 prod0 = g * b0;
             Vec8 prod1 = g * b1;
-            keepRounded(prod0);
-            keepRounded(prod1);
+            lanes::keepRounded(prod0);
+            lanes::keepRounded(prod1);
             acc[r][0] += prod0;
             acc[r][1] += prod1;
         }
@@ -398,16 +433,23 @@ gemmRows(const float *TLP_RESTRICT a, const float *TLP_RESTRICT b,
          int64_t n)
 {
     int64_t edge = i0;
-    if (n % kVecWidth == 0) {
+    if (n >= kVecWidth) {
         edge = tiledEnd(i0, i1);
+        const int64_t vec_end = n / kVecWidth * kVecWidth;
         for (int64_t i = i0; i < edge; i += kTileRows) {
             int64_t j = 0;
-            for (; j + kTileCols <= n; j += kTileCols)
+            for (; j + kTileCols <= vec_end; j += kTileCols)
                 gemmTile<2>(a, b, c, i, j, k, n);
-            if (j < n)
+            if (j < vec_end)
                 gemmTile<1>(a, b, c, i, j, k, n);
+            gemmColumnTile(a, b, c, i, vec_end, k, n);
         }
     }
+#if defined(TLP_ROW_LANES)
+    if (n == 1)
+        for (; edge + lanes::kLanes <= i1; edge += lanes::kLanes)
+            gemvLanes(a, b, c, edge, k);
+#endif
     gemmRowKernel(a, b, c, edge, i1, k, n);
 }
 

@@ -14,11 +14,14 @@
  * selects (no option, flag or environment variable), and a row kernel
  * for everything else:
  *
- *  - forward (gemmRows): at least 4 rows and n % 8 == 0. A 4-row x
- *    16-column C tile (4 x 8 for the last 8 columns when n % 16 == 8,
+ *  - forward (gemmRows): at least 4 rows and n >= 8. A 4-row x
+ *    16-column C tile (4 x 8 for the next 8 columns when n % 16 >= 8,
  *    as in the attention context's n = 8) stays in registers across
  *    the whole ascending-k loop, with the row kernel's `acc += a * b`
- *    from acc = 0.
+ *    from acc = 0; the last n % 8 columns (the attention scores'
+ *    n = 25 has one) take 4-row scalar chains of the same FMAs.
+ *    n = 1 (the task head's fc2) runs 8 rows in row lanes (nn/lanes.h,
+ *    AVX2 + FMA builds), one row's chain per lane.
  *  - dB (gemmTN): n % 16 == 0. A 4 x 16 GB tile is loaded, kept in
  *    registers across an ascending block of m with the same
  *    `acc += a * g`, and stored; blocks run in ascending order.
@@ -32,11 +35,11 @@
  *    two tiles contract to FMA exactly as their row kernels do.
  *
  * So every output element sees the same float operations in the same
- * order on either path, and the tiles change wall clock only. The
- * attention scores (n = 25), the n = 1 head and every row or column
- * edge stay on the row kernels, which take `__restrict`-qualified
- * pointers (the operands never alias) and unroll four-wide with a
- * single sequential accumulator chain per output element. Parallel
+ * order on either path, and the tiles change wall clock only. Every
+ * row edge, and 2..7-column outputs, stay on the row kernels, which
+ * take `__restrict`-qualified pointers (the operands never alias) and
+ * unroll four-wide with a single sequential accumulator chain per
+ * output element. Parallel
  * chunks start on a tile-row boundary, so the thread count never
  * changes which code computes an element. tests/test_gemm_digest.cc
  * pins the output bits of every form over every tile and edge case.
@@ -74,8 +77,9 @@ int64_t rowGrain(int64_t work_per_row);
 
 /**
  * Serial micro-kernel: rows [i0, i1) of C[m, n] = A[m, k] * B[k, n], C
- * fully overwritten: 4-row register tiles where the shape allows, the
- * k-blocked row kernel for the rest. Per output element the k
+ * fully overwritten: 4-row register tiles (n >= 8) or 8-row lanes
+ * (n = 1) where the shape allows, the k-blocked row kernel for the
+ * rest. Per output element the k
  * accumulation order is globally increasing — identical to naive i-k-j.
  * Exported (and never inlined) so the fused inference path reuses this
  * exact code; all three operands must be disjoint.

@@ -270,8 +270,14 @@ sigmoidT(const Tensor &x)
     return Tensor::fromNode(std::move(node));
 }
 
+namespace {
+
+/**
+ * softmaxLastDim, or with @p causal non-zero its causal form over
+ * [.., causal, causal] scores (iops::softmaxRows' mask).
+ */
 Tensor
-softmaxLastDim(const Tensor &x)
+softmaxImpl(const Tensor &x, int64_t causal)
 {
     const auto [rows, cols] = rowsCols(x.shape());
     auto node = makeNode(x.shape(), {x.node()});
@@ -282,60 +288,7 @@ softmaxLastDim(const Tensor &x)
     // row kernel is shared with the fused inference path (infer_ops.h)
     // so both forwards are literally the same compiled code.
     parallelRows(rows_c, 8 * cols_c, [=](int64_t r0, int64_t r1) {
-        iops::softmaxRows(xv, outv, r0, r1, cols_c);
-    });
-    node->backward_fn = [rows_c, cols_c](Node &self) {
-        float *gx = self.parents[0]->grad.data();
-        const float *yv = self.value.data();
-        const float *gyv = self.grad.data();
-        parallelRows(rows_c, 3 * cols_c, [=](int64_t r0, int64_t r1) {
-            for (int64_t r = r0; r < r1; ++r) {
-                const float *y = yv + r * cols_c;
-                const float *gy = gyv + r * cols_c;
-                float dot = 0.0f;
-                for (int64_t c = 0; c < cols_c; ++c)
-                    dot += y[c] * gy[c];
-                float *g = gx + r * cols_c;
-                for (int64_t c = 0; c < cols_c; ++c)
-                    g[c] += y[c] * (gy[c] - dot);
-            }
-        });
-    };
-    return Tensor::fromNode(std::move(node));
-}
-
-Tensor
-softmaxLastDimCausal(const Tensor &x)
-{
-    const auto &shape = x.shape();
-    TLP_CHECK(shape.size() >= 2 &&
-                  shape.back() == shape[shape.size() - 2],
-              "causal softmax needs square trailing dims");
-    const int64_t l = shape.back();
-    const auto [rows, cols] = rowsCols(shape);
-    auto node = makeNode(shape, {x.node()});
-    const float *xv = x.value().data();
-    float *outv = node->value.data();
-    const int64_t rows_c = rows, cols_c = cols;
-    parallelRows(rows_c, 8 * cols_c, [=](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1; ++r) {
-            const int64_t allowed = (r % l) + 1;   // row index in block
-            const float *in = xv + r * cols_c;
-            float *out = outv + r * cols_c;
-            float max_v = in[0];
-            for (int64_t c = 1; c < allowed; ++c)
-                max_v = std::max(max_v, in[c]);
-            float sum = 0.0f;
-            for (int64_t c = 0; c < allowed; ++c) {
-                out[c] = std::exp(in[c] - max_v);
-                sum += out[c];
-            }
-            const float inv = 1.0f / sum;
-            for (int64_t c = 0; c < allowed; ++c)
-                out[c] *= inv;
-            for (int64_t c = allowed; c < cols_c; ++c)
-                out[c] = 0.0f;
-        }
+        iops::softmaxRows(xv, outv, r0, r1, cols_c, causal);
     });
     node->backward_fn = [rows_c, cols_c](Node &self) {
         float *gx = self.parents[0]->grad.data();
@@ -356,6 +309,24 @@ softmaxLastDimCausal(const Tensor &x)
         });
     };
     return Tensor::fromNode(std::move(node));
+}
+
+} // namespace
+
+Tensor
+softmaxLastDim(const Tensor &x)
+{
+    return softmaxImpl(x, 0);
+}
+
+Tensor
+softmaxLastDimCausal(const Tensor &x)
+{
+    const auto &shape = x.shape();
+    TLP_CHECK(shape.size() >= 2 &&
+                  shape.back() == shape[shape.size() - 2],
+              "causal softmax needs square trailing dims");
+    return softmaxImpl(x, shape.back());
 }
 
 Tensor

@@ -8,11 +8,17 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <utility>
 #include <vector>
+
+#include "golden.h"
 
 #include "features/tlp_features.h"
 #include "ir/model_zoo.h"
@@ -20,8 +26,11 @@
 #include "models/cost_model.h"
 #include "models/feature_cache.h"
 #include "models/fused_infer.h"
+#include "nn/infer_ops.h"
+#include "nn/kernels.h"
 #include "sketch/policy.h"
 #include "support/arena.h"
+#include "support/rng.h"
 
 namespace tlp {
 namespace {
@@ -86,6 +95,176 @@ TEST(Arena, ResetKeepsCapacity)
     float *p = arena.allocFloats(1000);
     EXPECT_NE(p, nullptr);
     EXPECT_EQ(arena.reservedBytes(), reserved);
+}
+
+/** std::exp's float bits, for bit-for-bit comparison. */
+uint32_t
+stdExpBits(float x)
+{
+    return std::bit_cast<uint32_t>(std::exp(x));
+}
+
+TEST(RowLanes, ExpMatchesStdExpBitForBit)
+{
+    if (!test::kGoldenBits)
+        GTEST_SKIP() << "the vector expf is tied to glibc's expf in the "
+                        "pinned x86-64-v3 build";
+    // Every float in (-88, 0], the inputs the vector path computes
+    // itself: bit patterns 0x80000000 (-0) up to the one below -88.
+    constexpr uint32_t kFirst = 0x80000000u;
+    constexpr uint32_t kEnd = 0xc2b00000u;   // -88.0f
+    constexpr uint32_t kChunk = 1u << 16;
+    std::vector<float> x(kChunk), y(kChunk);
+    uint64_t mismatches = 0;
+    uint32_t first_mismatch = 0;
+    for (uint32_t base = kFirst; base < kEnd; base += kChunk) {
+        const uint32_t n = std::min(kChunk, kEnd - base);
+        for (uint32_t i = 0; i < n; ++i)
+            x[i] = std::bit_cast<float>(base + i);
+        nn::iops::expInto(x.data(), y.data(), n);
+        for (uint32_t i = 0; i < n; ++i) {
+            if (std::bit_cast<uint32_t>(y[i]) != stdExpBits(x[i])) {
+                if (mismatches++ == 0)
+                    first_mismatch = base + i;
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0u) << "first at bits 0x" << std::hex
+                              << first_mismatch;
+
+    // The lanes std::exp computes instead, mixed into groups of eight
+    // with fast-path lanes: NaN payloads, the infinities, the zeros,
+    // and one ulp either side of -88, of glibc's underflow bounds
+    // (-103.28, -103.97) and of its overflow bound (88.72).
+    const auto ulps = [](float v) {
+        return std::vector<float>{std::nextafter(v, -INFINITY), v,
+                                  std::nextafter(v, INFINITY)};
+    };
+    std::vector<float> specials = {
+        std::bit_cast<float>(0x7fc00000u), std::bit_cast<float>(0xffc00000u),
+        std::bit_cast<float>(0x7f800001u), std::bit_cast<float>(0xff800001u),
+        std::bit_cast<float>(0x7fc12345u), std::bit_cast<float>(0xffbfffffu),
+        -INFINITY, INFINITY, -0.0f, 0.0f, 1.0f, -1.5f,
+    };
+    for (float bound : {-88.0f, 88.0f, -0x1.9d1d9ep6f, -0x1.9fe368p6f,
+                        0x1.62e42ep6f}) {
+        for (float v : ulps(bound))
+            specials.push_back(v);
+    }
+    for (size_t offset = 0; offset < 8; ++offset) {
+        std::vector<float> in(offset, -0.25f);
+        in.insert(in.end(), specials.begin(), specials.end());
+        std::vector<float> out(in.size());
+        nn::iops::expInto(in.data(), out.data(),
+                          static_cast<int64_t>(in.size()));
+        for (size_t i = 0; i < in.size(); ++i)
+            EXPECT_EQ(std::bit_cast<uint32_t>(out[i]), stdExpBits(in[i]))
+                << "x bits 0x" << std::hex << std::bit_cast<uint32_t>(in[i]);
+    }
+}
+
+/**
+ * @p rows x @p cols floats for the row kernels: seeded values in
+ * [-4, 4), and rows of every kind a row lane must carry like a lone
+ * row: one NaN, +inf or -inf among finite values, all -inf, one value
+ * repeated, and denormals.
+ */
+std::vector<float>
+kernelRows(int64_t rows, int64_t cols, Rng &rng)
+{
+    std::vector<float> x(static_cast<size_t>(rows * cols));
+    for (float &v : x)
+        v = static_cast<float>(rng.uniform(-4.0, 4.0));
+    for (int64_t r = 0; r < rows; ++r) {
+        float *row = x.data() + r * cols;
+        const int64_t at = rng.randint(cols);
+        switch (r % 8) {
+        case 1: row[at] = std::numeric_limits<float>::quiet_NaN(); break;
+        case 2: row[at] = INFINITY; break;
+        case 3: row[at] = -INFINITY; break;
+        case 4: std::fill(row, row + cols, -INFINITY); break;
+        case 5: std::fill(row, row + cols, row[at]); break;
+        case 6:
+            for (int64_t c = 0; c < cols; ++c)
+                row[c] *= 1e-39f;
+            break;
+        default: break;
+        }
+    }
+    return x;
+}
+
+/** Float bits of @p v, so that NaNs compare by payload too. */
+std::vector<uint32_t>
+bitsOf(const std::vector<float> &v)
+{
+    std::vector<uint32_t> bits(v.size());
+    std::memcpy(bits.data(), v.data(), v.size() * sizeof(float));
+    return bits;
+}
+
+TEST(RowLanes, LanesMatchOneRowCalls)
+{
+    // Each kernel over rows [r0, r1) in one call, where groups of rows
+    // share lanes or tiles, and one row per call, where no row does:
+    // every output bit must agree.
+    constexpr int64_t kMaxRows = 17;
+    Rng rng(0x1a7e5);
+    for (int64_t cols = 1; cols <= 70; ++cols) {
+        const int64_t rows = 3 + kMaxRows + 1;
+        const std::vector<float> x = kernelRows(rows, cols, rng);
+        const std::vector<float> gamma = kernelRows(1, cols, rng);
+        const std::vector<float> beta = kernelRows(1, cols, rng);
+        for (int64_t r0 : {1, 3}) {
+            for (int64_t count = 0; count <= kMaxRows; ++count) {
+                const int64_t r1 = r0 + count;
+                const auto size = static_cast<size_t>(rows * cols);
+                std::vector<float> grouped(size), single(size);
+                nn::iops::softmaxRows(x.data(), grouped.data(), r0, r1,
+                                      cols);
+                for (int64_t r = r0; r < r1; ++r)
+                    nn::iops::softmaxRows(x.data(), single.data(), r, r + 1,
+                                          cols);
+                EXPECT_EQ(bitsOf(grouped), bitsOf(single))
+                    << "softmax cols=" << cols << " rows " << r0 << ".."
+                    << r1;
+
+                std::vector<float> stats_g(2 * rows), stats_s(2 * rows);
+                nn::iops::layerNormRows(x.data(), gamma.data(), beta.data(),
+                                        grouped.data(), stats_g.data(), r0,
+                                        r1, cols, 1e-5f);
+                for (int64_t r = r0; r < r1; ++r)
+                    nn::iops::layerNormRows(x.data(), gamma.data(),
+                                            beta.data(), single.data(),
+                                            stats_s.data(), r, r + 1, cols,
+                                            1e-5f);
+                EXPECT_EQ(bitsOf(grouped), bitsOf(single))
+                    << "layer norm cols=" << cols << " rows " << r0 << ".."
+                    << r1;
+                EXPECT_EQ(bitsOf(stats_g), bitsOf(stats_s))
+                    << "layer norm stats cols=" << cols;
+
+                // gemmRows: here cols is n, the output width. The
+                // special rows are A's; a NaN or inf in B would reach
+                // every output.
+                for (int64_t k : {1, 5, 8, 13, 70}) {
+                    const std::vector<float> a = kernelRows(rows, k, rng);
+                    std::vector<float> b(static_cast<size_t>(k * cols));
+                    for (float &v : b)
+                        v = static_cast<float>(rng.uniform(-1.0, 1.0));
+                    nn::kern::gemmRows(a.data(), b.data(), grouped.data(),
+                                       r0, r1, k, cols);
+                    for (int64_t r = r0; r < r1; ++r)
+                        nn::kern::gemmRows(a.data(), b.data(),
+                                           single.data(), r, r + 1, k,
+                                           cols);
+                    EXPECT_EQ(bitsOf(grouped), bitsOf(single))
+                        << "gemm k=" << k << " n=" << cols << " rows "
+                        << r0 << ".." << r1;
+                }
+            }
+        }
+    }
 }
 
 /**
@@ -205,7 +384,10 @@ TEST(FusedInfer, MatchesInterpretedBitForBit)
 
 TEST(FusedInfer, MatchesInterpretedAcrossConfigs)
 {
-    std::vector<model::TlpNetConfig> configs(3);
+    // configs[3] is the served default (hidden 64, 8 heads of 8, the
+    // tune and fleet model); configs[4] leaves lane and vector tails:
+    // heads of 9 columns, and a head width of 20.
+    std::vector<model::TlpNetConfig> configs(5);
     configs[0].hidden = 32;
     configs[0].heads = 4;
     configs[1].hidden = 48;
@@ -215,6 +397,9 @@ TEST(FusedInfer, MatchesInterpretedAcrossConfigs)
     configs[2].hidden = 32;
     configs[2].heads = 8;
     configs[2].num_tasks = 3;
+    configs[4].hidden = 36;
+    configs[4].heads = 4;
+    configs[4].head_hidden = 20;
     const auto states = samplePopulation(20, 44);
     for (const auto &config : configs) {
         auto net = makeNet(config, 11);

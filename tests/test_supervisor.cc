@@ -947,6 +947,9 @@ TEST(GuardedModel, ResumeRejectsDifferentCostModelName)
     tune::TuneOptions resumed = options;
     resumed.resume = true;
     AnsorOnlineCostModel different;
+    // The campaign above may have started the thread pool; a "fast"
+    // death test would fork with its workers gone.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     EXPECT_EXIT(tune::tuneWorkload(workload,
                                    hw::HardwarePlatform::preset("e5-2673"),
                                    different, resumed),
