@@ -149,9 +149,9 @@ FusedTlpInference::forwardBlock(Arena &arena, const float *x, int64_t n,
     const int64_t hd = H / heads;
     const int64_t rows = n * S;   // the flattened [n*S, .] row count
 
-    // Up-sampling: relu(up2(relu(up1(x)))). The interpreted Linear
-    // flattens [n, S, E] to [n*S, E] before its matmul; x is already
-    // that contiguous layout.
+    // Up-sampling: relu(up2(relu(up1(x)))). The interpreted matmul
+    // multiplies [n, S, E] as its n*S rows of E; x is already that
+    // contiguous layout.
     float *h1 = arena.allocFloats(static_cast<size_t>(rows * H));
     nk::gemmRows(x, up1_.w, h1, 0, rows, E, H);
     io::addBiasReluRows(h1, up1_.b, h1, 0, rows, H);

@@ -18,9 +18,9 @@ constexpr int64_t kKBlock = 64;
 constexpr int64_t kIBlock = 64;
 
 /**
- * Register tile: kTileRows output rows x kTileCols output columns (the
- * forward product also has a kVecWidth-column tile for n = 8, the
- * attention context). Every loop over a tile's rows carries
+ * Register tile: kTileRows output rows x kTileCols output columns (each
+ * form also has a kVecWidth-column tile for a next 8 columns, as in the
+ * attention context's n = 8). Every loop over a tile's rows carries
  * `#pragma GCC unroll 4` (kTileRows): unrolled early, the accumulators
  * stay in registers rather than in a stack array.
  */
@@ -194,15 +194,20 @@ gemvLanes(const float *TLP_RESTRICT a, const float *TLP_RESTRICT b,
 }
 #endif
 
-/** Row kernel: GA rows [i0, i1) of GA += GC * B^T. */
+/**
+ * Row kernel: GA rows [i0, i1), columns [p0, p1) of GA += GC * B^T.
+ * Each element's dot product compiles (x86-64-v3) to rounded products
+ * added in order for j < (n & ~3), in the loop's 8- and 4-wide vector
+ * sections, and to fused multiply-adds in its scalar tail.
+ */
 void
 gemmNTRowKernel(const float *TLP_RESTRICT gc, const float *TLP_RESTRICT b,
-                float *TLP_RESTRICT ga, int64_t i0, int64_t i1, int64_t k,
-                int64_t n)
+                float *TLP_RESTRICT ga, int64_t i0, int64_t i1, int64_t p0,
+                int64_t p1, int64_t k, int64_t n)
 {
     for (int64_t i = i0; i < i1; ++i) {
         const float *gcrow = gc + i * n;
-        for (int64_t p = 0; p < k; ++p) {
+        for (int64_t p = p0; p < p1; ++p) {
             const float *brow = b + p * n;
             float acc = 0.0f;
             for (int64_t j = 0; j < n; ++j)
@@ -213,36 +218,52 @@ gemmNTRowKernel(const float *TLP_RESTRICT gc, const float *TLP_RESTRICT b,
 }
 
 /**
- * NT tile: GA rows [i, i + 4), columns [p, p + 16) += GC * B^T, read
- * through @p bt = B^T [n, k]. Each element's dot product starts at 0
- * and adds its rounded products over ascending j, as the row kernel
- * does; the sum is then added into GA.
+ * NT tile: GA rows [i, i + 4), columns [p, p + 8 * kVecs) += GC * B^T,
+ * read through @p bt = B^T [n, k]. Each element's dot product starts at
+ * 0 and runs the row kernel's operations over ascending j: a rounded
+ * product added for j < (n & ~3), a fused multiply-add from there on.
+ * The sum is then added into GA.
  */
+template <int kVecs>
 inline void
 gemmNTTile(const float *TLP_RESTRICT gc, const float *TLP_RESTRICT bt,
            float *TLP_RESTRICT ga, int64_t i, int64_t p, int64_t k,
            int64_t n)
 {
-    Vec8 acc[kTileRows][2] = {};
-    for (int64_t j = 0; j < n; ++j) {
-        const Vec8 b0 = load8(bt + j * k + p);
-        const Vec8 b1 = load8(bt + j * k + p + 8);
+    Vec8 acc[kTileRows][kVecs] = {};
+    const int64_t rounded = n & ~int64_t{3};
+    int64_t j = 0;
+    for (; j < rounded; ++j) {
+        Vec8 bv[kVecs];
+        for (int v = 0; v < kVecs; ++v)
+            bv[v] = load8(bt + j * k + p + v * kVecWidth);
 #pragma GCC unroll 4
         for (int64_t r = 0; r < kTileRows; ++r) {
             const float g = gc[(i + r) * n + j];
-            Vec8 prod0 = g * b0;
-            Vec8 prod1 = g * b1;
-            lanes::keepRounded(prod0);
-            lanes::keepRounded(prod1);
-            acc[r][0] += prod0;
-            acc[r][1] += prod1;
+            for (int v = 0; v < kVecs; ++v) {
+                Vec8 prod = g * bv[v];
+                lanes::keepRounded(prod);
+                acc[r][v] += prod;
+            }
+        }
+    }
+    for (; j < n; ++j) {
+        Vec8 bv[kVecs];
+        for (int v = 0; v < kVecs; ++v)
+            bv[v] = load8(bt + j * k + p + v * kVecWidth);
+#pragma GCC unroll 4
+        for (int64_t r = 0; r < kTileRows; ++r) {
+            const float g = gc[(i + r) * n + j];
+            for (int v = 0; v < kVecs; ++v)
+                acc[r][v] += g * bv[v];
         }
     }
 #pragma GCC unroll 4
     for (int64_t r = 0; r < kTileRows; ++r) {
-        float *garow = ga + (i + r) * k + p;
-        store8(garow, load8(garow) + acc[r][0]);
-        store8(garow + 8, load8(garow + 8) + acc[r][1]);
+        for (int v = 0; v < kVecs; ++v) {
+            float *garow = ga + (i + r) * k + p + v * kVecWidth;
+            store8(garow, load8(garow) + acc[r][v]);
+        }
     }
 }
 
@@ -293,53 +314,96 @@ gemmTNRowKernel(const float *TLP_RESTRICT a, const float *TLP_RESTRICT gc,
 }
 
 /**
- * TN tile: GB rows [p, p + 4), columns [j, j + 16) += A^T * GC rows
- * [i0, i1). The tile is loaded, kept in registers across the ascending-i
- * loop with the row kernel's acc += a * g, then stored; a float store
- * and reload is exact, so i-blocked calls in ascending order give each
- * element the row kernel's chain.
+ * TN tile: GB rows [p, p + 4), columns [j, j + 8 * kVecs) += A^T * GC
+ * rows [i0, i1). The tile is loaded, kept in registers across the
+ * ascending-i loop with the row kernel's acc += a * g, then stored; a
+ * float store and reload is exact, so i-blocked calls in ascending
+ * order give each element the row kernel's chain.
  */
+template <int kVecs>
 inline void
 gemmTNTile(const float *TLP_RESTRICT a, const float *TLP_RESTRICT gc,
            float *TLP_RESTRICT gb, int64_t p, int64_t j, int64_t i0,
            int64_t i1, int64_t k, int64_t n)
 {
-    Vec8 acc[kTileRows][2];
+    Vec8 acc[kTileRows][kVecs];
 #pragma GCC unroll 4
-    for (int64_t r = 0; r < kTileRows; ++r) {
-        acc[r][0] = load8(gb + (p + r) * n + j);
-        acc[r][1] = load8(gb + (p + r) * n + j + 8);
-    }
+    for (int64_t r = 0; r < kTileRows; ++r)
+        for (int v = 0; v < kVecs; ++v)
+            acc[r][v] = load8(gb + (p + r) * n + j + v * kVecWidth);
     for (int64_t i = i0; i < i1; ++i) {
-        const Vec8 g0 = load8(gc + i * n + j);
-        const Vec8 g1 = load8(gc + i * n + j + 8);
+        Vec8 g[kVecs];
+        for (int v = 0; v < kVecs; ++v)
+            g[v] = load8(gc + i * n + j + v * kVecWidth);
 #pragma GCC unroll 4
         for (int64_t r = 0; r < kTileRows; ++r) {
             const float av = a[i * k + p + r];
-            acc[r][0] += av * g0;
-            acc[r][1] += av * g1;
+            for (int v = 0; v < kVecs; ++v)
+                acc[r][v] += av * g[v];
         }
     }
 #pragma GCC unroll 4
-    for (int64_t r = 0; r < kTileRows; ++r) {
-        store8(gb + (p + r) * n + j, acc[r][0]);
-        store8(gb + (p + r) * n + j + 8, acc[r][1]);
+    for (int64_t r = 0; r < kTileRows; ++r)
+        for (int v = 0; v < kVecs; ++v)
+            store8(gb + (p + r) * n + j + v * kVecWidth, acc[r][v]);
+}
+
+/**
+ * TN tile's scalar columns: GB rows [p, p + 4), columns [j0, n) +=
+ * A^T * GC rows [i0, i1), each element's chain the row kernel's fused
+ * multiply-adds over ascending i in a register.
+ */
+inline void
+gemmTNColumnTile(const float *TLP_RESTRICT a, const float *TLP_RESTRICT gc,
+                 float *TLP_RESTRICT gb, int64_t p, int64_t j0, int64_t i0,
+                 int64_t i1, int64_t k, int64_t n)
+{
+    for (int64_t j = j0; j < n; ++j) {
+        float acc[kTileRows];
+#pragma GCC unroll 4
+        for (int64_t r = 0; r < kTileRows; ++r)
+            acc[r] = gb[(p + r) * n + j];
+        for (int64_t i = i0; i < i1; ++i) {
+#pragma GCC unroll 4
+            for (int64_t r = 0; r < kTileRows; ++r)
+                acc[r] = lanes::fusedMulAdd(a[i * k + p + r], gc[i * n + j],
+                                            acc[r]);
+        }
+#pragma GCC unroll 4
+        for (int64_t r = 0; r < kTileRows; ++r)
+            gb[(p + r) * n + j] = acc[r];
     }
 }
 
-/** End of the whole tile rows in [r0, r1): r1 rounded down onto r0. */
-int64_t
-tiledEnd(int64_t r0, int64_t r1)
+/**
+ * n = 1: GB rows [p, p + 8) += A^T * GC, one GB row per lane, each
+ * lane's chain the row kernel's acc += a * g over ascending i.
+ */
+inline void
+gemvTNTile(const float *TLP_RESTRICT a, const float *TLP_RESTRICT gc,
+           float *TLP_RESTRICT gb, int64_t p, int64_t m, int64_t k)
 {
-    return r0 + (r1 - r0) / kTileRows * kTileRows;
+    Vec8 acc = load8(gb + p);
+    for (int64_t i = 0; i < m; ++i)
+        acc += load8(a + i * k + p) * gc[i];
+    store8(gb + p, acc);
 }
 
-/** Whether GA += GC * B^T of shape (m, k, n) takes the NT tile. */
-bool
-ntTiled(int64_t m, int64_t k, int64_t n)
+/**
+ * End of the whole tiles of @p tile rows in [r0, r1): r1 rounded down
+ * onto r0.
+ */
+int64_t
+tiledEnd(int64_t r0, int64_t r1, int64_t tile = kTileRows)
 {
-    return kNTTileSupported && m >= kTileRows && k % kTileCols == 0 &&
-           n % kTileCols == 0;
+    return r0 + (r1 - r0) / tile * tile;
+}
+
+/** Whether GA += GC * B^T with m rows and k columns takes NT tiles. */
+bool
+ntTiled(int64_t m, int64_t k)
+{
+    return kNTTileSupported && m >= kTileRows && k >= kVecWidth;
 }
 
 /**
@@ -361,8 +425,9 @@ packTransposed(const float *b, int64_t k, int64_t n)
 }
 
 /**
- * GA rows [i0, i1) of GA += GC * B^T: NT tiles when @p bt (B^T, packed
- * by the caller) is given, the row kernel for the rest.
+ * GA rows [i0, i1) of GA += GC * B^T: when @p bt (B^T, packed by the
+ * caller) is given, NT tiles over the whole tile rows and the first
+ * k & ~7 columns; the row kernel for the rest.
  */
 void
 gemmNTRows(const float *gc, const float *b, const float *bt, float *ga,
@@ -371,50 +436,67 @@ gemmNTRows(const float *gc, const float *b, const float *bt, float *ga,
     int64_t edge = i0;
     if (bt != nullptr) {
         edge = tiledEnd(i0, i1);
-        for (int64_t i = i0; i < edge; i += kTileRows)
-            for (int64_t p = 0; p < k; p += kTileCols)
-                gemmNTTile(gc, bt, ga, i, p, k, n);
+        const int64_t vec_end = k / kVecWidth * kVecWidth;
+        for (int64_t i = i0; i < edge; i += kTileRows) {
+            int64_t p = 0;
+            for (; p + kTileCols <= vec_end; p += kTileCols)
+                gemmNTTile<2>(gc, bt, ga, i, p, k, n);
+            if (p < vec_end)
+                gemmNTTile<1>(gc, bt, ga, i, p, k, n);
+        }
+        gemmNTRowKernel(gc, b, ga, i0, edge, vec_end, k, k, n);
     }
-    gemmNTRowKernel(gc, b, ga, edge, i1, k, n);
+    gemmNTRowKernel(gc, b, ga, edge, i1, 0, k, k, n);
 }
 
 /**
- * GB rows [p0, p1) of GB += A^T * GC: TN tiles, then the row kernel.
- * The tiles walk GC in kIBlock-row blocks, so a block's A and GC rows
- * stay cached across every tile instead of streaming all of GC once per
- * tile.
+ * GB rows [p0, p1) of GB += A^T * GC: TN tiles (n >= 8) or 8-row lanes
+ * (n = 1, where @p p0 must lie on an 8-row boundary), then the row
+ * kernel. The tiles walk GC in kIBlock-row blocks, so a block's A and
+ * GC rows stay cached across every tile instead of streaming all of GC
+ * once per tile.
  */
 void
 gemmTNRows(const float *a, const float *gc, float *gb, int64_t p0,
            int64_t p1, int64_t m, int64_t k, int64_t n)
 {
     int64_t edge = p0;
-    if (n % kTileCols == 0) {
+    if (n >= kVecWidth) {
         edge = tiledEnd(p0, p1);
+        const int64_t vec_end = n / kVecWidth * kVecWidth;
         for (int64_t i0 = 0; i0 < m; i0 += kIBlock) {
             const int64_t i1 = std::min(m, i0 + kIBlock);
-            for (int64_t p = p0; p < edge; p += kTileRows)
-                for (int64_t j = 0; j < n; j += kTileCols)
-                    gemmTNTile(a, gc, gb, p, j, i0, i1, k, n);
+            for (int64_t p = p0; p < edge; p += kTileRows) {
+                int64_t j = 0;
+                for (; j + kTileCols <= vec_end; j += kTileCols)
+                    gemmTNTile<2>(a, gc, gb, p, j, i0, i1, k, n);
+                if (j < vec_end)
+                    gemmTNTile<1>(a, gc, gb, p, j, i0, i1, k, n);
+                gemmTNColumnTile(a, gc, gb, p, vec_end, i0, i1, k, n);
+            }
         }
+    } else if (n == 1) {
+        edge = tiledEnd(p0, p1, kVecWidth);
+        for (int64_t p = p0; p < edge; p += kVecWidth)
+            gemvTNTile(a, gc, gb, p, m, k);
     }
     gemmTNRowKernel(a, gc, gb, edge, p1, m, k, n);
 }
 
 /**
- * parallelFor over rows [0, rows) in chunks that start on a tile-row
- * boundary, so the thread count never changes which rows a tile
+ * parallelFor over rows [0, rows) in chunks that start on a boundary of
+ * @p tile rows, so the thread count never changes which rows a tile
  * computes and which the row kernel does.
  */
 template <typename Fn>
 void
-forRowTiles(int64_t rows, int64_t work_per_row, const Fn &fn)
+forRowTiles(int64_t rows, int64_t tile, int64_t work_per_row, const Fn &fn)
 {
-    const int64_t tiles = (rows + kTileRows - 1) / kTileRows;
+    const int64_t tiles = (rows + tile - 1) / tile;
     ThreadPool::global().parallelFor(
-        0, tiles, rowGrain(work_per_row * kTileRows),
+        0, tiles, rowGrain(work_per_row * tile),
         [&](int64_t t0, int64_t t1) {
-            fn(t0 * kTileRows, std::min(rows, t1 * kTileRows));
+            fn(t0 * tile, std::min(rows, t1 * tile));
         });
 }
 
@@ -457,7 +539,7 @@ void
 gemm(const float *a, const float *b, float *c, int64_t m, int64_t k,
      int64_t n)
 {
-    forRowTiles(m, k * n, [&](int64_t i0, int64_t i1) {
+    forRowTiles(m, kTileRows, k * n, [&](int64_t i0, int64_t i1) {
         gemmRows(a, b, c, i0, i1, k, n);
     });
 }
@@ -466,8 +548,8 @@ void
 gemmNT(const float *gc, const float *b, float *ga, int64_t m, int64_t k,
        int64_t n)
 {
-    const float *bt = ntTiled(m, k, n) ? packTransposed(b, k, n) : nullptr;
-    forRowTiles(m, k * n, [&](int64_t i0, int64_t i1) {
+    const float *bt = ntTiled(m, k) ? packTransposed(b, k, n) : nullptr;
+    forRowTiles(m, kTileRows, k * n, [&](int64_t i0, int64_t i1) {
         gemmNTRows(gc, b, bt, ga, i0, i1, k, n);
     });
 }
@@ -476,7 +558,9 @@ void
 gemmTN(const float *a, const float *gc, float *gb, int64_t m, int64_t k,
        int64_t n)
 {
-    forRowTiles(k, m * n, [&](int64_t p0, int64_t p1) {
+    // n = 1 runs 8-row lanes (gemvTNTile), so its chunks start on 8 rows.
+    const int64_t tile = n == 1 ? kVecWidth : kTileRows;
+    forRowTiles(k, tile, m * n, [&](int64_t p0, int64_t p1) {
         gemmTNRows(a, gc, gb, p0, p1, m, k, n);
     });
 }
@@ -503,7 +587,7 @@ bmmNT(const float *gc, const float *b, float *ga, int64_t batch, int64_t m,
             for (int64_t s = s0; s < s1; ++s) {
                 const float *bs = b + s * k * n;
                 const float *bt =
-                    ntTiled(m, k, n) ? packTransposed(bs, k, n) : nullptr;
+                    ntTiled(m, k) ? packTransposed(bs, k, n) : nullptr;
                 gemmNTRows(gc + s * m * n, bs, bt, ga + s * m * k, 0, m, k,
                            n);
             }

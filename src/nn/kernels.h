@@ -22,27 +22,37 @@
  *    n = 25 has one) take 4-row scalar chains of the same FMAs.
  *    n = 1 (the task head's fc2) runs 8 rows in row lanes (nn/lanes.h,
  *    AVX2 + FMA builds), one row's chain per lane.
- *  - dB (gemmTN): n % 16 == 0. A 4 x 16 GB tile is loaded, kept in
- *    registers across an ascending block of m with the same
- *    `acc += a * g`, and stored; blocks run in ascending order.
- *  - dA (gemmNT, x86-64 without ASan/TSan): at least 4 rows,
- *    k % 16 == 0 and n % 16 == 0. B^T is packed once per call into the calling
- *    thread's reused arena; each element of a 4 x 16 GA tile sums its
- *    products over ascending n from 0, and the sum is then added into
- *    GA. The row kernel's dot product compiles to a rounded vector
- *    multiply and in-order scalar adds, so the tile rounds each product
- *    before adding it (product-then-add, never an FMA), where the other
- *    two tiles contract to FMA exactly as their row kernels do.
+ *  - dB (gemmTN, bmmTN): n >= 8. A 4 x 16 GB tile (4 x 8 for the next
+ *    8 columns, as in the attention's dV) is loaded, kept in registers
+ *    across an ascending block of m with the same `acc += a * g`, and
+ *    stored; blocks run in ascending order. The last n % 8 columns
+ *    (the attention's dK has one) take 4-row scalar chains of the same
+ *    FMAs. n = 1 (fc2) holds 8 GB rows in one vector, one row's chain
+ *    per lane; gemmTN then starts its parallel chunks on 8-row
+ *    boundaries.
+ *  - dA (gemmNT, bmmNT; x86-64 without ASan/TSan): at least 4 rows and
+ *    k >= 8. B^T is packed once per call (per batch) into the calling
+ *    thread's reused arena; each element of a 4 x 16 (or 4 x 8) GA
+ *    tile over the first k & ~7 columns sums its products over
+ *    ascending n from 0, and the sum is then added into GA; the other
+ *    k % 8 columns (the attention's dP has one) run the row kernel.
+ *    The row kernel's dot product compiles to rounded vector multiplies
+ *    and in-order scalar adds for j < (n & ~3) and to FMAs in its
+ *    scalar tail, so the tile rounds each product below n & ~3 and
+ *    fuses from there on (the attention's dQ, n = 25, fuses its last
+ *    product; fc2's dA, n = 1, its only one), where the other two
+ *    tiles contract to FMA throughout exactly as their row kernels do.
  *
  * So every output element sees the same float operations in the same
  * order on either path, and the tiles change wall clock only. Every
- * row edge, and 2..7-column outputs, stay on the row kernels, which
- * take `__restrict`-qualified pointers (the operands never alias) and
- * unroll four-wide with a single sequential accumulator chain per
- * output element. Parallel
- * chunks start on a tile-row boundary, so the thread count never
- * changes which code computes an element. tests/test_gemm_digest.cc
- * pins the output bits of every form over every tile and edge case.
+ * row edge, 2..7-column forwards and dBs, and dA with k < 8 stay on
+ * the row kernels, which take `__restrict`-qualified pointers (the
+ * operands never alias) and unroll four-wide with a single sequential
+ * accumulator chain per output element. Parallel chunks start on a
+ * tile-row boundary, so the thread count never changes which code
+ * computes an element. tests/test_gemm_digest.cc
+ * pins the output bits of every form over every tile and edge case,
+ * and checks every backward tile against one-row calls.
  *
  * The forward micro-kernels (gemmRows / bmm's per-batch body) are
  * exported and marked noinline: the fused inference path (nn/infer_ops,

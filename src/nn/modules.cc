@@ -68,18 +68,9 @@ Linear::Linear(int in_features, int out_features, Rng &rng)
 Tensor
 Linear::forward(const Tensor &x)
 {
-    const auto &shape = x.shape();
-    TLP_CHECK(shape.back() == in_, "linear input width mismatch: got ",
-              shape.back(), ", want ", in_);
-    if (shape.size() == 2)
-        return addBias(matmul(x, weight_), bias_);
-    // Flatten leading dims, multiply, restore.
-    const int rows = static_cast<int>(x.numel() / in_);
-    Tensor flat = reshape(x, {rows, in_});
-    Tensor out = addBias(matmul(flat, weight_), bias_);
-    std::vector<int> out_shape = shape;
-    out_shape.back() = out_;
-    return reshape(out, out_shape);
+    TLP_CHECK(x.shape().back() == in_, "linear input width mismatch: got ",
+              x.shape().back(), ", want ", in_);
+    return addBias(matmul(x, weight_), bias_);
 }
 
 std::vector<Tensor>

@@ -166,22 +166,24 @@ scale(const Tensor &x, float factor)
 Tensor
 matmul(const Tensor &a, const Tensor &b)
 {
-    TLP_CHECK(a.shape().size() == 2 && b.shape().size() == 2,
-              "matmul expects rank-2 inputs");
-    const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
+    TLP_CHECK(a.shape().size() >= 2 && b.shape().size() == 2,
+              "matmul expects an A of rank >= 2 and a rank-2 B");
+    // A's leading dims flatten into GEMM rows, as in addBias.
+    const auto [m, k] = rowsCols(a.shape());
+    const int64_t n = b.dim(1);
     TLP_CHECK(b.dim(0) == k, "matmul contraction mismatch");
-    auto node = makeNode({static_cast<int>(m), static_cast<int>(n)},
-                         {a.node(), b.node()});
+    std::vector<int> shape = a.shape();
+    shape.back() = static_cast<int>(n);
+    auto node = makeNode(std::move(shape), {a.node(), b.node()});
     kern::gemm(a.value().data(), b.value().data(), node->value.data(), m,
                k, n);
     node->backward_fn = [m, k, n](Node &self) {
-        const float *av = self.parents[0]->value.data();
-        const float *bv = self.parents[1]->value.data();
-        float *ga = self.parents[0]->grad.data();
-        float *gb = self.parents[1]->grad.data();
+        Node &a = *self.parents[0], &b = *self.parents[1];
         const float *gc = self.grad.data();
-        kern::gemmNT(gc, bv, ga, m, k, n);   // dA += dC * B^T
-        kern::gemmTN(av, gc, gb, m, k, n);   // dB += A^T * dC
+        if (a.requires_grad)   // dA += dC * B^T
+            kern::gemmNT(gc, b.value.data(), a.grad.data(), m, k, n);
+        if (b.requires_grad)   // dB += A^T * dC
+            kern::gemmTN(a.value.data(), gc, b.grad.data(), m, k, n);
     };
     return Tensor::fromNode(std::move(node));
 }
@@ -200,13 +202,12 @@ bmm(const Tensor &a, const Tensor &b)
     kern::bmm(a.value().data(), b.value().data(), node->value.data(),
               batch, m, k, n);
     node->backward_fn = [batch, m, k, n](Node &self) {
-        const float *av = self.parents[0]->value.data();
-        const float *bv = self.parents[1]->value.data();
-        float *ga = self.parents[0]->grad.data();
-        float *gb = self.parents[1]->grad.data();
+        Node &a = *self.parents[0], &b = *self.parents[1];
         const float *gc = self.grad.data();
-        kern::bmmNT(gc, bv, ga, batch, m, k, n);
-        kern::bmmTN(av, gc, gb, batch, m, k, n);
+        if (a.requires_grad)
+            kern::bmmNT(gc, b.value.data(), a.grad.data(), batch, m, k, n);
+        if (b.requires_grad)
+            kern::bmmTN(a.value.data(), gc, b.grad.data(), batch, m, k, n);
     };
     return Tensor::fromNode(std::move(node));
 }
@@ -224,8 +225,11 @@ relu(const Tensor &x)
         float *gx = self.parents[0]->grad.data();
         const float *xv = self.parents[0]->value.data();
         const float *g = self.grad.data();
+        // g is loaded on both sides of the select: loaded on the taken
+        // side only, the select compiles to a branch on x's sign.
         parallelMap(self.numel(), kCheapGrain, [=](int64_t i) {
-            gx[i] += xv[i] > 0.0f ? g[i] : 0.0f;
+            const float gv = g[i];
+            gx[i] += xv[i] > 0.0f ? gv : 0.0f;
         });
     };
     return Tensor::fromNode(std::move(node));

@@ -24,7 +24,10 @@ Tensor mul(const Tensor &a, const Tensor &b);
 /** x * constant. */
 Tensor scale(const Tensor &x, float factor);
 
-/** Matrix product: [m, k] x [k, n] -> [m, n]. */
+/**
+ * Matrix product: [..., k] x [k, n] -> [..., n]. A's leading dims
+ * flatten into the GEMM's rows (no copy) and the result keeps them.
+ */
 Tensor matmul(const Tensor &a, const Tensor &b);
 
 /** Batched matrix product: [B, m, k] x [B, k, n] -> [B, m, n]. */

@@ -236,7 +236,10 @@ Tensor::backward()
     node_->grad[0] = 1.0f;
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
         Node *node = *it;
-        if (node->backward_fn) {
+        // No parameter lies behind a node without requires_grad (a node
+        // requires grad when any parent does), so its closure would only
+        // write grads that nobody reads.
+        if (node->requires_grad && node->backward_fn) {
             for (auto &parent : node->parents)
                 parent->ensureGrad();
             node->backward_fn(*node);

@@ -5,7 +5,16 @@
  * Tensors are dense float32 arrays with dynamic shapes. Operations (see
  * ops.h) eagerly compute values and record a backward closure; calling
  * backward() on a scalar tensor topologically sorts the recorded graph
- * and accumulates gradients into every node with requires_grad set.
+ * and runs the closures in reverse order.
+ *
+ * A node requires grad when any of its parents does, so backward()
+ * prunes: it skips the closure of every node with requires_grad unset,
+ * whose grads could reach no parameter, and matmul/bmm compute only the
+ * operand grads whose parent requires grad. Grads that no closure
+ * writes are never allocated. matmul takes an A of any rank >= 2 (its
+ * leading dims are the GEMM rows), so Linear on [N, L, D] records no
+ * reshape copies; together these keep the TLP pretraining tape at
+ * 177 MB per 256-row step, down from 247 MB (DESIGN.md §7).
  *
  * The library is deliberately minimal — just enough to train the TLP /
  * MTL-TLP architectures (linear layers, multi-head self-attention, LSTM,
@@ -144,7 +153,10 @@ class Tensor
 
     bool requiresGrad() const;
 
-    /** Run reverse-mode autodiff from this (scalar) tensor. */
+    /**
+     * Run reverse-mode autodiff from this (scalar) tensor, skipping the
+     * nodes that do not require grad.
+     */
     void backward();
 
     std::shared_ptr<Node> node() const { return node_; }

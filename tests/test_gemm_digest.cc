@@ -12,10 +12,14 @@
  * float bits must equal the pinned value at 1, 2 and 4 threads, so any
  * change to a kernel's per-element float operations, or to which code
  * computes an element under some partition, moves a digest.
+ *
+ * GemmTiles checks the backward tiles against the row kernels with no
+ * golden value, so it runs in every build, the sanitizer builds too.
  */
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <vector>
 
@@ -163,6 +167,83 @@ TEST(GemmDigest, BmmTN)
             return Sizes{kBatch * m * k, kBatch * m * n, kBatch * k * n};
         },
         0x3e9433185ab21132ull);
+}
+
+/** Whether @p got and @p want hold the same float bits. */
+bool
+sameBits(const std::vector<float> &got, const std::vector<float> &want)
+{
+    return got.size() == want.size() &&
+           std::memcmp(got.data(), want.data(),
+                       got.size() * sizeof(float)) == 0;
+}
+
+/**
+ * Every GA row (NT) and GB row (TN) that a whole-matrix call computes,
+ * in tiles wherever the shape allows, must have the bits of the same
+ * row computed one row per call, which always takes the row kernel.
+ * m, k and n each run 1..30: every row edge of the 4-row tiles and the
+ * 8-row n = 1 lanes, every column edge of the 8- and 16-column tiles,
+ * and the attention shapes (k, n) = (8, 25) and (25, 8). The batched
+ * forms run two batches.
+ */
+TEST(GemmTiles, BackwardTilesMatchOneRowCalls)
+{
+    constexpr int64_t kMax = 30, kBatches = 2;
+    constexpr int64_t kOperand = kBatches * kMax * kMax;
+    Rng rng(0x711e);
+    const std::vector<float> pool = randomFloats(3 * kOperand, rng);
+    const float *x = pool.data();
+    const float *y = x + kOperand;
+    const float *start = y + kOperand;
+    std::vector<float> column(kMax);
+    for (int64_t m = 1; m <= kMax; ++m) {
+        for (int64_t k = 1; k <= kMax; ++k) {
+            for (int64_t n = 1; n <= kMax; ++n) {
+                // NT: GA[m, k] += GC[m, n] * B[k, n]^T, x = GC, y = B.
+                const int64_t ga = m * k;
+                std::vector<float> rows(start, start + kBatches * ga);
+                for (int64_t s = 0; s < kBatches; ++s)
+                    for (int64_t i = 0; i < m; ++i)
+                        nn::kern::gemmNT(x + s * m * n + i * n, y + s * k * n,
+                                         rows.data() + s * ga + i * k, 1, k,
+                                         n);
+                std::vector<float> whole(start, start + ga);
+                nn::kern::gemmNT(x, y, whole.data(), m, k, n);
+                ASSERT_TRUE(sameBits(whole, {rows.begin(),
+                                             rows.begin() + ga}))
+                    << "gemmNT m=" << m << " k=" << k << " n=" << n;
+                whole.assign(start, start + kBatches * ga);
+                nn::kern::bmmNT(x, y, whole.data(), kBatches, m, k, n);
+                ASSERT_TRUE(sameBits(whole, rows))
+                    << "bmmNT m=" << m << " k=" << k << " n=" << n;
+
+                // TN: GB[k, n] += A[m, k]^T * GC[m, n], x = A, y = GC;
+                // one GB row per call is a k = 1 call on A's column.
+                const int64_t gb = k * n;
+                rows.assign(start, start + kBatches * gb);
+                for (int64_t s = 0; s < kBatches; ++s) {
+                    for (int64_t p = 0; p < k; ++p) {
+                        for (int64_t i = 0; i < m; ++i)
+                            column[static_cast<size_t>(i)] =
+                                x[s * m * k + i * k + p];
+                        nn::kern::gemmTN(column.data(), y + s * m * n,
+                                         rows.data() + s * gb + p * n, m, 1,
+                                         n);
+                    }
+                }
+                whole.assign(start, start + gb);
+                nn::kern::gemmTN(x, y, whole.data(), m, k, n);
+                ASSERT_TRUE(sameBits(whole, {rows.begin(),
+                                             rows.begin() + gb}))
+                    << "gemmTN m=" << m << " k=" << k << " n=" << n;
+                whole.assign(start, start + kBatches * gb);
+                nn::kern::bmmTN(x, y, whole.data(), kBatches, m, k, n);
+                ASSERT_TRUE(sameBits(whole, rows))
+                    << "bmmTN m=" << m << " k=" << k << " n=" << n;
+            }
+        }
+    }
 }
 
 } // namespace

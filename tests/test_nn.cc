@@ -5,10 +5,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <limits>
 
+#include "models/tlp_model.h"
 #include "nn/losses.h"
 #include "nn/modules.h"
 #include "nn/ops.h"
@@ -439,6 +442,148 @@ TEST(Optim, WeightDecayShrinksWeights)
     w.grad();
     adam.step(adam.gradNorm());
     EXPECT_LT(std::abs(w.value()[0]), before);
+}
+
+/** The bit patterns of @p values, so -0.0f != 0.0f and NaN == NaN. */
+std::vector<uint32_t>
+bitsOf(const std::vector<float> &values)
+{
+    std::vector<uint32_t> bits;
+    for (float v : values)
+        bits.push_back(std::bit_cast<uint32_t>(v));
+    return bits;
+}
+
+/** Parameter grads of one training step of a small TlpNet on @p x. */
+std::vector<std::vector<uint32_t>>
+tlpStepGrads(const Tensor &x)
+{
+    model::TlpNetConfig config;
+    config.seq_len = 5;
+    config.emb_size = 6;
+    config.hidden = 16;
+    config.heads = 4;
+    config.residual_blocks = 1;
+    config.head_hidden = 8;
+    Rng rng(31);
+    model::TlpNet net(config, rng);
+    Tensor loss = mseLoss(net.forwardTask(x), {0.5f, -1.0f, 2.0f});
+    loss.backward();
+    std::vector<std::vector<uint32_t>> grads;
+    for (Tensor &param : net.parameters())
+        grads.push_back(bitsOf(param.grad()));
+    return grads;
+}
+
+TEST(GradPruning, InputWithoutGradLeavesParameterGradsUnchanged)
+{
+    Rng rng(30);
+    const Tensor data = Tensor::randn({3, 30}, rng, 1.0, false);
+    Tensor frozen = Tensor::fromData({3, 30}, data.value(), false);
+    Tensor leaf = Tensor::fromData({3, 30}, data.value(), true);
+    const auto frozen_grads = tlpStepGrads(frozen);
+    const auto leaf_grads = tlpStepGrads(leaf);
+    EXPECT_EQ(frozen_grads, leaf_grads);
+    // Backward never reached the frozen input: its grad was never even
+    // allocated, where the leaf's was written.
+    EXPECT_TRUE(frozen.node()->grad.empty());
+    EXPECT_EQ(leaf.node()->grad.size(), leaf.value().size());
+}
+
+TEST(GradPruning, NoGradBranchClosureNeverRuns)
+{
+    Tensor x = Tensor::fromData({2}, {1.0f, 2.0f});
+    Tensor y = scale(x, 2.0f);
+    ASSERT_FALSE(y.requiresGrad());
+    bool ran = false;
+    y.node()->backward_fn = [&ran](Node &) { ran = true; };
+    Tensor w = Tensor::fromData({2}, {3.0f, 4.0f}, true);
+    sumAll(mul(y, w)).backward();
+    EXPECT_FALSE(ran);
+    EXPECT_EQ(w.grad(), (std::vector<float>{2.0f, 4.0f}));
+    EXPECT_TRUE(x.node()->grad.empty());
+}
+
+TEST(GradPruning, MatmulComputesOnlyTheGradsItsParentsNeed)
+{
+    Rng rng(32);
+    Tensor a = Tensor::randn({5, 4}, rng, 1.0, false);
+    Tensor b = Tensor::randn({4, 3}, rng, 1.0, true);
+    sumAll(matmul(a, b)).backward();
+    // The matmul node ensures both parents' grads; dA is never added.
+    EXPECT_EQ(a.node()->grad, std::vector<float>(20, 0.0f));
+    EXPECT_NE(b.grad(), std::vector<float>(12, 0.0f));
+}
+
+TEST(RankNMatmul, LinearMatchesTheFlattenedCallBitForBit)
+{
+    Rng data_rng(33);
+    const Tensor x3 = Tensor::randn({3, 7, 6}, data_rng, 1.0, true);
+    const Tensor x2 = Tensor::fromData({21, 6}, x3.value(), true);
+    const Tensor weights = Tensor::randn({21 * 5}, data_rng, 1.0, false);
+    Rng rng3(34), rng2(34);
+    Linear linear3(6, 5, rng3), linear2(6, 5, rng2);
+
+    const Tensor y3 = linear3.forward(x3);
+    const Tensor y2 = linear2.forward(x2);
+    EXPECT_EQ(y3.shape(), (std::vector<int>{3, 7, 5}));
+    EXPECT_EQ(y2.shape(), (std::vector<int>{21, 5}));
+    EXPECT_EQ(bitsOf(y3.value()), bitsOf(y2.value()));
+
+    sumAll(mul(y3, Tensor::fromData({3, 7, 5}, weights.value())))
+        .backward();
+    sumAll(mul(y2, Tensor::fromData({21, 5}, weights.value())))
+        .backward();
+    Tensor gx3 = x3, gx2 = x2;
+    EXPECT_EQ(bitsOf(gx3.grad()), bitsOf(gx2.grad()));
+    auto params3 = linear3.parameters(), params2 = linear2.parameters();
+    ASSERT_EQ(params3.size(), 2u);
+    for (size_t p = 0; p < params3.size(); ++p)
+        EXPECT_EQ(bitsOf(params3[p].grad()), bitsOf(params2[p].grad()))
+            << "parameter " << p;
+}
+
+TEST(RankNMatmulDeathTest, ContractionMismatchIsFatal)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    Rng rng(35);
+    const Tensor a = Tensor::randn({2, 3, 4}, rng, 1.0, false);
+    const Tensor b = Tensor::randn({5, 2}, rng, 1.0, false);
+    EXPECT_DEATH(matmul(a, b), "contraction mismatch");
+    const Tensor row = Tensor::randn({4}, rng, 1.0, false);
+    EXPECT_DEATH(matmul(row, b), "rank");
+}
+
+TEST(ReluBackward, MatchesTheScalarSelectBitForBit)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const float denorm = std::numeric_limits<float>::denorm_min();
+    const std::vector<float> xs = {nan,     0.0f, -0.0f, denorm, -denorm,
+                                   inf,     -inf, 1.0f,  -1.0f};
+    const std::vector<float> gs = {nan, inf, -inf, 0.0f, -0.0f, 1.0f};
+    // Starting grads with no NaN, so a NaN result has one NaN operand and
+    // its payload does not depend on the order of the add's operands.
+    const std::vector<float> starts = {0.0f, -0.0f, 1.25f, -inf};
+    std::vector<float> x, g, start;
+    for (float xv : xs)
+        for (float gv : gs)
+            for (float sv : starts) {
+                x.push_back(xv);
+                g.push_back(gv);
+                start.push_back(sv);
+            }
+    const int count = static_cast<int>(x.size());
+    Tensor leaf = Tensor::fromData({count}, x, true);
+    Tensor y = relu(leaf);
+    leaf.grad() = start;
+    y.grad() = g;
+    y.node()->backward_fn(*y.node());
+
+    std::vector<float> expected = start;
+    for (size_t i = 0; i < expected.size(); ++i)
+        expected[i] += x[i] > 0.0f ? g[i] : 0.0f;
+    EXPECT_EQ(bitsOf(leaf.grad()), bitsOf(expected));
 }
 
 } // namespace

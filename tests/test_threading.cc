@@ -131,12 +131,15 @@ runAtThreadCounts(const std::function<std::vector<std::vector<float>>()>
 TEST(BitIdentical, MatmulForwardAndBackward)
 {
     // 37 x 53 x 29 runs the row kernels only; 70 x 64 x 48 runs all
-    // three register tiles plus two edge rows.
+    // three register tiles plus two edge rows; 2051 x 70 x 1 splits the
+    // n = 1 backward (dA tiles, dB 8-row lanes) into chunks at 2 and 8
+    // threads, with edge rows and columns.
     const auto runs = runAtThreadCounts([] {
         Rng rng(101);
         std::vector<std::vector<float>> out;
-        for (auto [m, k, n] : {std::array{37, 53, 29},
-                               std::array{70, 64, 48}}) {
+        for (auto [m, k, n] :
+             {std::array{37, 53, 29}, std::array{70, 64, 48},
+              std::array{2051, 70, 1}}) {
             nn::Tensor a = nn::Tensor::randn({m, k}, rng, 1.0, true);
             nn::Tensor b = nn::Tensor::randn({k, n}, rng, 1.0, true);
             nn::Tensor w = nn::Tensor::randn({m, n}, rng, 1.0, false);
