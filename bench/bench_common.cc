@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdarg>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -12,6 +13,7 @@
 #include "models/cost_model.h"
 #include "schedule/lower.h"
 #include "sketch/policy.h"
+#include "support/clock.h"
 #include "support/io_env.h"
 #include "support/logging.h"
 #include "support/rng.h"
@@ -486,6 +488,17 @@ readFile(const std::string &path)
     return os.str();
 }
 
+void
+plantFile(const std::string &path, const std::string &bytes)
+{
+    // tlp-lint: allow(raw-io) -- drills plant torn checkpoints and debris on purpose; routing through the seam would defeat the drill
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    os.close();
+    if (!os)
+        warn("cannot plant ", path);
+}
+
 std::vector<serve::SessionSpec>
 drillFleet(int sessions, int rounds, uint64_t seed,
            const std::vector<serve::ModelKind> &kinds)
@@ -521,6 +534,22 @@ drillServiceOptions(const std::string &dir, int fleet_size)
     return options;
 }
 
+FleetRun
+runFleet(const serve::ServiceOptions &options,
+         const std::vector<serve::SessionSpec> &fleet, int64_t max_ticks)
+{
+    FleetRun run;
+    const double t0 = wallSeconds();
+    serve::TuningService service(options);
+    run.recovery = service.recover(fleet);
+    run.ticks = service.runUntilIdle(max_ticks);
+    run.wall_seconds = wallSeconds() - t0;
+    run.stats = service.stats();
+    for (const auto &spec : fleet)
+        run.status.push_back(service.status(spec.name));
+    return run;
+}
+
 bool
 curvesMatch(const std::string &golden_dir, const std::string &drill_dir,
             const std::vector<serve::SessionSpec> &fleet)
@@ -537,23 +566,92 @@ curvesMatch(const std::string &golden_dir, const std::string &drill_dir,
     return match;
 }
 
-std::FILE *
-openReport(const std::string &path)
+Report::Report(std::string path, const char *bench) : path_(std::move(path))
 {
-    std::FILE *report = std::fopen(path.c_str(), "w");
-    if (!report)
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return report;
+    text("bench", bench).add("scale", "%.3f", benchScale());
+}
+
+Report::Field &
+Report::field(const char *key)
+{
+    for (Field &field : fields_)
+        if (field.key == key)
+            return field;
+    return fields_.emplace_back(Field{key, {}, {}, false});
+}
+
+Report &
+Report::add(const char *key, const char *format, ...)
+{
+    char buffer[512];   // fits any %f of a finite double
+    va_list args;
+    va_start(args, format);
+    std::vsnprintf(buffer, sizeof(buffer), format, args);
+    va_end(args);
+    field(key).scalar = buffer;
+    return *this;
+}
+
+Report &
+Report::object(const char *key)
+{
+    Field &nested = field(key);
+    return nested.children.empty() ? nested.children.emplace_back()
+                                   : nested.children.front();
+}
+
+Report &
+Report::row(const char *key)
+{
+    Field &rows = field(key);
+    rows.array = true;
+    return rows.children.emplace_back();
+}
+
+void
+Report::render(std::string &out, int indent, bool one_line) const
+{
+    const std::string pad(static_cast<size_t>(indent) + 2, ' ');
+    out += one_line ? "{" : "{\n";
+    for (size_t i = 0; i < fields_.size(); ++i) {
+        const Field &field = fields_[i];
+        out += (one_line ? "\"" : pad + "\"") + field.key + "\": ";
+        if (field.array) {
+            out += "[\n";
+            for (size_t r = 0; r < field.children.size(); ++r) {
+                out += pad + "  ";
+                field.children[r].render(out, 0, true);
+                out += r + 1 < field.children.size() ? ",\n" : "\n";
+            }
+            out += pad + "]";
+        } else if (!field.children.empty()) {
+            field.children.front().render(out, indent + 2, one_line);
+        } else {
+            out += field.scalar;
+        }
+        if (i + 1 < fields_.size())
+            out += one_line ? ", " : ",\n";
+    }
+    out += one_line || fields_.empty() ? "}" : "\n" + pad.substr(2) + "}";
 }
 
 bool
-closeReport(std::FILE *report, const std::string &path)
+Report::write() const
 {
-    const bool written = std::ferror(report) == 0;
-    const bool closed = std::fclose(report) == 0;
-    if (!written || !closed)
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return written && closed;
+    std::string json;
+    render(json, 0, false);
+    json += "\n";
+    std::FILE *file = std::fopen(path_.c_str(), "w");
+    bool ok = file != nullptr;
+    if (ok) {
+        ok = std::fputs(json.c_str(), file) >= 0;
+        ok = std::fclose(file) == 0 && ok;
+    }
+    if (ok)
+        std::printf("wrote %s\n", path_.c_str());
+    else
+        std::fprintf(stderr, "cannot write %s\n", path_.c_str());
+    return ok;
 }
 
 data::TopKPair

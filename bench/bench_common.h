@@ -7,8 +7,8 @@
  * controlled by the TLP_BENCH_SCALE environment variable (default 1.0;
  * larger values move toward paper scale).
  *
- * Benches that measure the same thing share one driver here and keep
- * only their data: Figs. 12/13, Tables 6/7/9 and the fleet drills.
+ * Benches that share a job share its driver here and keep only their
+ * data: Figs. 12/13, Tables 6/7/9, fleet drills, BENCH_*.json reports.
  */
 #pragma once
 
@@ -204,19 +204,44 @@ void printMtlTable(const std::string &title, const std::string &first_column,
 /** The bytes of @p path; empty when it is missing or unreadable. */
 std::string readFile(const std::string &path);
 
+/** Write @p bytes to @p path past the I/O seam: how a drill plants a
+ *  torn checkpoint or stray debris on purpose. A failed write is said
+ *  on stderr, and the drill's own checks then fail. */
+void plantFile(const std::string &path, const std::string &bytes);
+
 /**
  * A drill fleet of @p sessions two-subgraph resnet-18 slices with
  * @p rounds rounds each. Session i is named "s%03d", alternates the
  * i7-10510u / platinum-8272 platforms, runs kinds[i % kinds.size()]
- * and is seeded @p seed + i.
+ * (by default ansor, random, guarded-ansor, random) and is seeded
+ * @p seed + i.
  */
 std::vector<serve::SessionSpec>
 drillFleet(int sessions, int rounds, uint64_t seed,
-           const std::vector<serve::ModelKind> &kinds);
+           const std::vector<serve::ModelKind> &kinds = {
+               serve::ModelKind::Ansor, serve::ModelKind::Random,
+               serve::ModelKind::GuardedAnsor, serve::ModelKind::Random});
 
 /** Service options over @p dir that admit the whole fleet at once. */
 serve::ServiceOptions drillServiceOptions(const std::string &dir,
                                           int fleet_size);
+
+/** What one service incarnation did in runFleet. */
+struct FleetRun
+{
+    serve::RecoveryReport recovery;
+    serve::ServiceStats stats;
+    int64_t ticks = 0;
+    std::vector<serve::SessionStatus> status;   ///< at the end, fleet order
+    double wall_seconds = 0.0;   ///< construction, recovery and ticks
+};
+
+/** One service incarnation over options.dir: recover @p fleet from what
+ *  earlier ones left there, then tick until idle, or stop after
+ *  @p max_ticks > 0 ticks and drop it mid-run (the in-process "kill -9"). */
+FleetRun runFleet(const serve::ServiceOptions &options,
+                  const std::vector<serve::SessionSpec> &fleet,
+                  int64_t max_ticks = 0);
 
 /**
  * True when every session of @p fleet has a non-empty curve file in
@@ -229,15 +254,58 @@ bool curvesMatch(const std::string &golden_dir, const std::string &drill_dir,
 
 // --- BENCH_*.json reports ---
 
-/** Open the report @p path for writing; null, said on stderr, when it
- *  cannot be opened. */
-std::FILE *openReport(const std::string &path);
+/** A BENCH_*.json report, or an object nested in one: ordered fields
+ *  that are scalars, objects under a key, or arrays of one-line rows,
+ *  printed in the order first added. The only code in bench/ that
+ *  knows JSON punctuation. */
+class Report
+{
+  public:
+    Report() = default;
 
-/**
- * Close a report from openReport. False, said on stderr, when a write
- * or the close failed (a full disk leaves a truncated file): the bench
- * must then exit non-zero.
- */
-bool closeReport(std::FILE *report, const std::string &path);
+    /** A report for @p path that opens with "bench": @p bench and the
+     *  bench scale. */
+    Report(std::string path, const char *bench);
+
+    /** A scalar rendered with the printf @p format, e.g. "%.3f". */
+    Report &add(const char *key, const char *format, ...)
+        __attribute__((format(printf, 3, 4)));
+    /** A JSON true / false. */
+    Report &flag(const char *key, bool value)
+    {
+        return add(key, "%s", value ? "true" : "false");
+    }
+    /** A quoted string (bench names and labels; no escaping). */
+    Report &text(const char *key, const std::string &value)
+    {
+        return add(key, "\"%s\"", value.c_str());
+    }
+    /** The object nested under @p key, created on first use; valid
+     *  until the next object() or row() call on this report. */
+    Report &object(const char *key);
+    /** Append one row to the array under @p key; valid as above. */
+    Report &row(const char *key);
+
+    /** Write the report to its path and say so on stdout. False, said
+     *  on stderr, when it cannot be opened, written or closed (a full
+     *  disk leaves a truncated file): the bench must then fail. */
+    bool write() const;
+
+  private:
+    struct Field
+    {
+        std::string key;
+        std::string scalar;            ///< rendered scalar value
+        std::vector<Report> children;  ///< nested object, or rows
+        bool array;
+    };
+
+    Field &field(const char *key);
+    /** Append this object, its fields indented past @p indent. */
+    void render(std::string &out, int indent, bool one_line) const;
+
+    std::string path_;
+    std::vector<Field> fields_;
+};
 
 } // namespace tlp::bench

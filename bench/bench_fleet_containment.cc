@@ -20,11 +20,9 @@
  */
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 
 #include "artifact/audit.h"
 #include "bench/bench_common.h"
-#include "support/clock.h"
 
 using namespace tlp;
 using namespace tlp::bench;
@@ -37,10 +35,7 @@ main()
     const int rounds = std::max(4, static_cast<int>(4 * scale));
     const int poison_index = sessions / 2;
     const int breaker_limit = 4;
-    const auto fleet = drillFleet(
-        sessions, rounds, 0x70c51,
-        {serve::ModelKind::Ansor, serve::ModelKind::Random,
-         serve::ModelKind::GuardedAnsor, serve::ModelKind::Random});
+    const auto fleet = drillFleet(sessions, rounds, 0x70c51);
     const std::string poisoned = fleet[poison_index].name;
 
     std::printf("fleet containment drill: %d sessions x %d rounds, "
@@ -52,13 +47,10 @@ main()
     golden_fleet.erase(golden_fleet.begin() + poison_index);
     const std::string golden_dir = "/tmp/tlp_bench_containment_golden";
     std::filesystem::remove_all(golden_dir);
-    double t0 = wallSeconds();
-    serve::TuningService golden(drillServiceOptions(golden_dir, sessions));
-    golden.recover(golden_fleet);
-    const int64_t golden_ticks = golden.runUntilIdle();
-    const double golden_seconds = wallSeconds() - t0;
+    const FleetRun golden =
+        runFleet(drillServiceOptions(golden_dir, sessions), golden_fleet);
     std::printf("golden: %lld ticks, %.2fs wall\n",
-                static_cast<long long>(golden_ticks), golden_seconds);
+                static_cast<long long>(golden.ticks), golden.wall_seconds);
 
     // (b) Drill: full fleet, one poisoned session, breaker armed.
     const std::string drill_dir = "/tmp/tlp_bench_containment_drill";
@@ -68,19 +60,15 @@ main()
     options.faults.poison_after_round = 1;
     options.breaker_trip_limit = breaker_limit;
     options.backoff_cap_ticks = 4;
-    t0 = wallSeconds();
-    serve::TuningService drill(options);
-    drill.recover(fleet);
-    const int64_t drill_ticks = drill.runUntilIdle();
-    const double drill_seconds = wallSeconds() - t0;
-    const auto &stats = drill.stats();
+    const FleetRun drill = runFleet(options, fleet);
+    const serve::ServiceStats &stats = drill.stats;
     const bool tripped =
-        drill.status(poisoned) ==
+        drill.status[static_cast<size_t>(poison_index)] ==
             serve::SessionStatus::PoisonQuarantined &&
         stats.breaker_trips == 1;
     std::printf("drill: %lld ticks, %.2fs wall, %lld faults injected, "
                 "%lld breaker trips (%s %s)\n",
-                static_cast<long long>(drill_ticks), drill_seconds,
+                static_cast<long long>(drill.ticks), drill.wall_seconds,
                 static_cast<long long>(stats.faults_injected),
                 static_cast<long long>(stats.breaker_trips),
                 poisoned.c_str(),
@@ -96,18 +84,8 @@ main()
 
     // (c) Doctor: damage the drill directory further, audit, repair,
     // re-audit. The evidence the breaker left must be preserved.
-    {
-        const std::string torn = drill_dir + "/torn.ckpt";
-        // tlp-lint: allow(raw-io) -- deliberately plants a torn checkpoint and debris; routing through the seam would defeat the drill
-        std::ofstream os(torn, std::ios::binary);
-        os << "definitely not a TLPS checkpoint";
-    }
-    {
-        // tlp-lint: allow(raw-io) -- deliberately plants a torn checkpoint and debris; routing through the seam would defeat the drill
-        std::ofstream os(drill_dir + "/torn.ckpt.tmp.424.2",
-                         std::ios::binary);
-        os << "stranded";
-    }
+    plantFile(drill_dir + "/torn.ckpt", "definitely not a TLPS checkpoint");
+    plantFile(drill_dir + "/torn.ckpt.tmp.424.2", "stranded");
     const artifact::AuditReport before =
         artifact::auditDirectory(drill_dir);
     const artifact::RepairReport repair =
@@ -123,42 +101,26 @@ main()
                 repair.swept, after.damaged() ? "DAMAGED (BUG)" : "clean",
                 after.quarantine_evidence);
 
-    FILE *json = openReport("BENCH_fleet_containment.json");
-    if (!json)
+    Report json("BENCH_fleet_containment.json", "fleet_containment");
+    json.add("sessions", "%d", sessions)
+        .add("rounds_per_session", "%d", rounds)
+        .add("breaker_limit", "%d", breaker_limit)
+        .add("breaker_trips", "%lld",
+             static_cast<long long>(stats.breaker_trips))
+        .add("faults_injected", "%lld",
+             static_cast<long long>(stats.faults_injected))
+        .add("golden_ticks", "%lld", static_cast<long long>(golden.ticks))
+        .add("drill_ticks", "%lld", static_cast<long long>(drill.ticks))
+        .add("golden_wall_seconds", "%.3f", golden.wall_seconds)
+        .add("drill_wall_seconds", "%.3f", drill.wall_seconds)
+        .flag("survivors_isolated", isolated)
+        .add("pre_repair_corrupt", "%d", before.corrupt)
+        .add("pre_repair_stale_temps", "%d", before.stale_temps)
+        .add("repair_quarantined", "%d", repair.quarantined)
+        .add("repair_swept", "%d", repair.swept)
+        .flag("post_repair_clean", !after.damaged())
+        .add("evidence_files_kept", "%d", after.quarantine_evidence);
+    if (!json.write())
         return 1;
-    std::fprintf(json, "{\n");
-    std::fprintf(json, "  \"bench\": \"fleet_containment\",\n");
-    std::fprintf(json, "  \"scale\": %.3f,\n", scale);
-    std::fprintf(json, "  \"sessions\": %d,\n", sessions);
-    std::fprintf(json, "  \"rounds_per_session\": %d,\n", rounds);
-    std::fprintf(json, "  \"breaker_limit\": %d,\n", breaker_limit);
-    std::fprintf(json, "  \"breaker_trips\": %lld,\n",
-                 static_cast<long long>(stats.breaker_trips));
-    std::fprintf(json, "  \"faults_injected\": %lld,\n",
-                 static_cast<long long>(stats.faults_injected));
-    std::fprintf(json, "  \"golden_ticks\": %lld,\n",
-                 static_cast<long long>(golden_ticks));
-    std::fprintf(json, "  \"drill_ticks\": %lld,\n",
-                 static_cast<long long>(drill_ticks));
-    std::fprintf(json, "  \"golden_wall_seconds\": %.3f,\n",
-                 golden_seconds);
-    std::fprintf(json, "  \"drill_wall_seconds\": %.3f,\n",
-                 drill_seconds);
-    std::fprintf(json, "  \"survivors_isolated\": %s,\n",
-                 isolated ? "true" : "false");
-    std::fprintf(json, "  \"pre_repair_corrupt\": %d,\n", before.corrupt);
-    std::fprintf(json, "  \"pre_repair_stale_temps\": %d,\n",
-                 before.stale_temps);
-    std::fprintf(json, "  \"repair_quarantined\": %d,\n",
-                 repair.quarantined);
-    std::fprintf(json, "  \"repair_swept\": %d,\n", repair.swept);
-    std::fprintf(json, "  \"post_repair_clean\": %s,\n",
-                 after.damaged() ? "false" : "true");
-    std::fprintf(json, "  \"evidence_files_kept\": %d\n",
-                 after.quarantine_evidence);
-    std::fprintf(json, "}\n");
-    if (!closeReport(json, "BENCH_fleet_containment.json"))
-        return 1;
-    std::printf("wrote BENCH_fleet_containment.json\n");
     return isolated && repaired ? 0 : 1;
 }

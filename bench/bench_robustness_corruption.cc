@@ -37,17 +37,6 @@ corrupt(const std::string &bytes, double rate, uint64_t seed)
     return mutated;
 }
 
-struct SweepRow
-{
-    double rate;
-    int trials;
-    int strict_ok;              ///< strict loads that still succeeded
-    int salvage_ok;             ///< salvage loads that returned a dataset
-    double records_recovered;   ///< mean, over successful salvages
-    double records_lost;        ///< mean
-    double corruption_events;   ///< mean tallied corruption_counts sum
-};
-
 } // namespace
 
 int
@@ -71,52 +60,6 @@ main()
     std::printf("dataset: %zu records, %.2f MB serialized\n",
                 dataset.records.size(),
                 static_cast<double>(golden.size()) / 1e6);
-
-    // --- corruption-rate sweep x salvage on/off -------------------------
-    const std::vector<double> rates = {0.0, 1e-5, 1e-4, 1e-3, 1e-2};
-    const int trials = static_cast<int>(scaledCount(8, 4));
-    std::vector<SweepRow> rows;
-    std::printf("\n%10s %10s %10s %12s %10s %10s\n", "flip_rate",
-                "strict_ok", "salvage_ok", "recovered", "lost",
-                "tallies");
-    for (const double rate : rates) {
-        SweepRow row{};
-        row.rate = rate;
-        row.trials = trials;
-        double recovered_sum = 0.0;
-        double tally_sum = 0.0;
-        for (int trial = 0; trial < trials; ++trial) {
-            const std::string bytes =
-                corrupt(golden, rate, 0x9000 + static_cast<uint64_t>(
-                                                   trial));
-            {
-                std::istringstream is(bytes);
-                row.strict_ok += data::Dataset::tryLoad(is).ok() ? 1 : 0;
-            }
-            std::istringstream is(bytes);
-            data::LoadOptions options;
-            options.salvage = true;
-            auto result = data::Dataset::tryLoad(is, options);
-            if (!result.ok())
-                continue;
-            row.salvage_ok += 1;
-            const auto salvaged = result.take();
-            recovered_sum +=
-                static_cast<double>(salvaged.records.size());
-            for (const auto &[name, count] : salvaged.corruption_counts)
-                tally_sum += static_cast<double>(count);
-        }
-        if (row.salvage_ok > 0) {
-            row.records_recovered = recovered_sum / row.salvage_ok;
-            row.records_lost = total_records - row.records_recovered;
-            row.corruption_events = tally_sum / row.salvage_ok;
-        }
-        std::printf("%10.0e %7d/%-2d %7d/%-2d %12.1f %10.1f %10.1f\n",
-                    row.rate, row.strict_ok, trials, row.salvage_ok,
-                    trials, row.records_recovered, row.records_lost,
-                    row.corruption_events);
-        rows.push_back(row);
-    }
 
     // --- checksum cost: load MB/s with verification on vs off -----------
     const int load_reps = static_cast<int>(scaledCount(12, 6));
@@ -145,43 +88,70 @@ main()
     std::printf("checksum overhead: %.1f%%\n",
                 100.0 * (mbps_off - mbps_on) / mbps_off);
 
-    FILE *json = bench::openReport("BENCH_robustness.json");
-    if (!json)
-        return 1;
-    std::fprintf(json, "{\n");
-    std::fprintf(json, "  \"bench\": \"robustness_corruption\",\n");
-    std::fprintf(json, "  \"scale\": %.3f,\n", benchScale());
-    std::fprintf(json, "  \"dataset_records\": %zu,\n",
-                 dataset.records.size());
-    std::fprintf(json, "  \"dataset_bytes\": %zu,\n", golden.size());
-    std::fprintf(json, "  \"load_mbps_checksums_on\": %.2f,\n", mbps_on);
-    std::fprintf(json, "  \"load_mbps_checksums_off\": %.2f,\n",
-                 mbps_off);
-    std::fprintf(json, "  \"sweep\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i) {
-        const auto &row = rows[i];
-        std::fprintf(
-            json,
-            "    {\"flip_rate\": %g, \"trials\": %d, "
-            "\"strict_ok\": %d, \"salvage_ok\": %d, "
-            "\"records_recovered\": %.1f, \"records_lost\": %.1f, "
-            "\"corruption_events\": %.1f}%s\n",
-            row.rate, row.trials, row.strict_ok, row.salvage_ok,
-            row.records_recovered, row.records_lost,
-            row.corruption_events,
-            i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(json, "  ]\n}\n");
-    if (!bench::closeReport(json, "BENCH_robustness.json"))
-        return 1;
-    std::printf("wrote BENCH_robustness.json\n");
+    bench::Report json("BENCH_robustness.json", "robustness_corruption");
+    json.add("dataset_records", "%zu", dataset.records.size())
+        .add("dataset_bytes", "%zu", golden.size())
+        .add("load_mbps_checksums_on", "%.2f", mbps_on)
+        .add("load_mbps_checksums_off", "%.2f", mbps_off);
 
+    // --- corruption-rate sweep x salvage on/off -------------------------
     // Sanity gates: a clean file always strict-loads; salvage never does
     // worse than strict.
-    if (rows[0].strict_ok != trials || rows[0].salvage_ok != trials)
+    const std::vector<double> rates = {0.0, 1e-5, 1e-4, 1e-3, 1e-2};
+    const int trials = static_cast<int>(scaledCount(8, 4));
+    bool gates_hold = true;
+    std::printf("\n%10s %10s %10s %12s %10s %10s\n", "flip_rate",
+                "strict_ok", "salvage_ok", "recovered", "lost",
+                "tallies");
+    for (size_t r = 0; r < rates.size(); ++r) {
+        int strict_ok = 0;    // strict loads that still succeeded
+        int salvage_ok = 0;   // salvage loads that returned a dataset
+        double recovered_sum = 0.0;
+        double tally_sum = 0.0;
+        for (int trial = 0; trial < trials; ++trial) {
+            const std::string bytes =
+                corrupt(golden, rates[r],
+                        0x9000 + static_cast<uint64_t>(trial));
+            {
+                std::istringstream is(bytes);
+                strict_ok += data::Dataset::tryLoad(is).ok() ? 1 : 0;
+            }
+            std::istringstream is(bytes);
+            data::LoadOptions options;
+            options.salvage = true;
+            auto result = data::Dataset::tryLoad(is, options);
+            if (!result.ok())
+                continue;
+            salvage_ok += 1;
+            const auto salvaged = result.take();
+            recovered_sum +=
+                static_cast<double>(salvaged.records.size());
+            for (const auto &[name, count] : salvaged.corruption_counts)
+                tally_sum += static_cast<double>(count);
+        }
+        // Means over the successful salvages.
+        double recovered = 0.0, lost = 0.0, events = 0.0;
+        if (salvage_ok > 0) {
+            recovered = recovered_sum / salvage_ok;
+            lost = total_records - recovered;
+            events = tally_sum / salvage_ok;
+        }
+        std::printf("%10.0e %7d/%-2d %7d/%-2d %12.1f %10.1f %10.1f\n",
+                    rates[r], strict_ok, trials, salvage_ok, trials,
+                    recovered, lost, events);
+        json.row("sweep")
+            .add("flip_rate", "%g", rates[r])
+            .add("trials", "%d", trials)
+            .add("strict_ok", "%d", strict_ok)
+            .add("salvage_ok", "%d", salvage_ok)
+            .add("records_recovered", "%.1f", recovered)
+            .add("records_lost", "%.1f", lost)
+            .add("corruption_events", "%.1f", events);
+        if ((r == 0 && (strict_ok != trials || salvage_ok != trials)) ||
+            salvage_ok < strict_ok)
+            gates_hold = false;
+    }
+    if (!json.write())
         return 1;
-    for (const auto &row : rows)
-        if (row.salvage_ok < row.strict_ok)
-            return 1;
-    return 0;
+    return gates_hold ? 0 : 1;
 }

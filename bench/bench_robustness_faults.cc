@@ -52,8 +52,7 @@ main()
                      "wasted s", "search s"});
     for (const double rate : fault_rates) {
         for (const Policy &policy : policies) {
-            // tlp-lint: allow(float-eq) -- rate is copied verbatim from the literal sweep list; exact 0.0 means injection disabled
-            if (rate == 0.0 && policy.retries > 0)
+            if (!(rate > 0.0) && policy.retries > 0)
                 continue;   // retries are a no-op without faults
             model::AnsorOnlineCostModel cost_model;
             auto options = bench::benchTuneOptions(

@@ -252,6 +252,7 @@ main()
             return bench::loadBenchMemo(path, kMemoFingerprint).status();
         }));
 
+    Report json("BENCH_io_chaos.json", "robustness_io");
     int fault_points = 0;
     int violations = 0;
     for (const DrillRow &row : rows) {
@@ -259,6 +260,11 @@ main()
                     "temps swept\n",
                     row.format, row.fault_points, row.violations,
                     row.debris_swept);
+        json.row("formats")
+            .text("format", row.format)
+            .add("fault_points", "%d", row.fault_points)
+            .add("violations", "%d", row.violations)
+            .add("debris_swept", "%d", row.debris_swept);
         fault_points += row.fault_points;
         violations += row.violations;
     }
@@ -277,34 +283,30 @@ main()
 
     const std::string golden_dir = "/tmp/tlp_bench_io_golden";
     std::filesystem::remove_all(golden_dir);
-    serve::TuningService golden(drillServiceOptions(golden_dir, sessions));
-    golden.recover(fleet);
-    golden.runUntilIdle();
+    runFleet(drillServiceOptions(golden_dir, sessions), fleet);
 
     IoFaultProfile chaos;
     chaos.fault_rate = 0.6;
     chaos.seed = 0xd15c;
     chaos.crash_debris = true;
 
+    // Killed at kill_tick with fault debris on disk, then recovered;
+    // each incarnation under a fresh fault schedule.
     const std::string chaos_dir = "/tmp/tlp_bench_io_chaos";
     std::filesystem::remove_all(chaos_dir);
-    const double t1 = wallSeconds();
-    serve::RecoveryReport report;
-    {
+    const auto chaosRun = [&](int64_t max_ticks) {
         ScopedIoFaults scope(chaos);
-        serve::TuningService victim(drillServiceOptions(chaos_dir, sessions));
-        victim.recover(fleet);
-        victim.runUntilIdle(kill_tick);
-        // destroyed here: the "kill -9", with fault debris on disk
-    }
-    ScopedIoFaults scope(chaos);
-    serve::TuningService recovered(drillServiceOptions(chaos_dir, sessions));
-    report = recovered.recover(fleet);
-    recovered.runUntilIdle();
-    const double chaos_seconds = wallSeconds() - t1;
+        return runFleet(drillServiceOptions(chaos_dir, sessions), fleet,
+                        max_ticks);
+    };
+    const FleetRun victim = chaosRun(kill_tick);
+    const FleetRun recovered = chaosRun(0);
+    const double chaos_seconds =
+        victim.wall_seconds + recovered.wall_seconds;
+    const serve::RecoveryReport &report = recovered.recovery;
 
     const bool curves_identical = curvesMatch(golden_dir, chaos_dir, fleet);
-    const auto &stats = recovered.stats();
+    const serve::ServiceStats &stats = recovered.stats;
     std::printf("fleet under chaos (rate %.2f): %d sessions x %d rounds, "
                 "kill at tick %lld, %.2fs\n",
                 chaos.fault_rate, sessions, rounds,
@@ -323,46 +325,26 @@ main()
     std::printf("  curves identical to golden: %s\n",
                 curves_identical ? "yes" : "NO (BUG)");
 
-    FILE *json = openReport("BENCH_io_chaos.json");
-    if (!json)
+    json.add("fault_points", "%d", fault_points)
+        .add("violations", "%d", violations)
+        .add("drill_seconds", "%.3f", drill_seconds)
+        .add("fleet_sessions", "%d", sessions)
+        .add("fleet_rounds", "%d", rounds)
+        .add("fault_rate", "%.3f", chaos.fault_rate)
+        .add("ckpt_write_failures", "%lld",
+             static_cast<long long>(stats.ckpt_write_failures))
+        .add("ckpt_retries", "%lld",
+             static_cast<long long>(stats.ckpt_retries))
+        .add("ckpt_retry_successes", "%lld",
+             static_cast<long long>(stats.ckpt_retry_successes))
+        .add("checkpointless_sessions", "%lld",
+             static_cast<long long>(stats.checkpointless_sessions))
+        .add("curve_write_retries", "%lld",
+             static_cast<long long>(stats.curve_write_retries))
+        .add("stale_temps_swept", "%d", report.stale_temps_swept)
+        .add("chaos_seconds", "%.3f", chaos_seconds)
+        .flag("curves_identical", curves_identical);
+    if (!json.write())
         return 1;
-    std::fprintf(json, "{\n");
-    std::fprintf(json, "  \"bench\": \"robustness_io\",\n");
-    std::fprintf(json, "  \"scale\": %.3f,\n", scale);
-    std::fprintf(json, "  \"formats\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i) {
-        std::fprintf(json,
-                     "    {\"format\": \"%s\", \"fault_points\": %d, "
-                     "\"violations\": %d, \"debris_swept\": %d}%s\n",
-                     rows[i].format, rows[i].fault_points,
-                     rows[i].violations, rows[i].debris_swept,
-                     i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(json, "  ],\n");
-    std::fprintf(json, "  \"fault_points\": %d,\n", fault_points);
-    std::fprintf(json, "  \"violations\": %d,\n", violations);
-    std::fprintf(json, "  \"drill_seconds\": %.3f,\n", drill_seconds);
-    std::fprintf(json, "  \"fleet_sessions\": %d,\n", sessions);
-    std::fprintf(json, "  \"fleet_rounds\": %d,\n", rounds);
-    std::fprintf(json, "  \"fault_rate\": %.3f,\n", chaos.fault_rate);
-    std::fprintf(json, "  \"ckpt_write_failures\": %lld,\n",
-                 static_cast<long long>(stats.ckpt_write_failures));
-    std::fprintf(json, "  \"ckpt_retries\": %lld,\n",
-                 static_cast<long long>(stats.ckpt_retries));
-    std::fprintf(json, "  \"ckpt_retry_successes\": %lld,\n",
-                 static_cast<long long>(stats.ckpt_retry_successes));
-    std::fprintf(json, "  \"checkpointless_sessions\": %lld,\n",
-                 static_cast<long long>(stats.checkpointless_sessions));
-    std::fprintf(json, "  \"curve_write_retries\": %lld,\n",
-                 static_cast<long long>(stats.curve_write_retries));
-    std::fprintf(json, "  \"stale_temps_swept\": %d,\n",
-                 report.stale_temps_swept);
-    std::fprintf(json, "  \"chaos_seconds\": %.3f,\n", chaos_seconds);
-    std::fprintf(json, "  \"curves_identical\": %s\n",
-                 curves_identical ? "true" : "false");
-    std::fprintf(json, "}\n");
-    if (!closeReport(json, "BENCH_io_chaos.json"))
-        return 1;
-    std::printf("wrote BENCH_io_chaos.json\n");
     return violations == 0 && curves_identical ? 0 : 1;
 }

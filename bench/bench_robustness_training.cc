@@ -31,21 +31,6 @@
 
 using namespace tlp;
 
-namespace {
-
-struct TrainRun
-{
-    double fault_rate = 0.0;
-    const char *policy = "";
-    double final_loss = 0.0;
-    bool aborted = false;
-    int64_t rollbacks = 0;
-    int64_t retries_exhausted = 0;
-    int64_t nan_events = 0;
-};
-
-} // namespace
-
 int
 main()
 {
@@ -64,6 +49,8 @@ main()
         all_records.push_back(static_cast<int>(r));
     const auto set = data::buildTlpSet(dataset, all_records, {0});
     std::printf("training set: %d rows\n", set.rows);
+    bench::Report json("BENCH_robustness_training.json", "robustness_training");
+    json.add("train_rows", "%d", set.rows);
 
     model::TlpNetConfig config;
     config.hidden = 32;
@@ -80,16 +67,14 @@ main()
         {"rollback-retry", model::RecoveryPolicy::RollbackRetry},
     };
 
-    std::vector<TrainRun> runs;
     bool shape_holds = true;
     TextTable table("training fault rate x recovery policy");
     table.setHeader({"faults", "policy", "final loss", "aborted",
                      "rollbacks", "skipped"});
     for (const double rate : fault_rates) {
         for (const Policy &policy : policies) {
-            // tlp-lint: allow(float-eq) -- rate is copied verbatim from the literal sweep list; exact 0.0 means injection disabled
-            if (rate == 0.0 && policy.policy ==
-                                   model::RecoveryPolicy::AbortOnFault)
+            if (!(rate > 0.0) &&
+                policy.policy == model::RecoveryPolicy::AbortOnFault)
                 continue;   // no faults: both policies are the clean run
             Rng rng(7);
             model::TlpNet net(config, rng);
@@ -102,37 +87,42 @@ main()
             model::HealthCounters health;
             options.supervisor.health_out = &health;
 
-            TrainRun run;
-            run.fault_rate = rate;
-            run.policy = policy.label;
-            run.final_loss = trainTlpNet(net, set, options);
-            run.aborted = health[model::HealthEvent::AbortPolicy] > 0;
-            run.rollbacks = health[model::HealthEvent::Rollback];
-            run.retries_exhausted =
+            const double final_loss = trainTlpNet(net, set, options);
+            const bool aborted =
+                health[model::HealthEvent::AbortPolicy] > 0;
+            const long long rollbacks = health[model::HealthEvent::Rollback];
+            const long long retries_exhausted =
                 health[model::HealthEvent::RetryExhausted];
-            run.nan_events = health[model::HealthEvent::NanLoss] +
-                             health[model::HealthEvent::NanGrad] +
-                             health[model::HealthEvent::LossDivergence];
-            runs.push_back(run);
+            const long long numeric_events =
+                health[model::HealthEvent::NanLoss] +
+                health[model::HealthEvent::NanGrad] +
+                health[model::HealthEvent::LossDivergence];
+            json.row("training_runs")
+                .add("fault_rate", "%.2f", rate)
+                .text("policy", policy.label)
+                .add("final_loss", "%.6f", final_loss)
+                .flag("aborted", aborted)
+                .add("rollbacks", "%lld", rollbacks)
+                .add("retries_exhausted", "%lld", retries_exhausted)
+                .add("numeric_events", "%lld", numeric_events);
             // Every rejected attempt counts a rollback, so rollbacks > 0
             // means the run saw a fault.
             const bool run_ok =
                 policy.policy == model::RecoveryPolicy::RollbackRetry
-                    ? std::isfinite(run.final_loss) && !run.aborted
-                    : run.rollbacks == 0 || run.aborted;
+                    ? std::isfinite(final_loss) && !aborted
+                    : rollbacks == 0 || aborted;
             if (!run_ok) {
                 std::printf("SHAPE VIOLATED: %s run at fault rate %.2f\n",
-                            run.policy, rate);
+                            policy.label, rate);
                 shape_holds = false;
             }
 
             table.addRow({formatDouble(rate, 2), policy.label,
-                          std::isfinite(run.final_loss)
-                              ? formatDouble(run.final_loss, 4)
+                          std::isfinite(final_loss)
+                              ? formatDouble(final_loss, 4)
                               : std::string("nan"),
-                          run.aborted ? "yes" : "no",
-                          std::to_string(run.rollbacks),
-                          std::to_string(run.retries_exhausted)});
+                          aborted ? "yes" : "no", std::to_string(rollbacks),
+                          std::to_string(retries_exhausted)});
         }
         if (rate != fault_rates[std::size(fault_rates) - 1])
             table.addSeparator();
@@ -162,6 +152,8 @@ main()
     auto guarded = model::makeGuardedLadder(sick);
     const auto degraded = tune::tuneWorkload(slim, hw_platform, *guarded,
                                              tune_options);
+    const long long failovers =
+        guarded->health()[model::HealthEvent::Failover];
 
     TextTable search_table("search under cost-model collapse");
     search_table.setHeader({"campaign", "final ms", "measurements",
@@ -174,60 +166,29 @@ main()
          formatDouble(degraded.best_workload_latency_ms, 3),
          std::to_string(degraded.total_measurements),
          std::to_string(guarded->activeIndex()),
-         std::to_string(
-             guarded->health()[model::HealthEvent::Failover])});
+         std::to_string(failovers)});
     search_table.print();
 
     std::printf("\nexpected shape: rollback-retry finishes every run with "
                 "a finite loss;\nabort loses the run at the first fault; "
                 "the guarded search fails over\nand completes its full "
                 "measurement budget.\n");
-    if (guarded->health()[model::HealthEvent::Failover] < 1 ||
+    if (failovers < 1 ||
         degraded.total_measurements != clean.total_measurements) {
         std::printf("SHAPE VIOLATED: guarded search\n");
         shape_holds = false;
     }
 
-    FILE *json = bench::openReport("BENCH_robustness_training.json");
-    if (!json)
+    json.object("guarded_search")
+        .add("clean_final_ms", "%.4f", clean.best_workload_latency_ms)
+        .add("degraded_final_ms", "%.4f", degraded.best_workload_latency_ms)
+        .add("clean_measurements", "%lld",
+             static_cast<long long>(clean.total_measurements))
+        .add("degraded_measurements", "%lld",
+             static_cast<long long>(degraded.total_measurements))
+        .add("active_rung", "%d", guarded->activeIndex())
+        .add("failovers", "%lld", failovers);
+    if (!json.write())
         return 1;
-    std::fprintf(json, "{\n");
-    std::fprintf(json, "  \"bench\": \"robustness_training\",\n");
-    std::fprintf(json, "  \"scale\": %.3f,\n", benchScale());
-    std::fprintf(json, "  \"train_rows\": %d,\n", set.rows);
-    std::fprintf(json, "  \"training_runs\": [\n");
-    for (size_t i = 0; i < runs.size(); ++i) {
-        const TrainRun &run = runs[i];
-        std::fprintf(json,
-                     "    {\"fault_rate\": %.2f, \"policy\": \"%s\", "
-                     "\"final_loss\": %.6f, \"aborted\": %s, "
-                     "\"rollbacks\": %lld, \"retries_exhausted\": %lld, "
-                     "\"numeric_events\": %lld}%s\n",
-                     run.fault_rate, run.policy, run.final_loss,
-                     run.aborted ? "true" : "false",
-                     static_cast<long long>(run.rollbacks),
-                     static_cast<long long>(run.retries_exhausted),
-                     static_cast<long long>(run.nan_events),
-                     i + 1 < runs.size() ? "," : "");
-    }
-    std::fprintf(json, "  ],\n");
-    std::fprintf(json, "  \"guarded_search\": {\n");
-    std::fprintf(json, "    \"clean_final_ms\": %.4f,\n",
-                 clean.best_workload_latency_ms);
-    std::fprintf(json, "    \"degraded_final_ms\": %.4f,\n",
-                 degraded.best_workload_latency_ms);
-    std::fprintf(json, "    \"clean_measurements\": %lld,\n",
-                 static_cast<long long>(clean.total_measurements));
-    std::fprintf(json, "    \"degraded_measurements\": %lld,\n",
-                 static_cast<long long>(degraded.total_measurements));
-    std::fprintf(json, "    \"active_rung\": %d,\n",
-                 guarded->activeIndex());
-    std::fprintf(json, "    \"failovers\": %lld\n",
-                 static_cast<long long>(
-                     guarded->health()[model::HealthEvent::Failover]));
-    std::fprintf(json, "  }\n}\n");
-    if (!bench::closeReport(json, "BENCH_robustness_training.json"))
-        return 1;
-    std::printf("wrote BENCH_robustness_training.json\n");
     return shape_holds ? 0 : 1;
 }

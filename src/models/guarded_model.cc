@@ -267,9 +267,13 @@ FaultInjectedCostModel::deserializeState(BinaryReader &reader)
 std::shared_ptr<GuardedCostModel>
 makeGuardedLadder(std::shared_ptr<CostModel> preferred)
 {
+    // A preferred ansor-online already is the standby rung; a second
+    // copy would only refit the same rows every round.
+    const bool standby_on_top = preferred->name() == "ansor-online";
     std::vector<std::shared_ptr<CostModel>> ladder;
     ladder.push_back(std::move(preferred));
-    ladder.push_back(std::make_shared<AnsorOnlineCostModel>());
+    if (!standby_on_top)
+        ladder.push_back(std::make_shared<AnsorOnlineCostModel>());
     ladder.push_back(std::make_shared<RandomCostModel>());
     return std::make_shared<GuardedCostModel>(std::move(ladder));
 }

@@ -143,7 +143,8 @@ class FaultInjectedCostModel : public CostModel
     int64_t updates_seen_ = 0;
 };
 
-/** The standard ladder: @p preferred, then ansor-online, then random. */
+/** The standard ladder: @p preferred, then ansor-online (unless
+ *  @p preferred is ansor-online itself), then random. */
 std::shared_ptr<GuardedCostModel>
 makeGuardedLadder(std::shared_ptr<CostModel> preferred);
 

@@ -166,24 +166,17 @@ TuningService::instantiate(Slot &slot)
         slot.base_model = std::make_shared<model::AnsorOnlineCostModel>();
         break;
       case ModelKind::GuardedTlp:
-        if (tlp_net_) {
-            slot.base_model = model::makeGuardedLadder(
-                std::make_shared<model::TlpCostModel>(
-                    tlp_net_, feat::TlpFeatureOptions{}, 0,
-                    options_.tlp_infer));
-            break;
-        }
-        // No snapshot installed (yet): degrade to the ansor-topped
-        // ladder rather than refusing the session.
-        [[fallthrough]];
-      case ModelKind::GuardedAnsor: {
-        std::vector<std::shared_ptr<model::CostModel>> ladder;
-        ladder.push_back(std::make_shared<model::AnsorOnlineCostModel>());
-        ladder.push_back(std::make_shared<model::RandomCostModel>());
-        slot.base_model =
-            std::make_shared<model::GuardedCostModel>(std::move(ladder));
+      case ModelKind::GuardedAnsor:
+        // A guarded-tlp session without an installed snapshot (yet)
+        // degrades to the ansor-topped ladder rather than refusing.
+        slot.base_model = model::makeGuardedLadder(
+            spec.model == ModelKind::GuardedTlp && tlp_net_
+                ? std::shared_ptr<model::CostModel>(
+                      std::make_shared<model::TlpCostModel>(
+                          tlp_net_, feat::TlpFeatureOptions{}, 0,
+                          options_.tlp_infer))
+                : std::make_shared<model::AnsorOnlineCostModel>());
         break;
-      }
     }
 
     tune::TuneOptions tune = spec.tune;

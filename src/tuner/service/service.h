@@ -24,8 +24,8 @@
  * interleaving the service chose, the tick a kill landed on, or the
  * thread count. Backoff and deadlines only delay or truncate rounds;
  * they never perturb the rng, measurer, or model state. That is what
- * makes the fleet fault drill (tests/test_service.cc, CI
- * service-recovery) exact instead of approximate.
+ * makes the fleet fault drill (tests/test_service.cc,
+ * tools/fleet_drill.sh) exact instead of approximate.
  */
 #pragma once
 
@@ -363,8 +363,8 @@ class TuningService
 /**
  * Serialize the deterministic view of @p result (measurement counts,
  * latencies, simulated measurement seconds — never real wall clock) as
- * the text written to <name>.curve; the CI service-recovery drill diffs
- * these files between a golden and a killed-and-recovered run.
+ * the text written to <name>.curve; tools/fleet_drill.sh diffs these
+ * files between a golden and a killed-and-recovered run.
  */
 std::string formatCurveFile(const std::string &name,
                             SessionStatus terminal,

@@ -9,7 +9,6 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 
 #include "bench/bench_common.h"
@@ -18,6 +17,7 @@
 #include "models/tlp_model.h"
 #include "support/io_env.h"
 #include "support/rng.h"
+#include "support/str_util.h"
 #include "support/thread_pool.h"
 #include "tuner/service/service.h"
 #include "scratch.h"
@@ -28,13 +28,18 @@ namespace {
 namespace fs = std::filesystem;
 
 using bench::curvesMatch;
+using bench::plantFile;
+using bench::readFile;
 
-/** bench::readFile, failing the test when @p path does not exist. */
-std::string
-readFile(const std::string &path)
+/** Tear @p path the way a dying disk would: flip 16 bytes mid-file. */
+void
+tearMidFile(const std::string &path)
 {
-    EXPECT_TRUE(fs::exists(path)) << path;
-    return bench::readFile(path);
+    std::string bytes = readFile(path);
+    ASSERT_GT(bytes.size(), 64u) << path;
+    for (size_t i = bytes.size() / 2; i < bytes.size() / 2 + 16; ++i)
+        bytes[i] = static_cast<char>(~bytes[i]);
+    plantFile(path, bytes);
 }
 
 /**
@@ -45,9 +50,7 @@ readFile(const std::string &path)
 std::vector<SessionSpec>
 quickFleet(int n)
 {
-    return bench::drillFleet(n, 4, 0x900d,
-                             {ModelKind::Ansor, ModelKind::Random,
-                              ModelKind::GuardedAnsor, ModelKind::Random});
+    return bench::drillFleet(n, 4, 0x900d);
 }
 
 ServiceOptions
@@ -130,11 +133,9 @@ TEST(Service, FleetKillDrillRecoversBitIdenticalCurves)
         const std::string &name = fleet[i].name;
         ASSERT_EQ(service.status(name), SessionStatus::Finished);
         expectSameCurve(golden[i], service.result(name), name);
-        // The on-disk curve files (what CI diffs) match byte-for-byte.
-        EXPECT_EQ(readFile(golden_dir + "/" + name + ".curve"),
-                  readFile(drill_dir + "/" + name + ".curve"))
-            << name;
     }
+    // The on-disk curve files (what CI diffs) match byte-for-byte.
+    EXPECT_TRUE(curvesMatch(golden_dir, drill_dir, fleet));
 }
 
 TEST(Service, DamagedCheckpointIsQuarantinedNotFatal)
@@ -153,15 +154,7 @@ TEST(Service, DamagedCheckpointIsQuarantinedNotFatal)
     // Corrupt one checkpoint the way a torn disk would: flip bytes in
     // the middle of the file.
     const std::string victim = dir + "/s001.ckpt";
-    {
-        std::string bytes = readFile(victim);
-        ASSERT_GT(bytes.size(), 64u);
-        for (size_t i = bytes.size() / 2; i < bytes.size() / 2 + 16; ++i)
-            bytes[i] = static_cast<char>(~bytes[i]);
-        std::ofstream os(victim, std::ios::binary | std::ios::trunc);
-        os.write(bytes.data(),
-                 static_cast<std::streamsize>(bytes.size()));
-    }
+    ASSERT_NO_FATAL_FAILURE(tearMidFile(victim));
 
     TuningService service(quickService(dir, 4));
     const auto report = service.recover(fleet);
@@ -324,11 +317,7 @@ TEST(Service, SnapshotHotSwapProbesHealth)
     for (size_t i = bytes.size() / 2; i < bytes.size() / 2 + 8; ++i)
         bytes[i] = static_cast<char>(~bytes[i]);
     const std::string bad = dir + "/bad.snap";
-    {
-        std::ofstream os(bad, std::ios::binary);
-        os.write(bytes.data(),
-                 static_cast<std::streamsize>(bytes.size()));
-    }
+    plantFile(bad, bytes);
     EXPECT_FALSE(service.swapModel(bad).ok());
     EXPECT_EQ(service.stats().snapshot_swap_failures, 2);
 
@@ -438,10 +427,8 @@ TEST(Service, InferenceHotPathNeverPerturbsCurves)
         const std::string &name = fleet[i].name;
         ASSERT_EQ(service.status(name), SessionStatus::Finished);
         expectSameCurve(golden[i], service.result(name), name);
-        EXPECT_EQ(readFile(legacy_dir + "/" + name + ".curve"),
-                  readFile(fast_dir + "/" + name + ".curve"))
-            << name;
     }
+    EXPECT_TRUE(curvesMatch(legacy_dir, fast_dir, fleet));
 }
 
 TEST(Service, QuarantineKeepsEveryGeneration)
@@ -453,22 +440,12 @@ TEST(Service, QuarantineKeepsEveryGeneration)
     const std::string dir = test::scratchDir("quarantine_gen");
     const std::string victim = dir + "/s001.ckpt";
 
-    auto corrupt = [&]() {
-        std::string bytes = readFile(victim);
-        ASSERT_GT(bytes.size(), 64u);
-        for (size_t i = bytes.size() / 2; i < bytes.size() / 2 + 16; ++i)
-            bytes[i] = static_cast<char>(~bytes[i]);
-        std::ofstream os(victim, std::ios::binary | std::ios::trunc);
-        os.write(bytes.data(),
-                 static_cast<std::streamsize>(bytes.size()));
-    };
-
     {
         TuningService service(quickService(dir, 2));
         service.recover(fleet);
         service.runUntilIdle(9);
     }
-    corrupt();
+    ASSERT_NO_FATAL_FAILURE(tearMidFile(victim));
     {
         TuningService service(quickService(dir, 2));
         const auto report = service.recover(fleet);
@@ -476,7 +453,7 @@ TEST(Service, QuarantineKeepsEveryGeneration)
         EXPECT_TRUE(fs::exists(victim + ".quarantined.1"));
         service.runUntilIdle(9);
     }
-    corrupt();
+    ASSERT_NO_FATAL_FAILURE(tearMidFile(victim));
     {
         TuningService service(quickService(dir, 2));
         const auto report = service.recover(fleet);
@@ -500,15 +477,12 @@ TEST(Service, RecoverSweepsStrandedTempFiles)
     const auto fleet = quickFleet(2);
     const std::string dir = test::scratchDir("sweep");
     fs::create_directories(dir);
-    const auto plant = [&](const std::string &name) {
-        std::ofstream os(dir + "/" + name, std::ios::binary);
-        os << "stranded";
-    };
-    plant("s000.ckpt.tmp.12345.0");
-    plant("s001.ckpt.tmp.999.17");
-    plant("s000.curve.tmp.1.2");
-    plant("keep.ckpt");            // not a temp: must survive
-    plant("odd.tmp.x.1");          // non-numeric pid: must survive
+    for (const char *name :
+         {"s000.ckpt.tmp.12345.0", "s001.ckpt.tmp.999.17",
+          "s000.curve.tmp.1.2",
+          "keep.ckpt",                 // not a temp: must survive
+          "odd.tmp.x.1"})              // non-numeric pid: must survive
+        plantFile(dir + "/" + name, "stranded");
 
     TuningService service(quickService(dir, 2));
     const auto report = service.recover(fleet);
@@ -564,10 +538,8 @@ TEST(Service, CheckpointWriteFaultsRetryThenDegradeWithoutCurveDrift)
         const std::string &name = fleet[i].name;
         ASSERT_EQ(service.status(name), SessionStatus::Finished);
         expectSameCurve(golden[i], service.result(name), name);
-        EXPECT_EQ(readFile(golden_dir + "/" + name + ".curve"),
-                  readFile(dir + "/" + name + ".curve"))
-            << name;
     }
+    EXPECT_TRUE(curvesMatch(golden_dir, dir, fleet));
 }
 
 TEST(Service, IoChaosScheduleIsSeededAndReplayable)
@@ -636,10 +608,9 @@ TEST(Service, PoisonedSessionIsContainedWithoutCurveDrift)
             const std::string &name = golden_fleet[i].name;
             ASSERT_EQ(service.status(name), SessionStatus::Finished);
             expectSameCurve(golden[i], service.result(name), name);
-            EXPECT_EQ(readFile(golden_dir + "/" + name + ".curve"),
-                      readFile(dir + "/" + name + ".curve"))
-                << name << " at " << threads << " threads";
         }
+        EXPECT_TRUE(curvesMatch(golden_dir, dir, golden_fleet))
+            << threads << " threads";
     }
     ThreadPool::setGlobalThreads(ThreadPool::configuredThreads());
 }
@@ -709,21 +680,9 @@ TEST(Service, RecoverQuarantineSkipsPlantedEvidenceGenerations)
     }
     const std::string victim = dir + "/s001.ckpt";
     ASSERT_TRUE(fs::exists(victim));
-    {
-        std::string bytes = readFile(victim);
-        for (size_t i = bytes.size() / 2; i < bytes.size() / 2 + 16; ++i)
-            bytes[i] = static_cast<char>(~bytes[i]);
-        std::ofstream os(victim, std::ios::binary | std::ios::trunc);
-        os.write(bytes.data(),
-                 static_cast<std::streamsize>(bytes.size()));
-    }
-    const auto plant = [&](const std::string &name,
-                           const std::string &body) {
-        std::ofstream os(dir + "/" + name, std::ios::binary);
-        os << body;
-    };
-    plant("s001.ckpt.quarantined.1", "incident one");
-    plant("s001.ckpt.quarantined.3", "incident three");
+    ASSERT_NO_FATAL_FAILURE(tearMidFile(victim));
+    plantFile(victim + ".quarantined.1", "incident one");
+    plantFile(victim + ".quarantined.3", "incident three");
 
     TuningService service(quickService(dir, 2));
     const auto report = service.recover(fleet);
@@ -762,46 +721,98 @@ TEST(BenchDrill, CurvesMatchOnlyOnIdenticalNonEmptyCurves)
     const std::string golden = test::scratchDir("golden");
     const std::string drill = test::scratchDir("drill");
     const auto fleet = quickFleet(2);
-    const auto plant = [](const std::string &path, const std::string &body) {
-        std::ofstream os(path, std::ios::binary | std::ios::trunc);
-        os << body;
-    };
     for (const SessionSpec &spec : fleet) {
-        plant(golden + "/" + spec.name + ".curve", "0 1.5 2.0\n");
-        plant(drill + "/" + spec.name + ".curve", "0 1.5 2.0\n");
+        plantFile(golden + "/" + spec.name + ".curve", "0 1.5 2.0\n");
+        plantFile(drill + "/" + spec.name + ".curve", "0 1.5 2.0\n");
     }
     EXPECT_TRUE(curvesMatch(golden, drill, fleet));
 
     // One byte off in one session's curve.
-    plant(drill + "/s001.curve", "0 1.5 2.1\n");
+    plantFile(drill + "/s001.curve", "0 1.5 2.1\n");
     EXPECT_FALSE(curvesMatch(golden, drill, fleet));
-    plant(drill + "/s001.curve", "0 1.5 2.0\n");
+    plantFile(drill + "/s001.curve", "0 1.5 2.0\n");
 
     // A missing or empty golden curve never matches vacuously, even
     // when the drill side is missing or empty too.
-    plant(golden + "/s001.curve", "");
-    plant(drill + "/s001.curve", "");
+    plantFile(golden + "/s001.curve", "");
+    plantFile(drill + "/s001.curve", "");
     EXPECT_FALSE(curvesMatch(golden, drill, fleet));
     fs::remove(golden + "/s001.curve");
     fs::remove(drill + "/s001.curve");
     EXPECT_FALSE(curvesMatch(golden, drill, fleet));
 }
 
+TEST(BenchDrill, ReportWritesTheCommittedLayout)
+{
+    // One of each field shape the BENCH_*.json files use: a scalar of
+    // each printf format in use, a bool, a string, an array of rows
+    // between scalars, and a nested object closing the report.
+    const std::string path = test::scratchDir() + "/BENCH_layout.json";
+    bench::Report report(path, "layout");
+    report.add("sessions", "%d", 8)
+        .add("kill_tick", "%lld", 9000000000LL)
+        .add("dataset_bytes", "%zu", size_t{597461})
+        .add("load_mbps", "%.2f", 34.356)
+        .add("wall_seconds", "%.3f", 0.0654)
+        .add("ticks_saved_fraction", "%.4f", 0.4375)
+        .flag("curves_identical", true);
+    report.row("sweep")
+        .add("flip_rate", "%g", 0.0)
+        .text("policy", "abort")
+        .add("final_loss", "%.6f", 0.229252)
+        .add("records_lost", "%.1f", 606.25)
+        .flag("aborted", false);
+    report.row("sweep")
+        .add("flip_rate", "%g", 1e-5)
+        .text("policy", "rollback-retry")
+        .add("final_loss", "%.6f", 0.3040391)
+        .add("records_lost", "%.1f", 0.0)
+        .flag("aborted", true);
+    report.add("violations", "%d", 0);
+    report.object("guarded_search")
+        .add("clean_final_ms", "%.4f", 4.932)
+        .add("failovers", "%lld", 1LL);
+    ASSERT_TRUE(report.write());
+    EXPECT_EQ(readFile(path),
+              "{\n"
+              "  \"bench\": \"layout\",\n"
+              "  \"scale\": " + strFormat("%.3f", benchScale()) + ",\n"
+              "  \"sessions\": 8,\n"
+              "  \"kill_tick\": 9000000000,\n"
+              "  \"dataset_bytes\": 597461,\n"
+              "  \"load_mbps\": 34.36,\n"
+              "  \"wall_seconds\": 0.065,\n"
+              "  \"ticks_saved_fraction\": 0.4375,\n"
+              "  \"curves_identical\": true,\n"
+              "  \"sweep\": [\n"
+              "    {\"flip_rate\": 0, \"policy\": \"abort\", "
+              "\"final_loss\": 0.229252, \"records_lost\": 606.2, "
+              "\"aborted\": false},\n"
+              "    {\"flip_rate\": 1e-05, \"policy\": \"rollback-retry\", "
+              "\"final_loss\": 0.304039, \"records_lost\": 0.0, "
+              "\"aborted\": true}\n"
+              "  ],\n"
+              "  \"violations\": 0,\n"
+              "  \"guarded_search\": {\n"
+              "    \"clean_final_ms\": 4.9320,\n"
+              "    \"failovers\": 1\n"
+              "  }\n"
+              "}\n");
+}
+
 TEST(BenchDrill, ReportCloseFailsOnFullDisk)
 {
     if (!fs::exists("/dev/full"))
         GTEST_SKIP() << "no /dev/full on this host";
-    std::FILE *report = bench::openReport("/dev/full");
-    ASSERT_NE(report, nullptr);
-    std::fprintf(report, "{\n  \"bench\": \"full_disk\"\n}\n");
-    EXPECT_FALSE(bench::closeReport(report, "/dev/full"));
+    // fopen succeeds on /dev/full; the write only fails on the flush.
+    EXPECT_FALSE(bench::Report("/dev/full", "full_disk").write());
+    const std::string dir = test::scratchDir();
+    EXPECT_FALSE(bench::Report(dir + "/missing/BENCH.json", "x").write());
 
-    const std::string path = test::scratchDir() + "/BENCH_ok.json";
-    report = bench::openReport(path);
-    ASSERT_NE(report, nullptr);
-    std::fprintf(report, "{}\n");
-    EXPECT_TRUE(bench::closeReport(report, path));
-    EXPECT_EQ(readFile(path), "{}\n");
+    const std::string path = dir + "/BENCH_ok.json";
+    EXPECT_TRUE(bench::Report(path, "ok").write());
+    EXPECT_EQ(readFile(path), "{\n  \"bench\": \"ok\",\n  \"scale\": " +
+                                  strFormat("%.3f", benchScale()) + "\n}\n");
 }
 
 TEST(Service, ModelKindNamesRoundTrip)

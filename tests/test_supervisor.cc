@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -767,6 +768,37 @@ TEST(GuardedModel, SearchSurvivesMidCampaignCollapse)
             last = point.workload_latency_ms;
         }
     }
+}
+
+TEST(GuardedModel, LadderNeverRepeatsARung)
+{
+    // The ansor-online standby rung is skipped only when the preferred
+    // model already is ansor-online; two identical GBDTs would refit
+    // the same rows every round. A wrapped ansor-online keeps it.
+    auto ansor = makeGuardedLadder(std::make_shared<AnsorOnlineCostModel>());
+    EXPECT_EQ(ansor->name(), "guarded:ansor-online>random");
+
+    auto faulty = makeGuardedLadder(std::make_shared<FaultInjectedCostModel>(
+        std::make_shared<AnsorOnlineCostModel>(), 2));
+    EXPECT_EQ(faulty->name(),
+              "guarded:faulty:ansor-online>ansor-online>random");
+
+    TlpNetConfig config;
+    config.hidden = 16;
+    config.heads = 4;
+    Rng rng(5);
+    auto tlp = makeGuardedLadder(std::make_shared<TlpCostModel>(
+        std::make_shared<TlpNet>(config, rng)));
+    EXPECT_EQ(tlp->name(), "guarded:tlp>ansor-online>random");
+
+    // Rung counts: the name lists every rung once, '>'-separated.
+    const auto rungs = [](const GuardedCostModel &ladder) {
+        const std::string name = ladder.name();
+        return std::count(name.begin(), name.end(), '>') + 1;
+    };
+    EXPECT_EQ(rungs(*ansor), 2);
+    EXPECT_EQ(rungs(*faulty), 3);
+    EXPECT_EQ(rungs(*tlp), 3);
 }
 
 TEST(GuardedModel, CheckpointResumePreservesDegradedState)
