@@ -135,26 +135,10 @@ trainMtlNet(const data::Dataset &dataset, const data::Split &split,
 } // namespace
 
 std::vector<std::string>
-benchTrainNetworks()
-{
-    return {"resnet-18", "resnet-34", "vgg-16", "squeezenet",
-            "mlp-mixer", "bert-small", "gpt2-lite"};
-}
-
-std::vector<std::string>
 benchTestNetworks()
 {
     return {"resnet-50", "mobilenet-v2", "resnext-50", "bert-tiny",
             "bert-base"};
-}
-
-std::vector<std::string>
-benchNetworks()
-{
-    auto networks = benchTrainNetworks();
-    for (const auto &name : benchTestNetworks())
-        networks.push_back(name);
-    return networks;
 }
 
 data::Dataset
@@ -169,7 +153,11 @@ standardDataset(const std::vector<std::string> &platforms, bool is_gpu)
     const std::string path = "/tmp/tlp_bench_" + key + ".bin";
 
     data::CollectOptions options;
-    options.networks = benchNetworks();
+    // The training networks, then the test networks.
+    options.networks = {"resnet-18", "resnet-34", "vgg-16", "squeezenet",
+                        "mlp-mixer", "bert-small", "gpt2-lite"};
+    for (const auto &name : benchTestNetworks())
+        options.networks.push_back(name);
     options.platforms = platforms;
     options.is_gpu = is_gpu;
     options.programs_per_subgraph = static_cast<int>(programs);
@@ -497,6 +485,18 @@ plantFile(const std::string &path, const std::string &bytes)
     os.close();
     if (!os)
         warn("cannot plant ", path);
+}
+
+bool
+tearMidFile(const std::string &path)
+{
+    std::string bytes = readFile(path);
+    if (bytes.size() <= 64)
+        return false;
+    for (size_t i = bytes.size() / 2; i < bytes.size() / 2 + 16; ++i)
+        bytes[i] = static_cast<char>(~bytes[i]);
+    plantFile(path, bytes);
+    return true;
 }
 
 std::vector<serve::SessionSpec>

@@ -29,14 +29,8 @@
 
 namespace tlp::bench {
 
-/** Networks used for dataset collection in the benches. */
-std::vector<std::string> benchTrainNetworks();
-
 /** The paper's five held-out evaluation networks. */
 std::vector<std::string> benchTestNetworks();
-
-/** All bench networks (train + test). */
-std::vector<std::string> benchNetworks();
 
 /**
  * Collect (and memoize on disk under /tmp) the standard bench dataset
@@ -209,6 +203,10 @@ std::string readFile(const std::string &path);
  *  on stderr, and the drill's own checks then fail. */
 void plantFile(const std::string &path, const std::string &bytes);
 
+/** Tear @p path the way a dying disk would: flip 16 bytes mid-file.
+ *  False, and the file untouched, when it is 64 bytes or smaller. */
+bool tearMidFile(const std::string &path);
+
 /**
  * A drill fleet of @p sessions two-subgraph resnet-18 slices with
  * @p rounds rounds each. Session i is named "s%03d", alternates the
@@ -267,7 +265,8 @@ class Report
      *  bench scale. */
     Report(std::string path, const char *bench);
 
-    /** A scalar rendered with the printf @p format, e.g. "%.3f". */
+    /** A scalar rendered with the printf @p format, e.g. "%.3f". A key
+     *  added again keeps its place and takes the new value. */
     Report &add(const char *key, const char *format, ...)
         __attribute__((format(printf, 3, 4)));
     /** A JSON true / false. */

@@ -61,38 +61,12 @@ main()
                 dataset.records.size(),
                 static_cast<double>(golden.size()) / 1e6);
 
-    // --- checksum cost: load MB/s with verification on vs off -----------
-    const int load_reps = static_cast<int>(scaledCount(12, 6));
-    double mbps_on = 0.0;
-    double mbps_off = 0.0;
-    for (const bool verify : {true, false}) {
-        data::LoadOptions options;
-        options.verify_checksums = verify;
-        const double t0 = wallSeconds();
-        for (int rep = 0; rep < load_reps; ++rep) {
-            std::istringstream is(golden);
-            auto result = data::Dataset::tryLoad(is, options);
-            if (!result.ok()) {
-                std::fprintf(stderr, "clean load failed: %s\n",
-                             result.status().toString().c_str());
-                return 1;
-            }
-        }
-        const double seconds = wallSeconds() - t0;
-        const double mbps = static_cast<double>(golden.size()) *
-                            load_reps / 1e6 / seconds;
-        (verify ? mbps_on : mbps_off) = mbps;
-        std::printf("load throughput (checksums %s): %8.1f MB/s\n",
-                    verify ? "on " : "off", mbps);
-    }
-    std::printf("checksum overhead: %.1f%%\n",
-                100.0 * (mbps_off - mbps_on) / mbps_off);
-
+    // The load rates are set once measured, after the sweep.
     bench::Report json("BENCH_robustness.json", "robustness_corruption");
     json.add("dataset_records", "%zu", dataset.records.size())
         .add("dataset_bytes", "%zu", golden.size())
-        .add("load_mbps_checksums_on", "%.2f", mbps_on)
-        .add("load_mbps_checksums_off", "%.2f", mbps_off);
+        .add("load_mbps_checksums_on", "%.2f", 0.0)
+        .add("load_mbps_checksums_off", "%.2f", 0.0);
 
     // --- corruption-rate sweep x salvage on/off -------------------------
     // Sanity gates: a clean file always strict-loads; salvage never does
@@ -151,6 +125,36 @@ main()
             salvage_ok < strict_ok)
             gates_hold = false;
     }
+
+    // --- checksum cost: load MB/s with verification on vs off -----------
+    const int load_reps = static_cast<int>(scaledCount(12, 6));
+    double mbps_on = 0.0;
+    double mbps_off = 0.0;
+    for (const bool verify : {true, false}) {
+        data::LoadOptions options;
+        options.verify_checksums = verify;
+        const double t0 = wallSeconds();
+        for (int rep = 0; rep < load_reps; ++rep) {
+            std::istringstream is(golden);
+            auto result = data::Dataset::tryLoad(is, options);
+            if (!result.ok()) {
+                std::fprintf(stderr, "clean load failed: %s\n",
+                             result.status().toString().c_str());
+                return 1;
+            }
+        }
+        const double seconds = wallSeconds() - t0;
+        const double mbps = static_cast<double>(golden.size()) *
+                            load_reps / 1e6 / seconds;
+        (verify ? mbps_on : mbps_off) = mbps;
+        std::printf("load throughput (checksums %s): %8.1f MB/s\n",
+                    verify ? "on " : "off", mbps);
+    }
+    std::printf("checksum overhead: %.1f%%\n",
+                100.0 * (mbps_off - mbps_on) / mbps_off);
+
+    json.add("load_mbps_checksums_on", "%.2f", mbps_on)
+        .add("load_mbps_checksums_off", "%.2f", mbps_off);
     if (!json.write())
         return 1;
     return gates_hold ? 0 : 1;

@@ -48,14 +48,8 @@ main()
     std::filesystem::remove_all(drill_dir);
     const auto options = drillServiceOptions(drill_dir, sessions);
     runFleet(options, fleet, kill_tick);
-    // One torn checkpoint: flip 16 bytes mid-file.
-    const std::string torn = drill_dir + "/s001.ckpt";
-    std::string bytes = readFile(torn);
-    if (bytes.size() > 64) {
-        for (size_t i = bytes.size() / 2; i < bytes.size() / 2 + 16; ++i)
-            bytes[i] = static_cast<char>(~bytes[i]);
-        plantFile(torn, bytes);
-    }
+    // One torn checkpoint.
+    tearMidFile(drill_dir + "/s001.ckpt");
     const FleetRun recovered = runFleet(options, fleet);
     const serve::RecoveryReport &report = recovered.recovery;
     std::printf("recovered: %d resumed / %d quarantined / %d fresh, "

@@ -22,7 +22,8 @@
  * atomic-write seam while the damaged original stays quarantined as
  * evidence. After --repair the directory is runnable again: rerunning
  * the same `tlp_serve` command converges to curves byte-identical to
- * an uninterrupted run (CI's fsck-drill job proves it).
+ * an uninterrupted run (the fsck drill of tools/fleet_drill.sh, run by
+ * CI's fleet-drills job, proves it).
  *
  * Exit codes follow the artifact contract: 0 = nothing damaged,
  * 2 = user error (TLP_FATAL), 3 = damage found — also in --repair

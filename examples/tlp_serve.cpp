@@ -20,8 +20,8 @@
  * behind, sweeps stale atomic-write temps, resumes every intact
  * session, quarantines damaged ones (renamed *.ckpt.quarantined.N,
  * unique per generation), and converges to curve files bit-identical
- * to an uninterrupted run — the CI service-recovery step diffs exactly
- * that. --ticks > 0 stops after that many scheduler ticks (a
+ * to an uninterrupted run — the recovery drill of tools/fleet_drill.sh
+ * (CI's fleet-drills job) diffs exactly that. --ticks > 0 stops after that many scheduler ticks (a
  * deterministic "kill"); --fault-rate injects seeded transient faults
  * that exercise the exponential-backoff path; --io-fault-rate injects
  * seeded disk faults (torn/failed checkpoint and curve writes, failed

@@ -30,17 +30,7 @@ namespace fs = std::filesystem;
 using bench::curvesMatch;
 using bench::plantFile;
 using bench::readFile;
-
-/** Tear @p path the way a dying disk would: flip 16 bytes mid-file. */
-void
-tearMidFile(const std::string &path)
-{
-    std::string bytes = readFile(path);
-    ASSERT_GT(bytes.size(), 64u) << path;
-    for (size_t i = bytes.size() / 2; i < bytes.size() / 2 + 16; ++i)
-        bytes[i] = static_cast<char>(~bytes[i]);
-    plantFile(path, bytes);
-}
+using bench::tearMidFile;
 
 /**
  * A fleet of @p n quick sessions with mixed cost models. Identical
@@ -154,7 +144,7 @@ TEST(Service, DamagedCheckpointIsQuarantinedNotFatal)
     // Corrupt one checkpoint the way a torn disk would: flip bytes in
     // the middle of the file.
     const std::string victim = dir + "/s001.ckpt";
-    ASSERT_NO_FATAL_FAILURE(tearMidFile(victim));
+    ASSERT_TRUE(tearMidFile(victim)) << victim;
 
     TuningService service(quickService(dir, 4));
     const auto report = service.recover(fleet);
@@ -445,7 +435,7 @@ TEST(Service, QuarantineKeepsEveryGeneration)
         service.recover(fleet);
         service.runUntilIdle(9);
     }
-    ASSERT_NO_FATAL_FAILURE(tearMidFile(victim));
+    ASSERT_TRUE(tearMidFile(victim)) << victim;
     {
         TuningService service(quickService(dir, 2));
         const auto report = service.recover(fleet);
@@ -453,7 +443,7 @@ TEST(Service, QuarantineKeepsEveryGeneration)
         EXPECT_TRUE(fs::exists(victim + ".quarantined.1"));
         service.runUntilIdle(9);
     }
-    ASSERT_NO_FATAL_FAILURE(tearMidFile(victim));
+    ASSERT_TRUE(tearMidFile(victim)) << victim;
     {
         TuningService service(quickService(dir, 2));
         const auto report = service.recover(fleet);
@@ -680,7 +670,7 @@ TEST(Service, RecoverQuarantineSkipsPlantedEvidenceGenerations)
     }
     const std::string victim = dir + "/s001.ckpt";
     ASSERT_TRUE(fs::exists(victim));
-    ASSERT_NO_FATAL_FAILURE(tearMidFile(victim));
+    ASSERT_TRUE(tearMidFile(victim)) << victim;
     plantFile(victim + ".quarantined.1", "incident one");
     plantFile(victim + ".quarantined.3", "incident three");
 

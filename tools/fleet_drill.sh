@@ -13,9 +13,9 @@
 #   fsck      chaos-damage a directory, tear a checkpoint and strand a
 #             temp, tlp_fsck audit (exit 3) / repair (exit 3) / clean
 #             audit, then rerun fault-free
-# and all four run when none is named. Fleet directories go under
-# $DRILL_DIR (default: a fresh mktemp directory). Exits non-zero on the
-# first failed step.
+# and all four run when none is named. Fleet directories go under a
+# fresh mktemp directory, whose path is printed and which is kept for
+# inspection. Exits non-zero on the first failed step.
 set -euo pipefail
 
 build="${1:?usage: $0 BUILD_DIR [recovery|guarded|io-chaos|fsck...]}"
@@ -24,7 +24,8 @@ drills=("$@")
 [ "${#drills[@]}" -gt 0 ] || drills=(recovery guarded io-chaos fsck)
 serve="$build/examples/tlp_serve"
 fsck="$build/examples/tlp_fsck"
-work="${DRILL_DIR:-$(mktemp -d)}"
+work="$(mktemp -d)"
+echo "fleet drill directories: $work"
 
 # Run tlp_serve in the background, SIGKILL it after a second, reap it.
 killed() {
