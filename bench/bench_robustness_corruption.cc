@@ -7,6 +7,7 @@
  * to BENCH_robustness.json (written in the working directory — run from
  * the repo root).
  */
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <vector>
@@ -35,6 +36,16 @@ corrupt(const std::string &bytes, double rate, uint64_t seed)
         mutated[at] ^= static_cast<char>(rng.randint(1, 255));
     }
     return mutated;
+}
+
+/** Median of @p values (the mean of the middle two for an even count). */
+double
+median(std::vector<double> values)
+{
+    std::sort(values.begin(), values.end());
+    const size_t mid = values.size() / 2;
+    return values.size() % 2 != 0 ? values[mid]
+                                  : (values[mid - 1] + values[mid]) / 2.0;
 }
 
 } // namespace
@@ -127,29 +138,34 @@ main()
     }
 
     // --- checksum cost: load MB/s with verification on vs off -----------
-    const int load_reps = static_cast<int>(scaledCount(12, 6));
-    double mbps_on = 0.0;
-    double mbps_off = 0.0;
-    for (const bool verify : {true, false}) {
-        data::LoadOptions options;
-        options.verify_checksums = verify;
-        const double t0 = wallSeconds();
-        for (int rep = 0; rep < load_reps; ++rep) {
+    // Each round times one load per side, the sides interleaved (and
+    // their order alternated), so host noise falls on both alike; each
+    // side reports its median round.
+    const int load_rounds = static_cast<int>(scaledCount(12, 6));
+    std::vector<double> rounds_on;
+    std::vector<double> rounds_off;
+    for (int round = 0; round < load_rounds; ++round) {
+        for (const bool verify : {round % 2 == 0, round % 2 != 0}) {
+            data::LoadOptions options;
+            options.verify_checksums = verify;
+            const double t0 = wallSeconds();
             std::istringstream is(golden);
             auto result = data::Dataset::tryLoad(is, options);
+            const double seconds = wallSeconds() - t0;
             if (!result.ok()) {
                 std::fprintf(stderr, "clean load failed: %s\n",
                              result.status().toString().c_str());
                 return 1;
             }
+            (verify ? rounds_on : rounds_off)
+                .push_back(static_cast<double>(golden.size()) / 1e6 /
+                           seconds);
         }
-        const double seconds = wallSeconds() - t0;
-        const double mbps = static_cast<double>(golden.size()) *
-                            load_reps / 1e6 / seconds;
-        (verify ? mbps_on : mbps_off) = mbps;
-        std::printf("load throughput (checksums %s): %8.1f MB/s\n",
-                    verify ? "on " : "off", mbps);
     }
+    const double mbps_on = median(rounds_on);
+    const double mbps_off = median(rounds_off);
+    std::printf("load throughput (checksums on ): %8.1f MB/s\n", mbps_on);
+    std::printf("load throughput (checksums off): %8.1f MB/s\n", mbps_off);
     std::printf("checksum overhead: %.1f%%\n",
                 100.0 * (mbps_off - mbps_on) / mbps_off);
 

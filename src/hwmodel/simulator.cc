@@ -175,10 +175,31 @@ rootOf(const LoweredNest &nest, int stage_index)
     return current;
 }
 
+/**
+ * acc + w * x, fused where the target has FMA. wiggle's sums fuse every
+ * step there (Simulator.LatencyBitsGolden pins their bits); written
+ * `acc += w * x`, its loops over stored weights would vectorise into
+ * rounded products instead.
+ */
+inline double
+mulAdd(double w, double x, double acc)
+{
+#if defined(__FMA__)
+    return std::fma(w, x, acc);
+#else
+    return acc + w * x;
+#endif
+}
+
 } // namespace
 
 LatencySimulator::LatencySimulator(HardwarePlatform hw) : hw_(std::move(hw))
 {
+    Rng wrng(hashCombine(hw_.quirk_seed, 0xfeedbeef));
+    for (double &w : hidden_weights_)
+        w = wrng.normal(0.0, 1.0 / 8.0);
+    for (double &w : output_weights_)
+        w = wrng.normal(0.0, 1.0);
 }
 
 double
@@ -466,8 +487,6 @@ LatencySimulator::wiggle(const LoweredNest &nest) const
     //
     // 2. A small irreducible hash noise (run-to-run structure nobody
     //    can learn), keeping top-1 scores below 1.0 for every model.
-    constexpr int kSketch = 64;
-    constexpr int kHiddenUnits = 24;
     double z[kSketch] = {0.0};
     uint64_t pure = hw_.quirk_seed;
 
@@ -506,17 +525,18 @@ LatencySimulator::wiggle(const LoweredNest &nest) const
     }
 
     // Fixed random two-layer net over the sketch.
-    Rng wrng(hashCombine(hw_.quirk_seed, 0xfeedbeef));
     double hidden_acts[kHiddenUnits];
     for (int i = 0; i < kHiddenUnits; ++i) {
+        const double *w = hidden_weights_.data() + i * kSketch;
         double acc = 0.0;
         for (int j = 0; j < kSketch; ++j)
-            acc += wrng.normal(0.0, 1.0 / 8.0) * z[j];
+            acc = mulAdd(w[j], z[j], acc);
         hidden_acts[i] = std::tanh(acc);
     }
     double residual = 0.0;
     for (int i = 0; i < kHiddenUnits; ++i)
-        residual += wrng.normal(0.0, 1.0) * hidden_acts[i];
+        residual = mulAdd(output_weights_[static_cast<size_t>(i)],
+                          hidden_acts[i], residual);
     residual = std::tanh(residual / 3.0);   // in (-1, 1)
 
     Rng nrng(pure);

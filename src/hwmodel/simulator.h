@@ -27,6 +27,8 @@
  */
 #pragma once
 
+#include <array>
+
 #include "hwmodel/platform.h"
 #include "schedule/lower.h"
 
@@ -59,7 +61,19 @@ class LatencySimulator
                         const StageExtras &extras, double parallel) const;
     double wiggle(const sched::LoweredNest &nest) const;
 
+    /** Width of wiggle's random-feature sketch of a program. */
+    static constexpr int kSketch = 64;
+    /** Hidden units of wiggle's fixed random net. */
+    static constexpr int kHiddenUnits = 24;
+
     HardwarePlatform hw_;
+    /**
+     * wiggle's net weights, drawn once from the platform's quirk_seed
+     * stream: hidden unit i's input weights at [i * kSketch, ...), in
+     * draw order, then the output weights.
+     */
+    std::array<double, kHiddenUnits * kSketch> hidden_weights_;
+    std::array<double, kHiddenUnits> output_weights_;
 };
 
 } // namespace tlp::hw

@@ -18,11 +18,13 @@ constexpr int64_t kKBlock = 64;
 constexpr int64_t kIBlock = 64;
 
 /**
- * Register tile: kTileRows output rows x kTileCols output columns (each
- * form also has a kVecWidth-column tile for a next 8 columns, as in the
- * attention context's n = 8). Every loop over a tile's rows carries
- * `#pragma GCC unroll 4` (kTileRows): unrolled early, the accumulators
- * stay in registers rather than in a stack array.
+ * Register tile: kTileRows output rows x two vectors of output columns,
+ * kTileCols = 16 with eight-float vectors (32 for the wide tiles
+ * below). Each form also has a kVecWidth-column tile for a next 8
+ * columns, as in the attention context's n = 8. Every loop over a
+ * tile's rows carries `#pragma GCC unroll 4` (kTileRows): unrolled
+ * early, the accumulators stay in registers rather than in a stack
+ * array.
  */
 constexpr int64_t kTileRows = 4;
 constexpr int64_t kVecWidth = 8;
@@ -45,23 +47,29 @@ constexpr bool kNTTileSupported = false;
 /** Eight floats (GCC/Clang vector extension); two make a tile row. */
 typedef float Vec8 __attribute__((vector_size(32)));
 
-// A Vec8 return value is passed differently with and without AVX, and
-// GCC warns of that ABI difference in a non-AVX build. load8 has
-// internal linkage, so no caller can see it.
+/** Floats in the tile vector type V. */
+template <typename V>
+constexpr int64_t kFloats = sizeof(V) / sizeof(float);
+
+// A vector return value is passed differently with and without AVX (or
+// AVX-512), and GCC warns of that ABI difference. load has internal
+// linkage, so no caller can see it.
 #pragma GCC diagnostic ignored "-Wpsabi"
 
-/** The eight floats at @p p, which need no alignment. */
-inline Vec8
-load8(const float *p)
+/** The kFloats<V> floats at @p p, which need no alignment. */
+template <typename V>
+inline V
+load(const float *p)
 {
-    Vec8 v;
+    V v;
     std::memcpy(&v, p, sizeof(v));
     return v;
 }
 
-/** Store @p v to the eight floats at @p p. */
+/** Store @p v to the kFloats<V> floats at @p p. */
+template <typename V>
 inline void
-store8(float *p, const Vec8 &v)
+store(float *p, const V &v)
 {
     std::memcpy(p, &v, sizeof(v));
 }
@@ -115,20 +123,21 @@ gemmRowKernel(const float *TLP_RESTRICT a, const float *TLP_RESTRICT b,
 }
 
 /**
- * Forward tile: C rows [i, i + 4), columns [j, j + 8 * kVecs) = A * B.
- * The tile stays in registers across the whole ascending-p loop, and
- * each element's chain is the row kernel's: acc = 0, then acc += a * b.
+ * Forward tile: C rows [i, i + 4), columns [j, j + kFloats<V> * kVecs)
+ * = A * B. The tile stays in registers across the whole ascending-p
+ * loop, and each element's chain is the row kernel's: acc = 0, then
+ * acc += a * b.
  */
-template <int kVecs>
+template <typename V, int kVecs>
 inline void
 gemmTile(const float *TLP_RESTRICT a, const float *TLP_RESTRICT b,
          float *TLP_RESTRICT c, int64_t i, int64_t j, int64_t k, int64_t n)
 {
-    Vec8 acc[kTileRows][kVecs] = {};
+    V acc[kTileRows][kVecs] = {};
     for (int64_t p = 0; p < k; ++p) {
-        Vec8 bv[kVecs];
+        V bv[kVecs];
         for (int v = 0; v < kVecs; ++v)
-            bv[v] = load8(b + p * n + j + v * kVecWidth);
+            bv[v] = load<V>(b + p * n + j + v * kFloats<V>);
 #pragma GCC unroll 4
         for (int64_t r = 0; r < kTileRows; ++r) {
             const float av = a[(i + r) * k + p];
@@ -139,7 +148,7 @@ gemmTile(const float *TLP_RESTRICT a, const float *TLP_RESTRICT b,
 #pragma GCC unroll 4
     for (int64_t r = 0; r < kTileRows; ++r)
         for (int v = 0; v < kVecs; ++v)
-            store8(c + (i + r) * n + j + v * kVecWidth, acc[r][v]);
+            store<V>(c + (i + r) * n + j + v * kFloats<V>, acc[r][v]);
 }
 
 /**
@@ -218,39 +227,39 @@ gemmNTRowKernel(const float *TLP_RESTRICT gc, const float *TLP_RESTRICT b,
 }
 
 /**
- * NT tile: GA rows [i, i + 4), columns [p, p + 8 * kVecs) += GC * B^T,
- * read through @p bt = B^T [n, k]. Each element's dot product starts at
- * 0 and runs the row kernel's operations over ascending j: a rounded
- * product added for j < (n & ~3), a fused multiply-add from there on.
- * The sum is then added into GA.
+ * NT tile: GA rows [i, i + 4), columns [p, p + kFloats<V> * kVecs) +=
+ * GC * B^T, read through @p bt = B^T [n, k]. Each element's dot product
+ * starts at 0 and runs the row kernel's operations over ascending j: a
+ * rounded product added for j < (n & ~3), a fused multiply-add from
+ * there on. The sum is then added into GA.
  */
-template <int kVecs>
+template <typename V, int kVecs>
 inline void
 gemmNTTile(const float *TLP_RESTRICT gc, const float *TLP_RESTRICT bt,
            float *TLP_RESTRICT ga, int64_t i, int64_t p, int64_t k,
            int64_t n)
 {
-    Vec8 acc[kTileRows][kVecs] = {};
+    V acc[kTileRows][kVecs] = {};
     const int64_t rounded = n & ~int64_t{3};
     int64_t j = 0;
     for (; j < rounded; ++j) {
-        Vec8 bv[kVecs];
+        V bv[kVecs];
         for (int v = 0; v < kVecs; ++v)
-            bv[v] = load8(bt + j * k + p + v * kVecWidth);
+            bv[v] = load<V>(bt + j * k + p + v * kFloats<V>);
 #pragma GCC unroll 4
         for (int64_t r = 0; r < kTileRows; ++r) {
             const float g = gc[(i + r) * n + j];
             for (int v = 0; v < kVecs; ++v) {
-                Vec8 prod = g * bv[v];
+                V prod = g * bv[v];
                 lanes::keepRounded(prod);
                 acc[r][v] += prod;
             }
         }
     }
     for (; j < n; ++j) {
-        Vec8 bv[kVecs];
+        V bv[kVecs];
         for (int v = 0; v < kVecs; ++v)
-            bv[v] = load8(bt + j * k + p + v * kVecWidth);
+            bv[v] = load<V>(bt + j * k + p + v * kFloats<V>);
 #pragma GCC unroll 4
         for (int64_t r = 0; r < kTileRows; ++r) {
             const float g = gc[(i + r) * n + j];
@@ -261,8 +270,8 @@ gemmNTTile(const float *TLP_RESTRICT gc, const float *TLP_RESTRICT bt,
 #pragma GCC unroll 4
     for (int64_t r = 0; r < kTileRows; ++r) {
         for (int v = 0; v < kVecs; ++v) {
-            float *garow = ga + (i + r) * k + p + v * kVecWidth;
-            store8(garow, load8(garow) + acc[r][v]);
+            float *garow = ga + (i + r) * k + p + v * kFloats<V>;
+            store<V>(garow, load<V>(garow) + acc[r][v]);
         }
     }
 }
@@ -314,27 +323,27 @@ gemmTNRowKernel(const float *TLP_RESTRICT a, const float *TLP_RESTRICT gc,
 }
 
 /**
- * TN tile: GB rows [p, p + 4), columns [j, j + 8 * kVecs) += A^T * GC
- * rows [i0, i1). The tile is loaded, kept in registers across the
- * ascending-i loop with the row kernel's acc += a * g, then stored; a
- * float store and reload is exact, so i-blocked calls in ascending
+ * TN tile: GB rows [p, p + 4), columns [j, j + kFloats<V> * kVecs) +=
+ * A^T * GC rows [i0, i1). The tile is loaded, kept in registers across
+ * the ascending-i loop with the row kernel's acc += a * g, then stored;
+ * a float store and reload is exact, so i-blocked calls in ascending
  * order give each element the row kernel's chain.
  */
-template <int kVecs>
+template <typename V, int kVecs>
 inline void
 gemmTNTile(const float *TLP_RESTRICT a, const float *TLP_RESTRICT gc,
            float *TLP_RESTRICT gb, int64_t p, int64_t j, int64_t i0,
            int64_t i1, int64_t k, int64_t n)
 {
-    Vec8 acc[kTileRows][kVecs];
+    V acc[kTileRows][kVecs];
 #pragma GCC unroll 4
     for (int64_t r = 0; r < kTileRows; ++r)
         for (int v = 0; v < kVecs; ++v)
-            acc[r][v] = load8(gb + (p + r) * n + j + v * kVecWidth);
+            acc[r][v] = load<V>(gb + (p + r) * n + j + v * kFloats<V>);
     for (int64_t i = i0; i < i1; ++i) {
-        Vec8 g[kVecs];
+        V g[kVecs];
         for (int v = 0; v < kVecs; ++v)
-            g[v] = load8(gc + i * n + j + v * kVecWidth);
+            g[v] = load<V>(gc + i * n + j + v * kFloats<V>);
 #pragma GCC unroll 4
         for (int64_t r = 0; r < kTileRows; ++r) {
             const float av = a[i * k + p + r];
@@ -345,7 +354,7 @@ gemmTNTile(const float *TLP_RESTRICT a, const float *TLP_RESTRICT gc,
 #pragma GCC unroll 4
     for (int64_t r = 0; r < kTileRows; ++r)
         for (int v = 0; v < kVecs; ++v)
-            store8(gb + (p + r) * n + j + v * kVecWidth, acc[r][v]);
+            store<V>(gb + (p + r) * n + j + v * kFloats<V>, acc[r][v]);
 }
 
 /**
@@ -383,11 +392,96 @@ inline void
 gemvTNTile(const float *TLP_RESTRICT a, const float *TLP_RESTRICT gc,
            float *TLP_RESTRICT gb, int64_t p, int64_t m, int64_t k)
 {
-    Vec8 acc = load8(gb + p);
+    Vec8 acc = load<Vec8>(gb + p);
     for (int64_t i = 0; i < m; ++i)
-        acc += load8(a + i * k + p) * gc[i];
-    store8(gb + p, acc);
+        acc += load<Vec8>(a + i * k + p) * gc[i];
+    store<Vec8>(gb + p, acc);
 }
+
+/*
+ * Wide tiles: 4 x 32, two 16-float vectors per row, on an AVX-512 CPU.
+ * They exist where the build targets FMA on x86-64 (x86-64-v3, as the
+ * main tree and perfbench build it): there the narrow tiles and row
+ * kernels contract `acc += a * b` to FMA, as the wide ones do, so
+ * either CPU computes the same bits. Only the row loops below compile
+ * for AVX-512 (flatten inlines the tiles into them); the build ISA
+ * stays x86-64-v3.
+ */
+#if defined(__x86_64__) && defined(__FMA__)
+#define TLP_WIDE_TILES 1
+
+/** Sixteen floats: an AVX-512 register; two make a wide tile row. */
+typedef float Vec16 __attribute__((vector_size(64)));
+
+/** Columns of a wide (AVX-512) tile. */
+constexpr int64_t kWideCols = 2 * kFloats<Vec16>;
+
+/** Compiles a row loop for AVX-512; call it only where wideTiles(). */
+#define TLP_AVX512 __attribute__((target("avx512f"), flatten))
+
+/**
+ * Whether this CPU runs the wide tiles, read once per process. libgcc's
+ * check also requires the OS to save the AVX-512 registers.
+ */
+bool
+wideTiles()
+{
+    static const bool supported = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("avx512f") != 0;
+    }();
+    return supported;
+}
+
+/**
+ * Forward: C rows [i0, i1) (whole tiles), columns [0, n & ~31) in
+ * 4 x 32 tiles. Returns the first column left to the narrow tiles.
+ */
+TLP_AVX512 int64_t
+gemmWideTiles(const float *TLP_RESTRICT a, const float *TLP_RESTRICT b,
+              float *TLP_RESTRICT c, int64_t i0, int64_t i1, int64_t k,
+              int64_t n)
+{
+    const int64_t end = n / kWideCols * kWideCols;
+    for (int64_t i = i0; i < i1; i += kTileRows)
+        for (int64_t j = 0; j < end; j += kWideCols)
+            gemmTile<Vec16, 2>(a, b, c, i, j, k, n);
+    return end;
+}
+
+/**
+ * dA: GA rows [i0, i1) (whole tiles), columns [0, k & ~31) in 4 x 32 NT
+ * tiles. Returns the first column left to the narrow tiles.
+ */
+TLP_AVX512 int64_t
+gemmNTWideTiles(const float *TLP_RESTRICT gc, const float *TLP_RESTRICT bt,
+                float *TLP_RESTRICT ga, int64_t i0, int64_t i1, int64_t k,
+                int64_t n)
+{
+    const int64_t end = k / kWideCols * kWideCols;
+    for (int64_t i = i0; i < i1; i += kTileRows)
+        for (int64_t p = 0; p < end; p += kWideCols)
+            gemmNTTile<Vec16, 2>(gc, bt, ga, i, p, k, n);
+    return end;
+}
+
+/**
+ * dB: GB rows [p0, p1) (whole tiles), columns [0, n & ~31) in 4 x 32
+ * TN tiles over GC rows [i0, i1). Returns the first column left to the
+ * narrow tiles.
+ */
+TLP_AVX512 int64_t
+gemmTNWideTiles(const float *TLP_RESTRICT a, const float *TLP_RESTRICT gc,
+                float *TLP_RESTRICT gb, int64_t p0, int64_t p1, int64_t i0,
+                int64_t i1, int64_t k, int64_t n)
+{
+    const int64_t end = n / kWideCols * kWideCols;
+    for (int64_t p = p0; p < p1; p += kTileRows)
+        for (int64_t j = 0; j < end; j += kWideCols)
+            gemmTNTile<Vec16, 2>(a, gc, gb, p, j, i0, i1, k, n);
+    return end;
+}
+#endif // __x86_64__ && __FMA__
 
 /**
  * End of the whole tiles of @p tile rows in [r0, r1): r1 rounded down
@@ -437,12 +531,17 @@ gemmNTRows(const float *gc, const float *b, const float *bt, float *ga,
     if (bt != nullptr) {
         edge = tiledEnd(i0, i1);
         const int64_t vec_end = k / kVecWidth * kVecWidth;
+        int64_t p0 = 0;
+#if defined(TLP_WIDE_TILES)
+        if (wideTiles())
+            p0 = gemmNTWideTiles(gc, bt, ga, i0, edge, k, n);
+#endif
         for (int64_t i = i0; i < edge; i += kTileRows) {
-            int64_t p = 0;
+            int64_t p = p0;
             for (; p + kTileCols <= vec_end; p += kTileCols)
-                gemmNTTile<2>(gc, bt, ga, i, p, k, n);
+                gemmNTTile<Vec8, 2>(gc, bt, ga, i, p, k, n);
             if (p < vec_end)
-                gemmNTTile<1>(gc, bt, ga, i, p, k, n);
+                gemmNTTile<Vec8, 1>(gc, bt, ga, i, p, k, n);
         }
         gemmNTRowKernel(gc, b, ga, i0, edge, vec_end, k, k, n);
     }
@@ -466,12 +565,17 @@ gemmTNRows(const float *a, const float *gc, float *gb, int64_t p0,
         const int64_t vec_end = n / kVecWidth * kVecWidth;
         for (int64_t i0 = 0; i0 < m; i0 += kIBlock) {
             const int64_t i1 = std::min(m, i0 + kIBlock);
+            int64_t j0 = 0;
+#if defined(TLP_WIDE_TILES)
+            if (wideTiles())
+                j0 = gemmTNWideTiles(a, gc, gb, p0, edge, i0, i1, k, n);
+#endif
             for (int64_t p = p0; p < edge; p += kTileRows) {
-                int64_t j = 0;
+                int64_t j = j0;
                 for (; j + kTileCols <= vec_end; j += kTileCols)
-                    gemmTNTile<2>(a, gc, gb, p, j, i0, i1, k, n);
+                    gemmTNTile<Vec8, 2>(a, gc, gb, p, j, i0, i1, k, n);
                 if (j < vec_end)
-                    gemmTNTile<1>(a, gc, gb, p, j, i0, i1, k, n);
+                    gemmTNTile<Vec8, 1>(a, gc, gb, p, j, i0, i1, k, n);
                 gemmTNColumnTile(a, gc, gb, p, vec_end, i0, i1, k, n);
             }
         }
@@ -518,12 +622,17 @@ gemmRows(const float *TLP_RESTRICT a, const float *TLP_RESTRICT b,
     if (n >= kVecWidth) {
         edge = tiledEnd(i0, i1);
         const int64_t vec_end = n / kVecWidth * kVecWidth;
+        int64_t j0 = 0;
+#if defined(TLP_WIDE_TILES)
+        if (wideTiles())
+            j0 = gemmWideTiles(a, b, c, i0, edge, k, n);
+#endif
         for (int64_t i = i0; i < edge; i += kTileRows) {
-            int64_t j = 0;
+            int64_t j = j0;
             for (; j + kTileCols <= vec_end; j += kTileCols)
-                gemmTile<2>(a, b, c, i, j, k, n);
+                gemmTile<Vec8, 2>(a, b, c, i, j, k, n);
             if (j < vec_end)
-                gemmTile<1>(a, b, c, i, j, k, n);
+                gemmTile<Vec8, 1>(a, b, c, i, j, k, n);
             gemmColumnTile(a, b, c, i, vec_end, k, n);
         }
     }

@@ -10,9 +10,15 @@
  * thread count (no atomics, no cross-thread reductions) and to the
  * original scalar code.
  *
- * Each GEMM form has a register-tiled path that its shape alone
- * selects (no option, flag or environment variable), and a row kernel
- * for everything else:
+ * Each GEMM form has a register-tiled path that its shape and the CPU
+ * select (no option, flag or environment variable), and a row kernel
+ * for everything else. A tile is 4 rows x two vectors of columns. On
+ * x86-64 the build stays at x86-64-v3 (AVX2 + FMA), and each *Rows
+ * kernel below also holds 4 x 32 tiles of two 16-float vectors,
+ * compiled for AVX-512 alone: when the CPU reports avx512f (checked
+ * once per process), they compute the first n & ~31 columns (k & ~31
+ * for dA), and the 4 x 16 tiles, the 4 x 8 tile and the scalar
+ * columns below take the rest; otherwise those take every column.
  *
  *  - forward (gemmRows): at least 4 rows and n >= 8. A 4-row x
  *    16-column C tile (4 x 8 for the next 8 columns when n % 16 >= 8,
@@ -44,7 +50,10 @@
  *    tiles contract to FMA throughout exactly as their row kernels do.
  *
  * So every output element sees the same float operations in the same
- * order on either path, and the tiles change wall clock only. Every
+ * order on either path, and the tiles change wall clock only. A wider
+ * vector only puts more columns side by side: each element keeps its
+ * own chain, so the 4 x 32 tiles give every bit the 4 x 16 ones do, and
+ * the CPU changes which code computes an element, never its bits. Every
  * row edge, 2..7-column forwards and dBs, and dA with k < 8 stay on
  * the row kernels, which take `__restrict`-qualified pointers (the
  * operands never alias) and unroll four-wide with a single sequential
@@ -52,13 +61,15 @@
  * tile-row boundary, so the thread count never changes which code
  * computes an element. tests/test_gemm_digest.cc
  * pins the output bits of every form over every tile and edge case,
- * and checks every backward tile against one-row calls.
+ * and checks every tile against one-row calls.
  *
  * The forward micro-kernels (gemmRows / bmm's per-batch body) are
  * exported and marked noinline: the fused inference path (nn/infer_ops,
  * models/fused_infer) calls the *same machine code* as the autograd
  * ops, which is what makes "fused forward == interpreted forward" an
- * exact bitwise statement instead of a numerical-tolerance one.
+ * exact bitwise statement instead of a numerical-tolerance one. The
+ * CPU check sits inside the *Rows kernels, never at a call site, so
+ * both paths take the same tiles on any one host.
  */
 #pragma once
 
@@ -87,9 +98,9 @@ int64_t rowGrain(int64_t work_per_row);
 
 /**
  * Serial micro-kernel: rows [i0, i1) of C[m, n] = A[m, k] * B[k, n], C
- * fully overwritten: 4-row register tiles (n >= 8) or 8-row lanes
- * (n = 1) where the shape allows, the k-blocked row kernel for the
- * rest. Per output element the k
+ * fully overwritten: 4-row register tiles (n >= 8; 32 columns wide on
+ * an AVX-512 CPU) or 8-row lanes (n = 1) where the shape allows, the
+ * k-blocked row kernel for the rest. Per output element the k
  * accumulation order is globally increasing — identical to naive i-k-j.
  * Exported (and never inlined) so the fused inference path reuses this
  * exact code; all three operands must be disjoint.

@@ -42,6 +42,18 @@ keepRounded(T &prod)
 #endif
 }
 
+#if defined(__x86_64__) && defined(__FMA__)
+/**
+ * keepRounded for a sixteen-float vector, which only an AVX-512
+ * register holds: for code that runs on an AVX-512 CPU only.
+ */
+__attribute__((target("avx512f"))) inline void
+keepRounded(float __attribute__((vector_size(64))) & prod)
+{
+    asm("" : "+v"(prod));
+}
+#endif
+
 /**
  * acc + a * b, rounded once where the target fuses multiply-adds (as
  * the compiler contracts `acc += a * b` there) and twice elsewhere.

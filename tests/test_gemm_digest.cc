@@ -5,16 +5,21 @@
  * Each case runs one of the six kernel forms over every combination of
  * m in {1, 3, 4, 5, 400, 403}, k in {1, 8, 22, 25, 64, 70} and
  * n in {1, 8, 16, 25, 64, 80}: single rows and columns, sizes below,
- * at and one past the register tile (4 rows x 16 columns), the
- * attention and embedding widths, and the training shapes with ragged
- * edges. Operands are random floats; the NT and TN forms accumulate
- * into random, non-zero outputs. An FNV-1a digest over every output's
- * float bits must equal the pinned value at 1, 2 and 4 threads, so any
- * change to a kernel's per-element float operations, or to which code
- * computes an element under some partition, moves a digest.
+ * at and one past the 4-row x 16-column register tile, the attention
+ * and embedding widths, and the training shapes with ragged edges.
+ * The 64- to 80-wide outputs also take the 4 x 32 tiles on an AVX-512
+ * CPU (n = 80 hands its last 16 columns on to a 4 x 16 tile), and their
+ * digests are the same there: the CPU picks which tile computes an
+ * element, never its bits. Operands are random floats; the NT and TN
+ * forms accumulate into random, non-zero outputs. An FNV-1a digest over
+ * every output's float bits must equal the pinned value at 1, 2 and 4
+ * threads, so any change to a kernel's per-element float operations, or
+ * to which code computes an element under some partition, moves a
+ * digest.
  *
- * GemmTiles checks the backward tiles against the row kernels with no
- * golden value, so it runs in every build, the sanitizer builds too.
+ * GemmTiles checks the forward and backward tiles against the row
+ * kernels with no golden value, so it runs in every build, the
+ * sanitizer builds too.
  */
 #include <gtest/gtest.h>
 
@@ -178,19 +183,80 @@ sameBits(const std::vector<float> &got, const std::vector<float> &want)
                        got.size() * sizeof(float)) == 0;
 }
 
+/** Rows, inner sizes and (below) columns the tile tests run: 1..30. */
+constexpr int64_t kMax = 30;
+
+/**
+ * Output column counts the tile tests run: 1..30, which covers every
+ * column edge of the 8- and 16-column tiles, then one below, at and one
+ * past one and two 32-column tiles (AVX-512 CPUs), so each hand-off to
+ * the 16-, 8- and scalar-column tiles is checked.
+ */
+std::vector<int64_t>
+tileColumns()
+{
+    std::vector<int64_t> columns;
+    for (int64_t n = 1; n <= kMax; ++n)
+        columns.push_back(n);
+    for (int64_t n : {31, 32, 33, 47, 48, 49, 63, 64, 65})
+        columns.push_back(n);
+    return columns;
+}
+
+/** Batches the batched forms run; 65 is tileColumns()'s largest. */
+constexpr int64_t kBatches = 2;
+constexpr int64_t kOperand = kBatches * 65 * 65;
+
+/**
+ * Every C row that a whole-matrix gemm or bmm computes, in tiles
+ * wherever the shape allows, must have the bits of the same row
+ * computed one row per call, which always takes the row kernel. m and k
+ * run 1..30 and n over tileColumns(): every row edge of the 4-row tiles
+ * and the 8-row n = 1 lanes, every column edge of the tiles, and the
+ * attention shapes (k, n) = (8, 25) and (25, 8).
+ */
+TEST(GemmTiles, ForwardTilesMatchOneRowCalls)
+{
+    Rng rng(0xf04d);
+    const std::vector<float> pool = randomFloats(3 * kOperand, rng);
+    const float *x = pool.data();
+    const float *y = x + kOperand;
+    const float *start = y + kOperand;
+    for (int64_t m = 1; m <= kMax; ++m) {
+        for (int64_t k = 1; k <= kMax; ++k) {
+            for (int64_t n : tileColumns()) {
+                // C[m, n] = A[m, k] * B[k, n], x = A, y = B.
+                const int64_t c = m * n;
+                std::vector<float> rows(start, start + kBatches * c);
+                for (int64_t s = 0; s < kBatches; ++s)
+                    for (int64_t i = 0; i < m; ++i)
+                        nn::kern::gemm(x + s * m * k + i * k, y + s * k * n,
+                                       rows.data() + s * c + i * n, 1, k, n);
+                std::vector<float> whole(start, start + c);
+                nn::kern::gemm(x, y, whole.data(), m, k, n);
+                ASSERT_TRUE(sameBits(whole, {rows.begin(),
+                                             rows.begin() + c}))
+                    << "gemm m=" << m << " k=" << k << " n=" << n;
+                whole.assign(start, start + kBatches * c);
+                nn::kern::bmm(x, y, whole.data(), kBatches, m, k, n);
+                ASSERT_TRUE(sameBits(whole, rows))
+                    << "bmm m=" << m << " k=" << k << " n=" << n;
+            }
+        }
+    }
+}
+
 /**
  * Every GA row (NT) and GB row (TN) that a whole-matrix call computes,
  * in tiles wherever the shape allows, must have the bits of the same
  * row computed one row per call, which always takes the row kernel.
- * m, k and n each run 1..30: every row edge of the 4-row tiles and the
- * 8-row n = 1 lanes, every column edge of the 8- and 16-column tiles,
- * and the attention shapes (k, n) = (8, 25) and (25, 8). The batched
- * forms run two batches.
+ * m runs 1..30, and k and n, the output columns of NT and TN, run over
+ * tileColumns(): every row edge of the 4-row tiles and the 8-row n = 1
+ * lanes, every column edge of the tiles, and the attention shapes
+ * (k, n) = (8, 25) and (25, 8). The batched forms run two batches.
  */
 TEST(GemmTiles, BackwardTilesMatchOneRowCalls)
 {
-    constexpr int64_t kMax = 30, kBatches = 2;
-    constexpr int64_t kOperand = kBatches * kMax * kMax;
     Rng rng(0x711e);
     const std::vector<float> pool = randomFloats(3 * kOperand, rng);
     const float *x = pool.data();
@@ -198,8 +264,8 @@ TEST(GemmTiles, BackwardTilesMatchOneRowCalls)
     const float *start = y + kOperand;
     std::vector<float> column(kMax);
     for (int64_t m = 1; m <= kMax; ++m) {
-        for (int64_t k = 1; k <= kMax; ++k) {
-            for (int64_t n = 1; n <= kMax; ++n) {
+        for (int64_t k : tileColumns()) {
+            for (int64_t n : tileColumns()) {
                 // NT: GA[m, k] += GC[m, n] * B[k, n]^T, x = GC, y = B.
                 const int64_t ga = m * k;
                 std::vector<float> rows(start, start + kBatches * ga);

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "golden.h"
 #include "hwmodel/measurer.h"
 #include "hwmodel/simulator.h"
 #include "ir/model_zoo.h"
@@ -179,23 +180,61 @@ TEST(Simulator, T4FasterThanK80OnBigKernels)
     EXPECT_LT(t4.latencyMs(nest), k80.latencyMs(nest));
 }
 
-TEST(Simulator, WholeZooSimulates)
+/**
+ * One random CPU nest and one random GPU nest per subgraph of
+ * resnet-18 and bert-tiny, in a fixed order.
+ */
+std::vector<sched::LoweredNest>
+zooNests()
 {
     Rng rng(23);
+    std::vector<sched::LoweredNest> nests;
     for (const auto &name : {"resnet-18", "bert-tiny"}) {
         const auto w = ir::partitionGraph(ir::buildNetwork(name));
         for (const auto &sg : w.subgraphs) {
             for (bool gpu : {false, true}) {
                 sketch::SchedulePolicy policy(sg, gpu);
-                const auto state = policy.sampleRandom(rng);
-                LatencySimulator sim(HardwarePlatform::preset(
-                    gpu ? "tesla-t4" : "e5-2673"));
-                const double lat = sim.latencyMs(sched::lower(state));
-                EXPECT_GT(lat, 0.0) << name << " " << sg->key();
-                EXPECT_TRUE(std::isfinite(lat)) << sg->key();
+                nests.push_back(sched::lower(policy.sampleRandom(rng)));
             }
         }
     }
+    return nests;
+}
+
+TEST(Simulator, WholeZooSimulates)
+{
+    const auto nests = zooNests();
+    for (size_t i = 0; i < nests.size(); ++i) {
+        LatencySimulator sim(HardwarePlatform::preset(
+            nests[i].is_gpu ? "tesla-t4" : "e5-2673"));
+        const double lat = sim.latencyMs(nests[i]);
+        EXPECT_GT(lat, 0.0) << "nest " << i;
+        EXPECT_TRUE(std::isfinite(lat)) << "nest " << i;
+    }
+}
+
+/**
+ * The bits of every latency the zoo nests get on every preset of their
+ * kind (CPU or GPU): a change to the model's float operations, or to
+ * the fixed residual net's weights, moves the digest.
+ */
+TEST(Simulator, LatencyBitsGolden)
+{
+    if (!test::kGoldenBits)
+        GTEST_SKIP() << "latency bits are pinned for the uninstrumented "
+                        "x86-64-v3 build";
+    const auto nests = zooNests();
+    uint64_t digest = 1469598103934665603ull;
+    for (const auto &name : HardwarePlatform::presetNames()) {
+        const LatencySimulator sim(HardwarePlatform::preset(name));
+        for (const auto &nest : nests) {
+            if (nest.is_gpu != sim.platform().is_gpu)
+                continue;
+            const double lat = sim.latencyMs(nest);
+            digest = fnv1a(&lat, sizeof(lat), digest);
+        }
+    }
+    EXPECT_EQ(digest, 0x54d49ec022e0fff1ull) << "0x" << std::hex << digest;
 }
 
 std::vector<sched::LoweredNest>
