@@ -238,8 +238,14 @@ Measurer::deserializeState(BinaryReader &reader)
     const auto num_quarantined = reader.readPod<uint64_t>();
     for (uint64_t i = 0; i < num_quarantined; ++i) {
         const auto key = reader.readPod<uint64_t>();
-        quarantined_[key] =
-            static_cast<MeasureStatus>(reader.readPod<uint8_t>());
+        const auto raw_status = reader.readPod<uint8_t>();
+        // Only failures are quarantined; anything else is damage.
+        if (raw_status == 0 || raw_status >= kNumMeasureStatuses) {
+            throw SerializeError(ErrorCode::Corrupt,
+                                 "invalid quarantined status " +
+                                     std::to_string(raw_status));
+        }
+        quarantined_[key] = static_cast<MeasureStatus>(raw_status);
     }
 }
 

@@ -63,30 +63,12 @@ TlpCostModel::TlpCostModel(std::shared_ptr<TlpNet> net,
     TLP_CHECK(net_ != nullptr, "null TLP net");
     feature_options_.seq_len = net_->config().seq_len;
     feature_options_.emb_size = net_->config().emb_size;
-    params_ = net_->parameters();
-    if (infer_options_.fused && !net_->config().lstm_backbone) {
+    // The fused slab is the weight copy both accelerators check against
+    // (refresh()); legacy() builds nothing and reads the live net.
+    if (infer_options_.fused || infer_options_.cache_capacity > 0)
         fused_ = std::make_unique<FusedTlpInference>(net_);
-        packed_epoch_ = paramsFingerprint();
-    }
     if (infer_options_.cache_capacity > 0)
         cache_ = std::make_unique<FeatureCache>(infer_options_.cache_capacity);
-}
-
-uint64_t
-TlpCostModel::paramsFingerprint() const
-{
-    // Content hash over every parameter tensor. ~0.2 ms for the default
-    // net — amortized to sub-microsecond per candidate — and robust
-    // against every way the weights can change under us: continued
-    // training, loadParameters() on snapshot install, hot-swap.
-    uint64_t hash = 0x7e9f00d5ull;
-    for (const nn::Tensor &param : params_) {
-        const auto &value = param.value();
-        hash = hashCombine(hash, value.size());
-        hash = hashCombine(
-            hash, fnv1a(value.data(), value.size() * sizeof(float)));
-    }
-    return hash;
 }
 
 FeatureCache::Stats
@@ -106,14 +88,11 @@ TlpCostModel::scoreStates(int task_id,
                        static_cast<size_t>(feature_options_.emb_size);
     std::vector<double> scores(states.size());
 
-    // Stale-weight guard: score memos are keyed by this fingerprint and
-    // the packed fused weights are refreshed when it moves.
-    const uint64_t epoch =
-        (cache_ || fused_) ? paramsFingerprint() : 0;
-    if (fused_ && epoch != packed_epoch_) {
-        fused_->repack();
-        packed_epoch_ = epoch;
-    }
+    // Stale-weight guard: any byte the weights moved re-copies the slab
+    // and starts a generation no older score memo matches.
+    if (fused_ && fused_->refresh())
+        ++generation_;
+    const uint64_t epoch = generation_;
 
     // Pass 1: hash every candidate's sequence (parallel), then classify
     // against the cache (serial). A valid score memo resolves at once;
@@ -168,7 +147,7 @@ TlpCostModel::scoreStates(int task_id,
     // Forward the pending subset. Rows are independent through the
     // whole net, so scoring the subset equals scoring it inside the
     // full population — which is why cache hits cannot change bits.
-    if (fused_) {
+    if (infer_options_.fused && fused_->usable()) {
         forward_scores_.resize(static_cast<size_t>(pending));
         fused_->predict(batch_.data(), pending, head_task_,
                         forward_scores_.data());

@@ -126,20 +126,15 @@ class TlpCostModel : public CostModel
     int64_t cacheSize() const { return cache_ ? cache_->size() : 0; }
 
   private:
-    /** Content fingerprint of every net parameter: stale-score guard. */
-    uint64_t paramsFingerprint() const;
-
     std::shared_ptr<TlpNet> net_;
     feat::TlpFeatureOptions feature_options_;
     int head_task_;
     TlpInferOptions infer_options_;
-    /** The net's parameter handles, gathered once: Tensors share their
-     *  node, so value() always reads the live weights, and the per-call
-     *  fingerprint walk stays allocation-free. */
-    std::vector<nn::Tensor> params_;
+    /** Packed weights, built when either accelerator is on: the fused
+     *  forward reads them, and refresh() detects moved weights. */
     std::unique_ptr<FusedTlpInference> fused_;
     std::unique_ptr<FeatureCache> cache_;
-    uint64_t packed_epoch_ = 0;   ///< fingerprint fused_ was packed at
+    uint64_t generation_ = 0;  ///< memo epoch; bumps when weights move
     // Reused per-call scratch (capacity is retained across calls, so
     // the steady state never reallocates).
     std::vector<SeqKey> keys_;

@@ -16,8 +16,9 @@
  * scores are pure per-row functions of (features, params, task), so
  * cached and uncached runs predict bit-identically; eviction is
  * deterministic FIFO in insertion order. Each memo carries its task and
- * the owning parameter fingerprint ("epoch"): retraining or hot-swapping
- * the net invalidates it.
+ * the owner's weight generation ("epoch"), which TlpCostModel bumps
+ * whenever an exact compare finds the weights moved: retraining or
+ * loading new weights in place invalidates every older memo.
  *
  * Storage is fully preallocated at construction (entry array,
  * open-addressed index with tombstone-triggered in-place rebuild), so
@@ -69,8 +70,6 @@ class FeatureCache
     /** At most @p capacity entries. */
     explicit FeatureCache(int64_t capacity);
 
-    int64_t capacity() const { return capacity_; }
-
     /** Live entries (monotone up to capacity; eviction reuses slots). */
     int64_t size() const { return size_; }
 
@@ -100,7 +99,7 @@ class FeatureCache
     {
         SeqKey key;
         int score_task = -1;        ///< -1 = no score memo
-        uint64_t score_epoch = 0;   ///< params fingerprint of the memo
+        uint64_t score_epoch = 0;   ///< weight generation of the memo
         double score = 0.0;
     };
 

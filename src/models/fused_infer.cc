@@ -13,23 +13,24 @@ namespace nk = nn::kern;
 namespace io = nn::iops;
 
 FusedTlpInference::FusedTlpInference(std::shared_ptr<TlpNet> net)
-    : net_(std::move(net))
 {
-    TLP_CHECK(net_ != nullptr, "null TLP net");
-    config_ = net_->config();
-    if (!usable())
-        return;
+    TLP_CHECK(net != nullptr, "null TLP net");
+    config_ = net->config();
 
-    // Lay out the slab and wire the per-layer pointers once; repack()
-    // only re-copies values (sizes are fixed by the architecture).
-    params_ = net_->parameters();
+    // Every backbone gets the slab (a cost model's staleness check);
+    // sizes are fixed by the architecture, so refresh() copies values.
+    params_ = net->parameters();
     int64_t total = 0;
     for (nn::Tensor &param : params_)
         total += param.numel();
     // predict() never allocates from the heap.
     // tlp-lint: allow(hot-alloc) -- one-time weight-slab sizing.
     packed_.resize(static_cast<size_t>(total));
+    refresh();
+    if (!usable())
+        return;
 
+    // Wire the per-layer pointers into the slab once.
     size_t cursor = 0;
     auto take = [&](int64_t numel) {
         const float *ptr = packed_.data() + cursor;
@@ -77,25 +78,28 @@ FusedTlpInference::FusedTlpInference(std::shared_ptr<TlpNet> net)
         heads_.push_back(head);
     }
     TLP_CHECK(cursor == packed_.size(), "packed-parameter underrun");
-    repack();
 }
 
-void
-FusedTlpInference::repack()
+bool
+FusedTlpInference::refresh()
 {
-    if (!usable())
-        return;
+    bool moved = false;
     size_t cursor = 0;
     for (const nn::Tensor &param : params_) {
         const auto &value = param.value();
         TLP_CHECK(cursor + value.size() <= packed_.size(),
                   "net architecture changed under the packed weights");
-        std::memcpy(packed_.data() + cursor, value.data(),
-                    value.size() * sizeof(float));
+        float *slice = packed_.data() + cursor;
+        const size_t bytes = value.size() * sizeof(float);
+        if (std::memcmp(slice, value.data(), bytes) != 0) {
+            std::memcpy(slice, value.data(), bytes);
+            moved = true;
+        }
         cursor += value.size();
     }
     TLP_CHECK(cursor == packed_.size(),
               "net architecture changed under the packed weights");
+    return moved;
 }
 
 void

@@ -10,6 +10,9 @@
  * over arena-allocated scratch in fixed candidate blocks, with fused
  * linear+bias(+relu) epilogues and no graph bookkeeping.
  *
+ * The slab is the one copy of the weights a TlpCostModel scores with;
+ * refresh() re-copies exactly the parameters whose bytes moved.
+ *
  * Equivalence contract: predictions are bit-identical to
  * TlpNet::forwardTask. Every contractible loop (gemm, layer norm) runs
  * through the same noinline kernels the interpreted ops call
@@ -27,7 +30,7 @@
  *
  * The LSTM backbone stays on the interpreted path (usable() == false):
  * its sequential recurrence gains little from fusion and is not on the
- * tuning hot path.
+ * tuning hot path; refresh() still covers its weights.
  */
 #pragma once
 
@@ -44,18 +47,19 @@ namespace tlp::model {
 class FusedTlpInference
 {
   public:
-    /** Packs @p net's current parameters (attention backbones only). */
+    /** Packs @p net's current parameters; keeps only their handles. */
     explicit FusedTlpInference(std::shared_ptr<TlpNet> net);
 
     /** False for LSTM backbones: callers must use the interpreted path. */
     bool usable() const { return !config_.lstm_backbone; }
 
     /**
-     * Re-copy the packed parameters from the net. Cheap (one memcpy per
-     * parameter); call whenever the net's parameter fingerprint changes
-     * (continued training, snapshot hot-swap).
+     * Compare every live parameter against its slice of the slab
+     * (memcmp) and re-copy the ones that moved. Allocation-free; call
+     * before every scoring pass.
+     * @return true when any parameter moved.
      */
-    void repack();
+    bool refresh();
 
     /**
      * Score @p rows feature rows (each config.seq_len * config.emb_size
@@ -86,10 +90,9 @@ class FusedTlpInference
     void forwardBlock(Arena &arena, const float *x, int64_t n, int task,
                       double *out);
 
-    std::shared_ptr<TlpNet> net_;
     TlpNetConfig config_;
     /** Parameter handles in snapshot order, gathered once: Tensors
-     *  share their node, so repack() reads the live weights without
+     *  share their node, so refresh() reads the live weights without
      *  rebuilding the module walk (which allocates). */
     std::vector<nn::Tensor> params_;
     std::vector<float> packed_;  ///< every parameter, contiguous

@@ -112,8 +112,12 @@ Primitive::deserialize(BinaryReader &reader)
         const auto tag = reader.readPod<uint8_t>();
         if (tag == 0) {
             prim.params.emplace_back(reader.readPod<int64_t>());
-        } else {
+        } else if (tag == 1) {
             prim.params.emplace_back(reader.readString());
+        } else {
+            throw SerializeError(ErrorCode::Corrupt,
+                                 "invalid primitive param tag " +
+                                     std::to_string(tag));
         }
     }
     return prim;

@@ -266,8 +266,11 @@ TuningService::recover(const std::vector<SessionSpec> &fleet)
         }
 
         const AdmitOutcome admitted = submit(spec);
-        if (resume && admitted == AdmitOutcome::Active) {
+        if (resume && admitted != AdmitOutcome::Shed) {
             Slot &slot = findSlot(spec.name);
+            // Queued ones too, or promotion restarts them at round 0.
+            if (!slot.session)
+                instantiate(slot);
             const Status status = slot.session->resumeFromCheckpoint();
             if (status.ok()) {
                 outcome = RecoveryOutcome::Recovered;
@@ -325,7 +328,9 @@ TuningService::promoteQueued()
     for (auto &slot : slots_) {
         if (slot->status == SessionStatus::Queued) {
             slot->status = SessionStatus::Active;
-            instantiate(*slot);
+            // recover() already built a session it resumed.
+            if (!slot->session)
+                instantiate(*slot);
             if (options_.verbose)
                 inform("promoted '", slot->spec.name, "' from the queue");
             return;

@@ -514,9 +514,11 @@ TEST(Corruption, CheckpointVersionSkewIsClean)
 /** Hand-built checkpoint bytes of the wall-clock-carrying layouts: v3
  *  (narrow curve points, no phase byte) or v4 (wide curve points and a
  *  phase byte). A valid-but-different artifact for skew and crash-drill
- *  tests. */
+ *  tests. @p measurer_state replaces a fresh measurer's state bytes
+ *  when non-empty. */
 std::string
-legacyCheckpointBytes(uint32_t version)
+legacyCheckpointBytes(uint32_t version,
+                      const std::string &measurer_state = "")
 {
     struct NarrowCurvePoint
     {
@@ -532,9 +534,14 @@ legacyCheckpointBytes(uint32_t version)
         w.writePod<int32_t>(2);             // rounds_done
         Rng rng(7);
         rng.serialize(w);
-        hw::Measurer measurer(hw::HardwarePlatform::preset("i7-10510u"),
-                              hw::MeasureOptions{}, 7);
-        measurer.serializeState(w);
+        if (measurer_state.empty()) {
+            hw::Measurer measurer(
+                hw::HardwarePlatform::preset("i7-10510u"),
+                hw::MeasureOptions{}, 7);
+            measurer.serializeState(w);
+        } else {
+            w.writeBytes(measurer_state);
+        }
         w.writePod<double>(0.25);           // model_seconds
         w.writePod<int64_t>(8);             // total_measurements
         if (version >= 4) {
@@ -577,6 +584,47 @@ TEST(Corruption, CheckpointV4StillLoads)
     std::istringstream is(legacyCheckpointBytes(4));
     const Status status = tune::verifyCheckpoint(is);
     EXPECT_TRUE(status.ok()) << status.toString();
+}
+
+/** A fresh measurer's state bytes with one quarantined candidate of
+ *  status byte @p status: the quarantine map is the last field, so its
+ *  zero count is rewritten and the entry appended. */
+std::string
+measurerStateQuarantining(uint8_t status)
+{
+    std::ostringstream head;
+    BinaryWriter head_writer(head);
+    hw::Measurer(hw::HardwarePlatform::preset("i7-10510u"),
+                 hw::MeasureOptions{}, 7)
+        .serializeState(head_writer);
+    std::string bytes = head.str();
+    bytes.resize(bytes.size() - sizeof(uint64_t));
+    std::ostringstream tail;
+    BinaryWriter tail_writer(tail);
+    tail_writer.writePod<uint64_t>(1);        // quarantined entries
+    tail_writer.writePod<uint64_t>(0xbadc0de); // candidate key
+    tail_writer.writePod<uint8_t>(status);
+    return bytes + tail.str();
+}
+
+TEST(Corruption, QuarantinedStatusMustBeAFailure)
+{
+    // The writer quarantines failures only. An Ok or out-of-range status
+    // byte would index the status counters out of bounds when that
+    // candidate is measured again, so verification calls it Corrupt.
+    const auto failure =
+        static_cast<uint8_t>(hw::MeasureStatus::Timeout);
+    std::istringstream good(
+        legacyCheckpointBytes(4, measurerStateQuarantining(failure)));
+    const Status accepted = tune::verifyCheckpoint(good);
+    EXPECT_TRUE(accepted.ok()) << accepted.toString();
+    for (const int status : {0, hw::kNumMeasureStatuses, 255}) {
+        std::istringstream is(legacyCheckpointBytes(
+            4, measurerStateQuarantining(static_cast<uint8_t>(status))));
+        const Status verdict = tune::verifyCheckpoint(is);
+        ASSERT_FALSE(verdict.ok()) << status;
+        EXPECT_EQ(verdict.code(), ErrorCode::Corrupt) << verdict.toString();
+    }
 }
 
 TEST(Corruption, BenchMemoVersionSkewIsClean)

@@ -447,6 +447,45 @@ TEST(FusedInfer, LstmBackboneFallsBackToInterpreted)
               scoresWith(net, model::TlpInferOptions{true, 64}, states));
 }
 
+TEST(FusedInfer, RefreshReportsExactlyWhenWeightsMove)
+{
+    // Every backbone keeps the slab, so the LSTM one detects moves too.
+    for (const bool lstm : {false, true}) {
+        model::TlpNetConfig config;
+        config.hidden = 32;
+        config.heads = 4;
+        config.lstm_backbone = lstm;
+        auto net = makeNet(config);
+        model::FusedTlpInference fused(net);
+        EXPECT_FALSE(fused.refresh()) << lstm;
+        float &weight = net->parameters().front().value()[0];
+        weight += 0.25f;
+        EXPECT_TRUE(fused.refresh()) << lstm;
+        EXPECT_FALSE(fused.refresh()) << lstm;
+        // Moving back is a move too; an unmoved net never is.
+        weight -= 0.25f;
+        EXPECT_TRUE(fused.refresh()) << lstm;
+        EXPECT_FALSE(fused.refresh()) << lstm;
+    }
+}
+
+TEST(FeatureCache, LstmMemosInvalidateWhenParametersChange)
+{
+    model::TlpNetConfig config;
+    config.hidden = 32;
+    config.heads = 4;
+    config.lstm_backbone = true;
+    auto net = makeNet(config);
+    model::TlpCostModel cached(net, {}, 0, model::TlpInferOptions{true, 64});
+    const auto states = samplePopulation(6, 52);
+    const auto before = cached.scoreStates(0, states);
+    net->parameters().back().value()[0] += 0.25f;
+    const auto after = cached.scoreStates(0, states);
+    EXPECT_EQ(after,
+              scoresWith(net, model::TlpInferOptions::legacy(), states));
+    EXPECT_NE(after, before);
+}
+
 TEST(FeatureCache, InterleavedGenerationsMatchUncached)
 {
     model::TlpNetConfig config;

@@ -821,7 +821,7 @@ TEST(LintFixtures, DirtyTreeFlagsEveryRuleExactlyWhereExpected)
         "pragma-once",
         "float-eq",      "member-underscore", "unused-suppression",
         "bad-suppression", "unchecked-result", "hot-call-alloc",
-        "suppression-budget",
+        "unknown-hot-entry", "suppression-budget",
     };
     EXPECT_EQ(ruleSet(report.value().findings), expected);
 
@@ -843,6 +843,13 @@ TEST(LintFixtures, DirtyTreeFlagsEveryRuleExactlyWhereExpected)
     // hot entry lives in hot_entry.cc).
     EXPECT_TRUE(has("unchecked_result.cc", "unchecked-result"));
     EXPECT_TRUE(has("hot_call_alloc.cc", "hot-call-alloc"));
+
+    // Only the undefined root is unknown; hotScore is defined.
+    const auto unknown = std::count_if(
+        report.value().findings.begin(), report.value().findings.end(),
+        [](const Finding &f) { return f.rule == "unknown-hot-entry"; });
+    EXPECT_EQ(unknown, 1);
+    EXPECT_TRUE(has("<manifest>", "unknown-hot-entry"));
 }
 
 TEST(LintFixtures, EveryRuleIdIsExercisedByAGoldenFixture)

@@ -51,6 +51,30 @@ TEST(Primitive, ToStringAndSerialize)
     EXPECT_EQ(Primitive::deserialize(reader), prim);
 }
 
+TEST(Primitive, ParamTagOutsideNumberOrNameIsCorrupt)
+{
+    // One SP param: tag 0 (number) parses, any other tag but 1 (name)
+    // is damage, never a name read.
+    for (const uint8_t tag : {uint8_t{0}, uint8_t{2}, uint8_t{255}}) {
+        std::stringstream ss;
+        BinaryWriter writer(ss);
+        writer.writePod<uint8_t>(static_cast<uint8_t>(PrimKind::SP));
+        writer.writePod<uint32_t>(1);
+        writer.writePod<uint8_t>(tag);
+        writer.writePod<int64_t>(4);
+        const Status status = guardedParse([&] {
+            BinaryReader reader(ss);
+            Primitive::deserialize(reader);
+        });
+        if (tag == 0) {
+            EXPECT_TRUE(status.ok()) << status.toString();
+        } else {
+            EXPECT_EQ(status.code(), ErrorCode::Corrupt)
+                << int{tag} << ": " << status.toString();
+        }
+    }
+}
+
 TEST(Primitive, SeqHashDiffers)
 {
     PrimitiveSeq a, b;

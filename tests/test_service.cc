@@ -217,6 +217,35 @@ TEST(Service, QueuedSessionMatchesUnqueuedTrajectory)
     }
 }
 
+TEST(Service, QueuedSessionResumesItsCheckpoint)
+{
+    // A session the queue holds at recovery must resume from its intact
+    // checkpoint, not restart from round 0 at promotion over it.
+    const auto fleet = quickFleet(2);
+    const std::string golden_dir = test::scratchDir("queued_resume_golden");
+    std::vector<tune::TuneResult> golden;
+    runGolden(golden_dir, fleet, golden);
+
+    const std::string dir = test::scratchDir("queued_resume");
+    ServiceOptions options = quickService(dir, 2);
+    options.max_active = 1;
+    // s000 runs its 4 rounds; the kill lands after 2 rounds of s001.
+    const bench::FleetRun killed = bench::runFleet(options, fleet, 6);
+    ASSERT_EQ(killed.stats.rounds_run, 6);
+    ASSERT_EQ(killed.status[1], SessionStatus::Active);
+
+    const bench::FleetRun resumed = bench::runFleet(options, fleet);
+    EXPECT_EQ(resumed.recovery.outcomes.at("s001"),
+              RecoveryOutcome::Recovered);
+    EXPECT_EQ(resumed.recovery.recovered, 2);
+    EXPECT_EQ(resumed.recovery.rounds_salvaged, 6);
+    // Only s001's two remaining rounds run again.
+    EXPECT_EQ(resumed.stats.rounds_run, 2);
+    for (const SessionStatus status : resumed.status)
+        EXPECT_EQ(status, SessionStatus::Finished);
+    EXPECT_TRUE(curvesMatch(golden_dir, dir, fleet));
+}
+
 TEST(Service, TransientFaultsBackOffWithoutPerturbingCurves)
 {
     const auto fleet = quickFleet(4);

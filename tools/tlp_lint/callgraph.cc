@@ -23,6 +23,11 @@
  * Findings land on the offending line in the *callee's* file, carrying
  * the call path from the root, so the regular audited-suppression
  * mechanism applies at the allocation site.
+ *
+ * unknown-hot-entry — a `hot-entry` root that names no indexed
+ * definition would silently drop its no-allocation contract (a renamed
+ * root reaches nothing). Only whole-tree runs check it: an in-memory
+ * tree may leave a root undefined on purpose.
  */
 #include "tools/tlp_lint/lint.h"
 
@@ -57,6 +62,34 @@ isHotEntry(const FunctionInfo &fn, const Manifest &manifest)
 }
 
 } // namespace
+
+std::vector<Finding>
+unknownHotEntries(const SymbolIndex &index, const Manifest &manifest)
+{
+    std::set<std::string> matched;
+    for (const FunctionInfo &fn : index.functions) {
+        if (!fn.defined)
+            continue;
+        if (manifest.hot_entries.count(fn.name))
+            matched.insert(fn.name);
+        if (manifest.hot_entries.count(fn.qualified))
+            matched.insert(fn.qualified);
+    }
+    std::vector<Finding> findings;
+    for (const std::string &root : manifest.hot_entries) {
+        if (matched.count(root))
+            continue;
+        Finding f;
+        f.file = "<manifest>";
+        f.rule = "unknown-hot-entry";
+        f.message = "hot-entry " + root +
+                    " matches no function defined in the indexed tree; "
+                    "its no-allocation contract reaches nothing (renamed, "
+                    "removed, or outside every must-check scope)";
+        findings.push_back(std::move(f));
+    }
+    return findings;
+}
 
 std::vector<Finding>
 analyzeIndex(const SymbolIndex &index, const Manifest &manifest)

@@ -81,6 +81,9 @@
  *                      value) is a finding even when its body lives in a
  *                      non-hot TU; functions defined inside `hot-tu` TUs
  *                      are covered by the per-TU hot-alloc rule instead
+ *   unknown-hot-entry  a `hot-entry` root matches no function defined in
+ *                      the indexed tree (whole-tree runs only), so its
+ *                      no-allocation contract would reach nothing
  *   suppression-budget the tree carries more `tlp-lint: allow(...)`
  *                      audits than the manifest's `suppression-budget N`
  *                      (or --max-suppressions) allows — suppressions may
@@ -278,6 +281,13 @@ void finalizeIndex(SymbolIndex &index);
 std::vector<Finding> analyzeIndex(const SymbolIndex &index,
                                   const Manifest &manifest);
 
+/**
+ * unknown-hot-entry: one finding (file "<manifest>") per `hot-entry`
+ * root that matches no defined function of the finalized index.
+ */
+std::vector<Finding> unknownHotEntries(const SymbolIndex &index,
+                                       const Manifest &manifest);
+
 /** An in-memory source file for lintSources. */
 struct SourceFile
 {
@@ -298,20 +308,23 @@ struct LintReport
  * Lint a whole in-memory tree: per-file rules, the cross-TU index and
  * flow rules, suppression resolution, and the suppression-budget check.
  * Files matching a manifest `exclude` prefix must already be filtered
- * out by the caller.
+ * out by the caller. @p whole_tree says @p files are the whole tree the
+ * manifest describes, which adds the unknown-hot-entry check.
  */
 Result<LintReport> lintSources(const std::vector<SourceFile> &files,
-                               const Manifest &manifest);
+                               const Manifest &manifest,
+                               bool whole_tree = false);
 
 /** Every rule id the engine can emit (for fixture-coverage meta-tests). */
 std::vector<std::string> allRuleIds();
 
 /**
  * Lint every *.h / *.cc / *.cpp under @p root joined with each of
- * @p dirs (a dir entry may also name a single file). Files matching a
- * manifest `exclude` prefix are skipped. Deterministic: files are
- * visited in sorted root-relative order. Fails with IoError if a
- * requested dir does not exist.
+ * @p dirs (a dir entry may also name a single file) as a whole tree
+ * (lintSources with whole_tree). Files matching a manifest `exclude`
+ * prefix are skipped. Deterministic: files are visited in sorted
+ * root-relative order. Fails with IoError if a requested dir does not
+ * exist.
  */
 Result<LintReport> lintTree(const std::string &root,
                             const std::vector<std::string> &dirs,

@@ -772,14 +772,16 @@ allRuleIds()
         "wallclock",      "layering",          "include-forbidden",
         "include-required", "loader-fatal",    "unbounded-alloc",
         "hot-alloc",      "raw-io",            "tmp-path",
-        "unchecked-result", "hot-call-alloc",  "suppression-budget",
+        "unchecked-result", "hot-call-alloc",  "unknown-hot-entry",
+        "suppression-budget",
         "pragma-once",    "float-eq",          "member-underscore",
         "bad-suppression", "unused-suppression",
     };
 }
 
 Result<LintReport>
-lintSources(const std::vector<SourceFile> &files, const Manifest &manifest)
+lintSources(const std::vector<SourceFile> &files, const Manifest &manifest,
+            bool whole_tree)
 {
     // Pass 1: per-file rules + the symbol index over in-scope files.
     std::vector<StrippedSource> stripped(files.size());
@@ -816,6 +818,11 @@ lintSources(const std::vector<SourceFile> &files, const Manifest &manifest)
         report.findings.insert(report.findings.end(),
                                std::make_move_iterator(findings.begin()),
                                std::make_move_iterator(findings.end()));
+    }
+
+    if (whole_tree) {
+        for (Finding &finding : unknownHotEntries(index, manifest))
+            report.findings.push_back(std::move(finding));
     }
 
     // The suppression budget: audits may only grow deliberately.
@@ -889,7 +896,7 @@ lintTree(const std::string &root, const std::vector<std::string> &dirs,
         buffer << is.rdbuf();
         sources.push_back({rel, buffer.str()});
     }
-    return lintSources(sources, manifest);
+    return lintSources(sources, manifest, true);
 }
 
 } // namespace tlp::lint
