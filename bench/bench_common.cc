@@ -97,6 +97,18 @@ collectionFingerprint(const data::CollectOptions &options)
     return hash;
 }
 
+/** True when @p file is named @p prefix + 16 hex digits + ".tlpd": the
+ *  memo of one key under any fingerprint. */
+bool
+isMemoOf(const std::string &file, const std::string &prefix)
+{
+    const size_t hex_end = prefix.size() + 16;
+    return file.size() == hex_end + 5 && startsWith(file, prefix) &&
+           endsWith(file, ".tlpd") &&
+           file.find_first_not_of("0123456789abcdef", prefix.size()) ==
+               hex_end;
+}
+
 /**
  * Train the MTL-TLP net of Sec. 6.2 on @p platforms: task 1 (the
  * target) keeps labels on only @p target_rows training records, the
@@ -150,7 +162,6 @@ standardDataset(const std::vector<std::string> &platforms, bool is_gpu)
         key += "_" + platform;
     const int64_t programs = scaledCount(72, 16);
     key += "_" + std::to_string(programs);
-    const std::string path = "/tmp/tlp_bench_" + key + ".bin";
 
     data::CollectOptions options;
     // The training networks, then the test networks.
@@ -163,14 +174,19 @@ standardDataset(const std::vector<std::string> &platforms, bool is_gpu)
     options.programs_per_subgraph = static_cast<int>(programs);
     options.seed = 0xda7a;
 
-    // The memo is stamped with a fingerprint of the format version, the
-    // collection options and a behavioral probe; any mismatch (including
-    // a corrupt, truncated, or version-skewed file) regenerates instead
-    // of serving stale labels or crashing.
-    const uint64_t fingerprint = collectionFingerprint(options);
+    // The memo's name carries a fingerprint of the format version, the
+    // collection options and a behavioral probe, so a memo taken under
+    // any other fingerprint is never opened; a corrupt, truncated or
+    // version-skewed one fails tryLoad and is regenerated.
+    const std::string prefix = "tlp_bench_" + key + "_";
+    const std::string name =
+        prefix + strFormat("%016llx", static_cast<unsigned long long>(
+                                          collectionFingerprint(options))) +
+        ".tlpd";
+    const std::string path = "/tmp/" + name;
     std::error_code exists_ec;
     if (std::filesystem::exists(path, exists_ec)) {
-        Result<data::Dataset> memo = loadBenchMemo(path, fingerprint);
+        Result<data::Dataset> memo = data::Dataset::tryLoad(path);
         if (memo.ok())
             return memo.take();
         inform("bench memo ", path, " unusable (",
@@ -180,62 +196,27 @@ standardDataset(const std::vector<std::string> &platforms, bool is_gpu)
     // Regeneration is also the moment to reap temp files a crashed
     // bench stranded next to this memo (scoped to this artifact: /tmp
     // is shared, a directory-wide sweep could race live writers) —
-    // with the io_env sweeper, the same debris policy tlp_fsck runs.
+    // with the io_env sweeper, the same debris policy tlp_fsck runs —
+    // and the memos of this key under other fingerprints, so /tmp keeps
+    // one memo per key.
     sweepStaleTempsFor(path);
+    std::error_code list_ec;
+    for (auto it = std::filesystem::directory_iterator("/tmp", list_ec);
+         !list_ec && it != std::filesystem::directory_iterator();
+         it.increment(list_ec)) {
+        const std::string other = it->path().filename().string();
+        std::error_code remove_ec;
+        if (other != name && isMemoOf(other, prefix))
+            std::filesystem::remove(it->path(), remove_ec);
+    }
     data::Dataset dataset = data::collectDataset(options);
-    const Status status = writeBenchMemo(path, fingerprint, dataset);
+    const Status status = dataset.save(path);
     if (!status.ok()) {
         // The memo is only a cache: losing it costs re-collection time on
         // the next bench, never correctness.
         warn("bench memo not saved: ", status.toString());
     }
     return dataset;
-}
-
-void
-writeBenchMemo(std::ostream &os, uint64_t fingerprint,
-               const data::Dataset &dataset)
-{
-    BinaryWriter writer(os);
-    writeHeader(writer, kMemoMagic, kMemoVersion);
-    writer.writePod(fingerprint);
-    dataset.save(os);
-}
-
-Status
-writeBenchMemo(const std::string &path, uint64_t fingerprint,
-               const data::Dataset &dataset)
-{
-    return atomicWriteFile(path, [&](std::ostream &os) {
-        writeBenchMemo(os, fingerprint, dataset);
-    });
-}
-
-Result<data::Dataset>
-loadBenchMemo(std::istream &is, uint64_t fingerprint)
-{
-    uint64_t stamp = 0;
-    const Status status = guardedParse([&] {
-        BinaryReader reader(is);
-        readHeader(reader, kMemoMagic, kMemoVersion, kMemoVersion);
-        stamp = reader.readPod<uint64_t>();
-    });
-    if (!status.ok())
-        return status;
-    if (stamp != fingerprint) {
-        return Status::error(ErrorCode::Invalid,
-                             "memo fingerprint is stale (collection "
-                             "options, format, or pipeline changed)");
-    }
-    return data::Dataset::tryLoad(is);
-}
-
-Result<data::Dataset>
-loadBenchMemo(const std::string &path, uint64_t fingerprint)
-{
-    return readArtifactFile(path, [&](std::istream &is) {
-        return loadBenchMemo(is, fingerprint);
-    });
 }
 
 std::vector<int>

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "artifact/audit.h"
 #include "dataset/collect.h"
 #include "dataset/metrics.h"
 #include "dataset/splits.h"
@@ -33,38 +32,13 @@ namespace tlp::bench {
 std::vector<std::string> benchTestNetworks();
 
 /**
- * Collect (and memoize on disk under /tmp) the standard bench dataset
- * for @p platforms. GPU datasets use the GPU sketch rules.
+ * Collect the standard bench dataset for @p platforms, memoized as a
+ * plain dataset at /tmp/tlp_bench_<key>_<fingerprint>.tlpd, where the
+ * fingerprint covers everything that decides its contents. GPU datasets
+ * use the GPU sketch rules.
  */
 data::Dataset standardDataset(const std::vector<std::string> &platforms,
                               bool is_gpu);
-
-// --- bench memo format (exposed for the corruption tests/bench) ---
-
-/** Bench memo file magic ("TLPM"); the audit module owns the value so
- *  tlp_fsck recognizes memos without linking bench code. */
-inline constexpr uint32_t kMemoMagic = artifact::kBenchMemoMagic;
-
-/** Memo format version (v2: recoverable load + atomic write). */
-inline constexpr uint32_t kMemoVersion = artifact::kBenchMemoVersion;
-
-/** Atomically write a fingerprint-stamped dataset memo to @p path. */
-Status writeBenchMemo(const std::string &path, uint64_t fingerprint,
-                      const data::Dataset &dataset);
-
-/** Stream variant of writeBenchMemo. */
-void writeBenchMemo(std::ostream &os, uint64_t fingerprint,
-                    const data::Dataset &dataset);
-
-/**
- * Load a bench memo. Ok only when the file is intact AND stamped with
- * @p fingerprint; anything else (corruption, truncation, version skew,
- * stale fingerprint) comes back as a Status so the caller regenerates.
- */
-Result<data::Dataset> loadBenchMemo(const std::string &path,
-                                    uint64_t fingerprint);
-Result<data::Dataset> loadBenchMemo(std::istream &is,
-                                    uint64_t fingerprint);
 
 /** Cap a record-index list to the scaled default training size. */
 std::vector<int> capTrainRecords(std::vector<int> records,

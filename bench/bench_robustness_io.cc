@@ -5,9 +5,9 @@
  *
  * Part 1 enumerates every save fault point — open failure, torn write
  * truncated at each section boundary +/- 1 byte, flush failure, rename
- * failure, all leaving crash debris — for each of the four artifact
- * formats (dataset, model snapshot, tuning checkpoint, bench memo) and
- * counts violations: a fault that was not reported, a previous-generation
+ * failure, all leaving crash debris — for each of the three artifact
+ * formats (dataset, model snapshot, tuning checkpoint) and counts
+ * violations: a fault that was not reported, a previous-generation
  * artifact that changed on disk, or a loader observing torn bytes. The
  * paper's long-running search setting assumes checkpoints survive power
  * loss; this is that assumption, measured. Part 2 runs a tuning fleet
@@ -43,8 +43,6 @@ using namespace tlp::bench;
 namespace {
 
 // --- artifact builders (two generations per format) ----------------------
-
-constexpr uint64_t kMemoFingerprint = 0x10c4a05;
 
 data::Dataset
 smallDataset(uint64_t seed, int programs)
@@ -103,14 +101,6 @@ checkpointBytes(uint64_t seed)
     std::string bytes = readFile(path);
     std::remove(path.c_str());
     return bytes;
-}
-
-std::string
-memoBytes(const data::Dataset &dataset)
-{
-    std::ostringstream os;
-    bench::writeBenchMemo(os, kMemoFingerprint, dataset);
-    return os.str();
 }
 
 // --- fault-point enumeration ---------------------------------------------
@@ -224,7 +214,7 @@ main()
     const double scale = benchScale();
     const double t0 = wallSeconds();
 
-    // --- Part 1: fault-point enumeration, four formats -------------------
+    // --- Part 1: fault-point enumeration, three formats ------------------
     std::printf("save-fault enumeration (every fault point, crash "
                 "debris on):\n");
     const data::Dataset tiny = smallDataset(12, 4);
@@ -245,11 +235,6 @@ main()
         "checkpoint", checkpointBytes(5), checkpointBytes(6), 8,
         [](const std::string &path) {
             return tune::verifyCheckpoint(path);
-        }));
-    rows.push_back(runSaveDrill(
-        "bench_memo", memoBytes(tiny), memoBytes(small), 24,
-        [](const std::string &path) {
-            return bench::loadBenchMemo(path, kMemoFingerprint).status();
         }));
 
     Report json("BENCH_io_chaos.json", "robustness_io");
@@ -331,6 +316,8 @@ main()
         .add("fleet_sessions", "%d", sessions)
         .add("fleet_rounds", "%d", rounds)
         .add("fault_rate", "%.3f", chaos.fault_rate)
+        .add("recovered", "%d", report.recovered)
+        .add("quarantined", "%d", report.quarantined)
         .add("ckpt_write_failures", "%lld",
              static_cast<long long>(stats.ckpt_write_failures))
         .add("ckpt_retries", "%lld",

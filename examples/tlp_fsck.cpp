@@ -6,9 +6,10 @@
  *
  * Usage: tlp_fsck --dir /tmp/tlp_serve [--repair] [--quiet]
  *
- * The audit classifies every regular file in the directory — the four
- * checksummed artifact formats (dataset, model snapshot, tuning
- * checkpoint, bench memo) are detected by magic and verified with the same loader-grade checks a consumer would run;
+ * The audit classifies every regular file in the directory — the three
+ * checksummed artifact formats (dataset, bench memos included; model
+ * snapshot; tuning checkpoint) are detected by magic and verified with
+ * the same loader-grade checks a consumer would run;
  * curve files are recognized by their text header; atomic-write temp
  * debris and earlier quarantine evidence are classified by name; and
  * anything else is reported but never touched. The report is

@@ -9,7 +9,6 @@
 #include "dataset/dataset.h"
 #include "models/snapshot.h"
 #include "support/logging.h"
-#include "support/serialize.h"
 #include "tuner/session.h"
 
 namespace tlp::artifact {
@@ -46,23 +45,6 @@ readMagic(std::istream &is, uint32_t &magic)
     return true;
 }
 
-/** Memo verifier: header + fingerprint frame, then the embedded
- *  dataset. Deliberately does NOT compare the fingerprint — a stale
- *  memo is a cache miss, not damage. */
-Status
-verifyBenchMemo(std::istream &is)
-{
-    const Status header = guardedParse([&] {
-        BinaryReader reader(is);
-        readHeader(reader, kBenchMemoMagic, kBenchMemoVersion,
-                   kBenchMemoVersion);
-        (void)reader.readPod<uint64_t>();   // collection fingerprint
-    });
-    if (!header.ok())
-        return header;
-    return data::Dataset::tryLoad(is).status();
-}
-
 /** Curve files are text; structural integrity is the header line. */
 Status
 verifyCurve(std::istream &is)
@@ -97,7 +79,6 @@ artifactKindName(ArtifactKind kind)
       case ArtifactKind::Dataset:          return "dataset";
       case ArtifactKind::Snapshot:         return "snapshot";
       case ArtifactKind::TuningCheckpoint: return "tuning-checkpoint";
-      case ArtifactKind::BenchMemo:        return "bench-memo";
       case ArtifactKind::Curve:            return "curve";
     }
     return "unknown";
@@ -127,8 +108,6 @@ kindFromMagic(uint32_t magic)
         return ArtifactKind::Snapshot;
     if (magic == tune::kSessionCheckpointMagic)
         return ArtifactKind::TuningCheckpoint;
-    if (magic == kBenchMemoMagic)
-        return ArtifactKind::BenchMemo;
     return ArtifactKind::Unknown;
 }
 
@@ -161,8 +140,6 @@ verifyArtifact(ArtifactKind kind, std::istream &is)
         return model::loadTlpSnapshot(is).status();
       case ArtifactKind::TuningCheckpoint:
         return tune::verifyCheckpoint(is);
-      case ArtifactKind::BenchMemo:
-        return verifyBenchMemo(is);
       case ArtifactKind::Curve:
         return verifyCurve(is);
       case ArtifactKind::Unknown:

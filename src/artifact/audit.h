@@ -3,10 +3,10 @@
  * Artifact audit & repair: the scan→classify→repair layer behind the
  * `tlp_fsck` doctor and the service's crash recovery (DESIGN.md §15).
  *
- * Four checksummed artifact formats live on disk (DESIGN.md §8):
- * dataset ("TLPD"), model snapshot ("TLPW"), tuning checkpoint
- * ("TLPS"), and bench memo ("TLPM") — plus the text curve files the
- * service emits. This module is the one place that knows how to
+ * Three checksummed artifact formats live on disk (DESIGN.md §8):
+ * dataset ("TLPD"), model snapshot ("TLPW") and tuning checkpoint
+ * ("TLPS") — plus the text curve files the service emits. A bench memo
+ * is a dataset. This module is the one place that knows how to
  * recognize each format by magic, dispatch it to its loader-grade
  * verifier, and classify every file in a directory into one of six
  * states:
@@ -26,9 +26,9 @@
  * never writes bytes except through the atomicWriteFile seam, so an
  * injected fault during repair cannot make a directory worse.
  *
- * The service's recover() and the bench-memo regeneration route their
- * quarantine/sweep needs through here, so `tlp_fsck` and the runtime
- * can never disagree about what damage is or where evidence goes.
+ * The service's recover() routes its quarantine through here, so
+ * `tlp_fsck` and the runtime can never disagree about what damage is or
+ * where evidence goes.
  */
 #pragma once
 
@@ -42,14 +42,6 @@
 
 namespace tlp::artifact {
 
-/** Bench memo file magic ("TLPM"). Defined here — not in bench/ — so
- *  the doctor can recognize memos without linking bench code;
- *  bench/bench_common.h aliases these. */
-inline constexpr uint32_t kBenchMemoMagic = 0x544c504d;
-
-/** Memo format version (v2: recoverable load + atomic write). */
-inline constexpr uint32_t kBenchMemoVersion = 2;
-
 /** First line of a service curve file (formatCurveFile). */
 inline constexpr const char *kCurveHeader = "# tlp_serve curve v1";
 
@@ -60,7 +52,6 @@ enum class ArtifactKind : uint8_t
     Dataset,           ///< "TLPD" (data::Dataset)
     Snapshot,          ///< "TLPW" (model snapshot, TLP or MLP arch)
     TuningCheckpoint,  ///< "TLPS" (tune::TuningSession checkpoint)
-    BenchMemo,         ///< "TLPM" (fingerprint-stamped dataset cache)
     Curve,             ///< text curve file ("# tlp_serve curve v1")
 };
 
@@ -123,10 +114,8 @@ ArtifactKind kindFromName(const std::string &name);
 /**
  * Verify one artifact payload of a known @p kind from @p is, using the
  * same loader-grade verifier a consumer would (Dataset::tryLoad,
- * snapshot load, verifyCheckpoint, memo header + embedded dataset; a
- * memo's fingerprint staleness is a cache miss, not damage, and is NOT
- * checked here). Ok means the consumer would accept the file
- * structurally.
+ * snapshot load, verifyCheckpoint). Ok means the consumer would accept
+ * the file structurally.
  */
 Status verifyArtifact(ArtifactKind kind, std::istream &is);
 

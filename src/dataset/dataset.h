@@ -120,7 +120,7 @@ class Dataset
      */
     Status save(const std::string &path) const;
 
-    /** Stream variant, for embedding a dataset in a larger file. */
+    /** Stream variant: the bytes save(path) writes. */
     void save(std::ostream &os) const;
 
     /**

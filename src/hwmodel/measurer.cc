@@ -187,16 +187,6 @@ Measurer::isQuarantined(const sched::LoweredNest &nest) const
 }
 
 void
-Measurer::resetAccounting()
-{
-    elapsed_seconds_ = 0.0;
-    failure_seconds_ = 0.0;
-    count_ = 0;
-    quarantine_hits_ = 0;
-    status_counts_.fill(0);
-}
-
-void
 Measurer::serializeState(BinaryWriter &writer) const
 {
     rng_.serialize(writer);

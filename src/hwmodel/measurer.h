@@ -164,9 +164,6 @@ class Measurer
     /** Number of measure() calls short-circuited by the quarantine. */
     int64_t quarantineHits() const { return quarantine_hits_; }
 
-    /** Reset the wall-clock accounting (keeps quarantine state). */
-    void resetAccounting();
-
     /**
      * Persist / restore the noise stream + accounting + quarantine state
      * (for checkpointed tuning sessions). The fault injector itself is

@@ -14,18 +14,6 @@ dtypeBytes(DataType dtype)
     TLP_PANIC("unknown dtype");
 }
 
-std::string
-dtypeName(DataType dtype)
-{
-    switch (dtype) {
-      case DataType::Float32: return "f32";
-      case DataType::Float16: return "f16";
-      case DataType::Int32:   return "i32";
-      case DataType::Int8:    return "i8";
-    }
-    TLP_PANIC("unknown dtype");
-}
-
 int64_t
 numElements(const Shape &shape)
 {

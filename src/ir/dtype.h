@@ -19,9 +19,6 @@ enum class DataType : uint8_t { Float32 = 0, Float16 = 1, Int32 = 2, Int8 = 3 };
 /** Bytes per element of @p dtype. */
 int dtypeBytes(DataType dtype);
 
-/** Human-readable name, e.g. "f32". */
-std::string dtypeName(DataType dtype);
-
 /** A tensor shape: a list of positive extents. */
 using Shape = std::vector<int64_t>;
 

@@ -20,16 +20,6 @@ AccessSpec::footprintElems(const std::vector<int64_t> &tile_extents) const
     return elems;
 }
 
-std::vector<int>
-LoopSpec::reductionIters() const
-{
-    std::vector<int> result;
-    for (size_t i = 0; i < iters.size(); ++i)
-        if (iters[i].is_reduction)
-            result.push_back(static_cast<int>(i));
-    return result;
-}
-
 int64_t
 LoopSpec::totalPoints() const
 {

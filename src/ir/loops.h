@@ -55,9 +55,6 @@ struct LoopSpec
     /** FLOPs executed per innermost iteration point. */
     double flops_per_point = 1.0;
 
-    /** Indices of reduction iterators in order. */
-    std::vector<int> reductionIters() const;
-
     /** Product of all iterator extents. */
     int64_t totalPoints() const;
 };

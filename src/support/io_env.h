@@ -26,8 +26,8 @@
  * `crash_debris` mode models the process dying at the fault point
  * instead of cleaning up: torn or stranded "<path>.tmp.<pid>.<seq>"
  * files stay on disk, to be reaped later by sweepStaleTemps() (the
- * service does this in recover(); benches do it before regenerating a
- * memo).
+ * service does this in recover(); benches do it before regenerating
+ * their memo, a dataset in /tmp).
  */
 #pragma once
 
@@ -214,8 +214,8 @@ int sweepStaleTemps(const std::string &dir);
 
 /** Like sweepStaleTemps but only for temps of one artifact: unlinks
  *  "<artifact_path>.tmp.<pid>.<seq>" files (used before regenerating a
- *  bench memo in shared /tmp, where a directory-wide sweep could race
- *  other processes' live temps). Returns the number removed. */
+ *  bench memo dataset in shared /tmp, where a directory-wide sweep
+ *  could race other processes' live temps). Returns the number removed. */
 int sweepStaleTempsFor(const std::string &artifact_path);
 
 } // namespace tlp

@@ -84,16 +84,4 @@ formatDouble(double value, int digits)
     return strFormat("%.*f", digits, value);
 }
 
-std::string
-humanCount(double value)
-{
-    if (value >= 1e9)
-        return strFormat("%.1fG", value / 1e9);
-    if (value >= 1e6)
-        return strFormat("%.1fM", value / 1e6);
-    if (value >= 1e3)
-        return strFormat("%.1fK", value / 1e3);
-    return strFormat("%.0f", value);
-}
-
 } // namespace tlp

@@ -32,7 +32,4 @@ std::string strFormat(const char *fmt, ...)
 /** Render a double with @p digits significant decimal places. */
 std::string formatDouble(double value, int digits = 4);
 
-/** Human-readable form of a large count, e.g. 1536000 -> "1.5M". */
-std::string humanCount(double value);
-
 } // namespace tlp

@@ -21,11 +21,12 @@ namespace {
  *  I/O schedule never correlates with the transient-fault schedule. */
 constexpr uint64_t kCkptBackoffSalt = 0xc4e47ull;
 
-/** Bounded retries for the final curve write: each attempt advances the
- *  path's op counter in the chaos env, so under any fault_rate < 1 the
- *  attempt count (and hence success) is a deterministic function of
- *  (seed, path) — timing never enters. */
-constexpr int kCurveWriteRetries = 128;
+/** Bounded retries for an I/O error on the final curve write and on a
+ *  recovery read: each attempt advances the path's op counter in the
+ *  chaos env, so under any fault_rate < 1 the attempt count (and hence
+ *  success) is a deterministic function of (seed, path) — timing never
+ *  enters. */
+constexpr int kIoRetries = 128;
 
 /** First @p keep subgraphs (and weights) of @p workload; 0 keeps all. */
 ir::Workload
@@ -245,42 +246,35 @@ TuningService::recover(const std::vector<SessionSpec> &fleet)
     stats_.stale_temps_swept += report.stale_temps_swept;
     for (const SessionSpec &spec : fleet) {
         const std::string ckpt = checkpointPath(spec.name);
-        const bool exists = std::filesystem::exists(ckpt);
         RecoveryOutcome outcome = RecoveryOutcome::Fresh;
-        bool resume = false;
-        if (exists) {
-            const Status status = tune::verifyCheckpoint(ckpt);
-            if (status.ok()) {
-                resume = true;
-            } else {
-                // Damaged artifact: same meaning as CLI exit code 3,
-                // but a service quarantines and keeps serving — via
-                // the same audit-module policy tlp_fsck uses, so the
-                // doctor and the runtime can never drift on where
-                // evidence goes.
-                artifact::quarantineDamaged(ckpt);
-                warn("quarantined damaged checkpoint ", ckpt, ": ",
-                     status.toString());
-                outcome = RecoveryOutcome::Quarantined;
-            }
-        }
-
-        const AdmitOutcome admitted = submit(spec);
-        if (resume && admitted != AdmitOutcome::Shed) {
+        // A shed spec's checkpoint is neither read nor quarantined.
+        if (submit(spec) != AdmitOutcome::Shed &&
+            std::filesystem::exists(ckpt)) {
             Slot &slot = findSlot(spec.name);
             // Queued ones too, or promotion restarts them at round 0.
             if (!slot.session)
                 instantiate(slot);
-            const Status status = slot.session->resumeFromCheckpoint();
+            // The resume is the one read. A read fault fails before any
+            // byte is parsed, so a retry starts from an untouched
+            // session; it is not damage.
+            Status status = slot.session->resumeFromCheckpoint();
+            for (int attempt = 0; status.code() == ErrorCode::IoError &&
+                                  attempt < kIoRetries;
+                 ++attempt) {
+                status = slot.session->resumeFromCheckpoint();
+            }
             if (status.ok()) {
                 outcome = RecoveryOutcome::Recovered;
                 report.rounds_salvaged += slot.session->roundsDone();
             } else {
-                // Structurally valid but unusable for THIS spec (e.g.
-                // foreign configuration): quarantine and rebuild the
-                // session from round 0.
+                // Damaged, or unusable for THIS spec (e.g. a foreign
+                // configuration): same meaning as CLI exit code 3, but
+                // a service quarantines — by the audit-module policy
+                // tlp_fsck uses, so the doctor and the runtime never
+                // drift on where evidence goes — rebuilds the session
+                // from round 0 and keeps serving.
                 artifact::quarantineDamaged(ckpt);
-                warn("quarantined mismatched checkpoint ", ckpt, ": ",
+                warn("quarantined unusable checkpoint ", ckpt, ": ",
                      status.toString());
                 outcome = RecoveryOutcome::Quarantined;
                 instantiate(slot);
@@ -351,7 +345,7 @@ TuningService::finalize(Slot &slot, SessionStatus terminal)
     const std::string text =
         formatCurveFile(slot.spec.name, terminal, slot.final_result);
     // The curve is the drill's ground truth, so its write retries
-    // through injected faults (bounded; see kCurveWriteRetries) — the
+    // through injected faults (bounded; see kIoRetries) — the
     // bytes are already final, retrying cannot change them.
     Status status;
     for (int attempt = 0; ; ++attempt) {
@@ -361,7 +355,7 @@ TuningService::finalize(Slot &slot, SessionStatus terminal)
                 os.write(text.data(),
                          static_cast<std::streamsize>(text.size()));
             });
-        if (status.ok() || attempt >= kCurveWriteRetries)
+        if (status.ok() || attempt >= kIoRetries)
             break;
         stats_.curve_write_retries += 1;
     }

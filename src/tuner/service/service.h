@@ -135,8 +135,8 @@ enum class AdmitOutcome : uint8_t
 /** What recover() did with one spec's checkpoint. */
 enum class RecoveryOutcome : uint8_t
 {
-    Fresh = 0,    ///< no checkpoint on disk; started from round 0
-    Recovered,    ///< checkpoint verified + resumed
+    Fresh = 0,    ///< no checkpoint read (none on disk, or shed)
+    Recovered,    ///< checkpoint read once and resumed
     Quarantined,  ///< damaged checkpoint renamed *.quarantined.N; fresh
 };
 
@@ -248,8 +248,10 @@ class TuningService
     /**
      * Crash recovery: sweep stale atomic-write temp files, then submit
      * every spec of @p fleet, re-adopting checkpoints left in the
-     * service directory by a previous incarnation. Damaged checkpoints
-     * are quarantined (renamed "<file>.quarantined.N" with a unique N,
+     * service directory by a previous incarnation. Each admitted
+     * session's checkpoint is read once, by its resume; a read fault is
+     * retried, not taken for damage. Damaged checkpoints are
+     * quarantined (renamed "<file>.quarantined.N" with a unique N,
      * mirroring the exit-3 artifact semantics without aborting the
      * service and never overwriting earlier evidence) and their
      * sessions restart fresh, so the fleet still converges to the

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the artifact audit & repair module (DESIGN.md §15): format
- * detection by magic across all four artifacts, the six-way state
+ * detection by magic across all three artifacts, the six-way state
  * classification, deterministic reports, repair (quarantine + sweep +
  * dataset salvage), and quarantine-generation collision handling.
  */
@@ -13,7 +13,6 @@
 #include <sstream>
 
 #include "artifact/audit.h"
-#include "bench/bench_common.h"
 #include "dataset/collect.h"
 #include "ir/model_zoo.h"
 #include "ir/partition.h"
@@ -146,14 +145,6 @@ checkpointBytes()
 }
 
 std::string
-memoBytes(uint64_t fingerprint)
-{
-    std::ostringstream os;
-    bench::writeBenchMemo(os, fingerprint, smallDataset());
-    return os.str();
-}
-
-std::string
 curveBytes()
 {
     tune::TuneResult result;
@@ -161,19 +152,17 @@ curveBytes()
                                   result);
 }
 
-TEST_F(ArtifactAudit, DetectsAllFourFormatsByMagicPlusCurves)
+TEST_F(ArtifactAudit, DetectsAllThreeFormatsByMagicPlusCurves)
 {
     plant("d.bin", datasetBytes(smallDataset()));
     plant("w.bin", snapshotBytes());
     plant("s.bin", checkpointBytes());
-    plant("memo.bin", memoBytes(0xfeedbeef));
     plant("c.curve", curveBytes());
 
     using K = artifact::ArtifactKind;
     const std::pair<const char *, K> expect[] = {
         {"d.bin", K::Dataset},          {"w.bin", K::Snapshot},
-        {"s.bin", K::TuningCheckpoint}, {"memo.bin", K::BenchMemo},
-        {"c.curve", K::Curve},
+        {"s.bin", K::TuningCheckpoint}, {"c.curve", K::Curve},
     };
     for (const auto &[name, kind] : expect) {
         const artifact::ArtifactRecord record =
@@ -186,41 +175,46 @@ TEST_F(ArtifactAudit, DetectsAllFourFormatsByMagicPlusCurves)
 
 TEST_F(ArtifactAudit, RetiredTrainingCheckpointMagicIsUnrecognized)
 {
-    // "TLPT" is not one of our magics: a well-framed file carrying it is
-    // someone else's, not damage, and repair leaves it where it is.
+    // Neither "TLPT" (a training checkpoint) nor "TLPM" (the bench memo
+    // header older builds left in /tmp) is one of our magics: a
+    // well-framed file carrying either is someone else's, not damage,
+    // and repair leaves it where it is.
     constexpr uint32_t kRetiredTrainCheckpointMagic = 0x544c5054;
-    std::ostringstream os(std::ios::binary);
-    BinaryWriter writer(os);
-    writeHeader(writer, kRetiredTrainCheckpointMagic, 1);
-    writeSectionRaw(writer, sectionTag("STAT"), "epoch state");
-    writeSectionRaw(writer, kEndSectionTag, "");
-    const std::string bytes = os.str();
-    plant("train.bin", bytes);
+    constexpr uint32_t kRetiredBenchMemoMagic = 0x544c504d;
+    std::ostringstream train(std::ios::binary);
+    BinaryWriter train_writer(train);
+    writeHeader(train_writer, kRetiredTrainCheckpointMagic, 1);
+    writeSectionRaw(train_writer, sectionTag("STAT"), "epoch state");
+    writeSectionRaw(train_writer, kEndSectionTag, "");
+    std::ostringstream memo(std::ios::binary);
+    BinaryWriter memo_writer(memo);
+    writeHeader(memo_writer, kRetiredBenchMemoMagic, 2);
+    memo_writer.writePod(uint64_t{0xfeedbeef});   // its fingerprint
+    smallDataset().save(memo);
+    const std::pair<const char *, std::string> files[] = {
+        {"train.bin", train.str()},
+        {"tlp_bench_cpu_i7-10510u_16.bin", memo.str()},
+    };
 
-    const artifact::ArtifactRecord record =
-        artifact::auditFile(path("train.bin"));
-    EXPECT_EQ(record.kind, artifact::ArtifactKind::Unknown);
-    EXPECT_EQ(record.state, artifact::ArtifactState::Unrecognized);
+    for (const auto &[name, bytes] : files) {
+        plant(name, bytes);
+        const artifact::ArtifactRecord record =
+            artifact::auditFile(path(name));
+        EXPECT_EQ(record.kind, artifact::ArtifactKind::Unknown) << name;
+        EXPECT_EQ(record.state, artifact::ArtifactState::Unrecognized)
+            << name;
+    }
     EXPECT_FALSE(artifact::auditDirectory(dir_).damaged());
 
     const artifact::RepairReport repaired =
         artifact::repairDirectory(dir_);
     EXPECT_EQ(repaired.quarantined, 0);
     EXPECT_EQ(repaired.failures, 0);
-    EXPECT_EQ(slurp("train.bin"), bytes);
-    EXPECT_FALSE(fs::exists(path("train.bin.quarantined.1")));
-}
-
-TEST_F(ArtifactAudit, MemoFingerprintStalenessIsNotDamage)
-{
-    // The audit verifies structure only: a memo stamped with any
-    // fingerprint is intact — staleness is a cache miss for the bench
-    // loader, not damage for the doctor.
-    plant("stale_memo.bin", memoBytes(0x0ddba11));
-    const auto record = artifact::auditFile(path("stale_memo.bin"));
-    EXPECT_EQ(record.kind, artifact::ArtifactKind::BenchMemo);
-    EXPECT_EQ(record.state, artifact::ArtifactState::Intact)
-        << record.detail;
+    for (const auto &[name, bytes] : files) {
+        EXPECT_EQ(slurp(name), bytes) << name;
+        EXPECT_FALSE(fs::exists(path(std::string(name) + ".quarantined.1")))
+            << name;
+    }
 }
 
 TEST_F(ArtifactAudit, ClassifiesDamageDebrisEvidenceAndAliens)

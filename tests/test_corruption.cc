@@ -1,7 +1,7 @@
 /**
  * @file
  * Deterministic corruption fuzzer for every on-disk artifact format:
- * datasets, model snapshots, tuning checkpoints, and bench memos.
+ * datasets, model snapshots, and tuning checkpoints.
  *
  * Each format's golden bytes are mutated >= 500 times with seeded byte
  * flips, truncations (random and at section boundaries), zeroed spans,
@@ -23,7 +23,6 @@
 #include <set>
 #include <sstream>
 
-#include "bench/bench_common.h"
 #include "dataset/collect.h"
 #include "ir/model_zoo.h"
 #include "ir/partition.h"
@@ -121,16 +120,6 @@ goldenCheckpointBytes()
         return contents;
     }();
     return bytes;
-}
-
-constexpr uint64_t kMemoFingerprint = 0xf00dface;
-
-std::string
-goldenMemoBytes()
-{
-    std::ostringstream os;
-    bench::writeBenchMemo(os, kMemoFingerprint, goldenDataset());
-    return os.str();
 }
 
 // --- section walking (for boundary-targeted mutations) ------------------
@@ -307,19 +296,6 @@ TEST(CorruptionFuzz, CheckpointNeverCrashes)
     EXPECT_LT(survivors, kMutationsPerFormat / 10);
 }
 
-TEST(CorruptionFuzz, BenchMemoNeverCrashes)
-{
-    const std::string golden = goldenMemoBytes();
-    // Frames start past the memo header (16) plus the embedded dataset
-    // header (8).
-    const int survivors =
-        fuzzFormat(golden, 24, 0x3e30, [](const std::string &bytes) {
-            std::istringstream is(bytes);
-            return bench::loadBenchMemo(is, kMemoFingerprint).ok();
-        });
-    EXPECT_LT(survivors, kMutationsPerFormat / 10);
-}
-
 // --- golden sanity: the unmutated bytes round-trip ----------------------
 
 TEST(Corruption, GoldenArtifactsLoadCleanly)
@@ -341,11 +317,6 @@ TEST(Corruption, GoldenArtifactsLoadCleanly)
         std::istringstream is(goldenCheckpointBytes());
         const Status status = tune::verifyCheckpoint(is);
         EXPECT_TRUE(status.ok()) << status.toString();
-    }
-    {
-        std::istringstream is(goldenMemoBytes());
-        auto result = bench::loadBenchMemo(is, kMemoFingerprint);
-        ASSERT_TRUE(result.ok()) << result.status().toString();
     }
 }
 
@@ -627,26 +598,6 @@ TEST(Corruption, QuarantinedStatusMustBeAFailure)
     }
 }
 
-TEST(Corruption, BenchMemoVersionSkewIsClean)
-{
-    for (const uint32_t version : {bench::kMemoVersion + 1, 1u}) {
-        std::istringstream is(withVersion(goldenMemoBytes(), version));
-        auto result = bench::loadBenchMemo(is, kMemoFingerprint);
-        ASSERT_FALSE(result.ok());
-        EXPECT_EQ(result.status().code(), ErrorCode::VersionSkew)
-            << result.status().toString();
-    }
-}
-
-TEST(Corruption, BenchMemoStaleFingerprintIsClean)
-{
-    std::istringstream is(goldenMemoBytes());
-    auto result = bench::loadBenchMemo(is, kMemoFingerprint + 1);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), ErrorCode::Invalid);
-    EXPECT_NE(result.status().message().find("stale"), std::string::npos);
-}
-
 // --- write-side crash consistency (DESIGN.md §14) ------------------------
 //
 // For every artifact format: save generation 1, then attempt a
@@ -810,17 +761,6 @@ TEST(CrashConsistency, CheckpointSaveFaultsKeepPreviousArtifact)
                  });
 }
 
-TEST(CrashConsistency, BenchMemoSaveFaultsKeepPreviousArtifact)
-{
-    std::ostringstream os;
-    bench::writeBenchMemo(os, kMemoFingerprint, tinyDataset());
-    runSaveDrill("memo", os.str(), goldenMemoBytes(), 24,
-                 [](const std::string &path) {
-                     return bench::loadBenchMemo(path, kMemoFingerprint)
-                         .status();
-                 });
-}
-
 // --- model snapshots: cross-architecture and dimension bombs ------------
 
 TEST(Corruption, SnapshotArchMismatchIsClean)
@@ -943,7 +883,6 @@ TEST(ArtifactIo, EveryPathLoadMakesExactlyOneReadCheck)
         {"dataset", goldenDatasetBytes()},
         {"snapshot", goldenSnapshotBytes()},
         {"checkpoint", goldenCheckpointBytes()},
-        {"memo", goldenMemoBytes()},
     };
     const std::map<std::string,
                    std::function<Status(const std::string &)>>
@@ -959,11 +898,6 @@ TEST(ArtifactIo, EveryPathLoadMakesExactlyOneReadCheck)
             {"checkpoint",
              [](const std::string &path) {
                  return tune::verifyCheckpoint(path);
-             }},
-            {"memo",
-             [](const std::string &path) {
-                 return bench::loadBenchMemo(path, kMemoFingerprint)
-                     .status();
              }},
         };
     const std::string dir = test::scratchDir();

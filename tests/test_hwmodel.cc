@@ -262,8 +262,6 @@ TEST(Measurer, NoiseIsBoundedAndAccounted)
     }
     EXPECT_EQ(measurer.count(), 20);
     EXPECT_NEAR(measurer.elapsedSeconds(), 20 * 0.25, 1e-9);
-    measurer.resetAccounting();
-    EXPECT_EQ(measurer.count(), 0);
 }
 
 TEST(Measurer, FaultClassIsOrderIndependent)

@@ -20,7 +20,6 @@ TEST(Dtype, BytesAndNames)
     EXPECT_EQ(dtypeBytes(DataType::Float32), 4);
     EXPECT_EQ(dtypeBytes(DataType::Float16), 2);
     EXPECT_EQ(dtypeBytes(DataType::Int8), 1);
-    EXPECT_EQ(dtypeName(DataType::Float32), "f32");
 }
 
 TEST(Shape, NumElementsAndPrint)
@@ -176,7 +175,8 @@ TEST(Loops, ElementwiseTailSpec)
     Subgraph sg(g.nodes(), -1);
     const LoopSpec spec = describeLoops(sg, 3);
     EXPECT_EQ(spec.iters.size(), 4u);
-    EXPECT_TRUE(spec.reductionIters().empty());
+    for (const IterSpec &iter : spec.iters)
+        EXPECT_FALSE(iter.is_reduction);
 }
 
 TEST(ModelZoo, AllNetworksBuild)

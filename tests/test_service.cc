@@ -561,6 +561,32 @@ TEST(Service, CheckpointWriteFaultsRetryThenDegradeWithoutCurveDrift)
     EXPECT_TRUE(curvesMatch(golden_dir, dir, fleet));
 }
 
+TEST(Service, RecoveryRetriesReadFaultsInsteadOfQuarantining)
+{
+    // A read fault on an intact checkpoint is not damage: recover()
+    // retries it and resumes, so no salvageable round is thrown away.
+    const auto fleet = quickFleet(4);
+    const std::string golden_dir = test::scratchDir("read_fault_golden");
+    std::vector<tune::TuneResult> golden;
+    runGolden(golden_dir, fleet, golden);
+
+    const std::string dir = test::scratchDir("read_fault");
+    const ServiceOptions options = quickService(dir, 4);
+    bench::runFleet(options, fleet, 9);
+
+    IoFaultProfile chaos;
+    chaos.fault_rate = 0.5;
+    chaos.seed = 0x4ead;
+    ScopedIoFaults scope(chaos);
+    const bench::FleetRun resumed = bench::runFleet(options, fleet);
+    EXPECT_EQ(resumed.recovery.quarantined, 0);
+    EXPECT_EQ(resumed.recovery.recovered, 4);
+    EXPECT_GT(IoEnv::global().counters().read_faults, 0);
+    for (const SessionStatus status : resumed.status)
+        EXPECT_EQ(status, SessionStatus::Finished);
+    EXPECT_TRUE(curvesMatch(golden_dir, dir, fleet));
+}
+
 TEST(Service, IoChaosScheduleIsSeededAndReplayable)
 {
     // The same profile over the same fleet injects the identical fault

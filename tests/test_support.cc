@@ -524,7 +524,6 @@ TEST(StrUtil, Format)
 {
     EXPECT_EQ(strFormat("%d-%s", 3, "x"), "3-x");
     EXPECT_EQ(formatDouble(1.23456, 2), "1.23");
-    EXPECT_EQ(humanCount(1536000), "1.5M");
 }
 
 TEST(Stats, HistogramModeAndCounts)

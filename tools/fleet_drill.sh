@@ -10,6 +10,7 @@
 #   recovery  ansor fleet: stop at --ticks 13, SIGKILL a resume, recover
 #   guarded   the same on the guarded-ansor ladder
 #   io-chaos  SIGKILL a run under --io-fault-rate 0.5, recover under it
+#             with 0 checkpoints quarantined
 #   fsck      chaos-damage a directory, tear a checkpoint and strand a
 #             temp, tlp_fsck audit (exit 3) / repair (exit 3) / clean
 #             audit, then rerun fault-free
@@ -62,8 +63,13 @@ io_chaos_drill() {
     local fleet=(--sessions 6 --rounds 5 --model ansor --seed 9)
     "$serve" --dir "$golden" "${fleet[@]}"
     killed --dir "$drill" "${fleet[@]}" --io-fault-rate 0.5
-    "$serve" --dir "$drill" "${fleet[@]}" --io-fault-rate 0.5
+    "$serve" --dir "$drill" "${fleet[@]}" --io-fault-rate 0.5 \
+        | tee "$work/svc_io_recovered.txt"
     curves_match "$golden" "$drill" 6
+    # Atomic writes leave every final checkpoint intact, so a read
+    # fault must be retried, never quarantined as damage.
+    grep -q '^recovery: .*, 0 quarantined$' "$work/svc_io_recovered.txt" ||
+        { echo "recovery quarantined a checkpoint under read faults"; exit 1; }
 }
 
 fsck_drill() {
